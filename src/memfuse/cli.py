@@ -33,7 +33,9 @@ from .model import (
     build_state,
     evaluate,
     fit,
+    flatten,
     head_input_dim,
+    table_views,
 )
 from .serialize import load_arrays, save_arrays
 from .synthdata import TaskConfig, gen_dataset, split, stack, to_csv
@@ -81,18 +83,11 @@ def load_experiment(path: str, overrides: Optional[dict] = None) -> ExperimentCo
     if overrides.get("seed") is not None:
         seeds = [overrides["seed"]]
     out_dir = overrides.get("out") or doc.get("out_dir", "runs/out")
+    # fields the document leaves out keep ExperimentConfig's defaults
+    optional = {k: doc[k] for k in ("train_frac", "val_frac") if k in doc}
     sweep = doc.get("sweep", {})
-    return ExperimentConfig(
-        task=task,
-        classifier=classifier,
-        seeds=seeds,
-        out_dir=out_dir,
-        train_frac=doc.get("train_frac", 0.8),
-        val_frac=doc.get("val_frac", 0.1),
-        sweep_slots=sweep.get("slots", [10, 20, 30, 40, 50, 100]),
-        sweep_variants=sweep.get("variants", ["memory", "memory_cross"]),
-        sweep_out_dims=sweep.get("out_dims", [8, 16, 32]),
-    )
+    optional.update({f"sweep_{k}": sweep[k] for k in ("slots", "variants", "out_dims") if k in sweep})
+    return ExperimentConfig(task=task, classifier=classifier, seeds=seeds, out_dir=out_dir, **optional)
 
 
 def write_json(path: Path, doc: dict) -> None:
@@ -111,11 +106,12 @@ def curves_to_csv(curves: list) -> str:
 
 
 def state_to_arrays(state: TrainState) -> dict:
-    arrays = {f"param.{k}": v for k, v in state.params.named().items()}
-    for k, v in state.adam_m.items():
-        arrays[f"adam_m.{k}"] = v
-    for k, v in state.adam_v.items():
-        arrays[f"adam_v.{k}"] = v
+    table = state.params.table
+    arrays = {
+        **table_views(table, state.params.flat, "param."),
+        **table_views(table, state.m_flat, "adam_m."),
+        **table_views(table, state.v_flat, "adam_v."),
+    }
     for i, mem in enumerate(state.memories):
         arrays[f"memory{i}.matrix"] = mem.matrix
         arrays[f"memory{i}.writes"] = np.array([1.0 if mem.writes_enabled else 0.0])
@@ -127,11 +123,10 @@ def state_to_arrays(state: TrainState) -> dict:
 
 def restore_state(state: TrainState, arrays: dict) -> TrainState:
     """Load checkpoint arrays into a freshly built state, in place."""
-    named = state.params.named()
-    for k, v in named.items():
-        v[...] = arrays[f"param.{k}"]
-        state.adam_m[k][...] = arrays[f"adam_m.{k}"]
-        state.adam_v[k][...] = arrays[f"adam_v.{k}"]
+    table = state.params.table
+    state.params.flat[...] = flatten(table, arrays, "param.")
+    state.m_flat[...] = flatten(table, arrays, "adam_m.")
+    state.v_flat[...] = flatten(table, arrays, "adam_v.")
     for i, mem in enumerate(state.memories):
         mem.matrix[...] = arrays[f"memory{i}.matrix"]
         mem.writes_enabled = bool(arrays[f"memory{i}.writes"][0])
@@ -226,15 +221,18 @@ def cmd_ablate(args) -> int:
                     flush=True,
                 )
 
+    # a location cell the memory-size study already trained is reused
+    trained = {(r["variant"], r["slots"], r["seed"]): r for r in memory_size_rows}
     location_rows = []
     for variant in ("memory", "memory_single"):
         for seed in exp.seeds:
-            _, _, report = run_single(exp, seed, variant=variant)
-            location_rows.append(
-                {"variant": variant, "slots": exp.classifier.slots, "seed": seed,
-                 "wa": report.wa, "ua": report.ua}
-            )
-            print(f"[location] {variant} seed={seed}: wa={report.wa:.4f}", flush=True)
+            row = trained.get((variant, exp.classifier.slots, seed))
+            if row is None:
+                _, _, report = run_single(exp, seed, variant=variant)
+                row = {"variant": variant, "slots": exp.classifier.slots, "seed": seed,
+                       "wa": report.wa, "ua": report.ua}
+            location_rows.append(dict(row))
+            print(f"[location] {variant} seed={seed}: wa={row['wa']:.4f}", flush=True)
 
     out_dim_rows = []
     native = head_input_dim(

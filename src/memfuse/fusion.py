@@ -64,6 +64,12 @@ class Variant:
     def uses_memory(self) -> bool:
         return self.kind != NAIVE
 
+    def input_dim(self, s1: int, s2: int) -> int:
+        """Width of the layer's fused input and memory rows, given mode widths."""
+        if self.kind == MEMORY_SINGLE:
+            return s1 if self.mode == 1 else s2
+        return s1 + s2
+
 
 def parse_variant(name: str, mode: int = 1, out_dim: int = 0) -> Variant:
     """Build a Variant from its CLI spelling (hyphens or underscores)."""

@@ -26,6 +26,7 @@ from .fusion import (
     MEMORY_RESAMPLED,
     MEMORY_SINGLE,
     NAIVE,
+    PARAM_FIELDS,
     FusionParams,
     Variant,
     fusion_backward,
@@ -35,6 +36,18 @@ from .fusion import (
     naive_backward,
 )
 from .kernels import Array, Rng
+from .model import (
+    ClassifierConfig,
+    ModelParams,
+    build_state,
+    cross_entropy_batch,
+    flatten,
+    forward_logits,
+    loss_and_grads,
+    param_table,
+    relu_margins_ok,
+    table_views,
+)
 
 DIM_CAP = 16
 SLOT_CAP = 8
@@ -127,20 +140,6 @@ class GradReport:
         }
 
 
-def _flatten(blocks: Dict[str, Array]) -> Array:
-    return np.concatenate([np.asarray(b, dtype=np.float64).ravel() for b in blocks.values()])
-
-
-def _unflatten(theta: Array, template: Dict[str, Array]) -> Dict[str, Array]:
-    out = {}
-    pos = 0
-    for name, arr in template.items():
-        n = arr.size
-        out[name] = theta[pos : pos + n].reshape(arr.shape)
-        pos += n
-    return out
-
-
 def _grad_margins_ok(blocks: Dict[str, Array]) -> bool:
     for arr in blocks.values():
         mags = np.abs(arr.ravel())
@@ -195,9 +194,7 @@ class LayerCheckConfig:
 
     @property
     def layer_dim(self) -> int:
-        if self.variant.kind == MEMORY_SINGLE:
-            return self.s1 if self.variant.mode == 1 else self.s2
-        return self.s1 + self.s2
+        return self.variant.input_dim(self.s1, self.s2)
 
 
 def _draw_case(cfg: LayerCheckConfig, rng: Rng):
@@ -239,61 +236,28 @@ def check_layer(
         if variant.kind == NAIVE:
             g1, g2 = naive_backward(grad_out, cfg.s1)
             analytic = {"m1": g1, "m2": g2}
-            theta_template = {"m1": m1, "m2": m2}
+            theta = {"m1": m1, "m2": m2}
         else:
             if np.abs(trace.pre_act).min() < KINK_MARGIN:
                 continue
             bwd = fusion_backward(params, trace, mem, grad_out, proj=proj)
-            analytic = {
-                "w_read": bwd.params.w_read,
-                "b_read": bwd.params.b_read,
-                "w_comp": bwd.params.w_comp,
-                "b_comp": bwd.params.b_comp,
-                "w_scale": bwd.params.w_scale,
-                "m1": bwd.grad_m1,
-                "m2": bwd.grad_m2,
-            }
-            theta_template = {
-                "w_read": params.w_read,
-                "b_read": params.b_read,
-                "w_comp": params.w_comp,
-                "b_comp": params.b_comp,
-                "w_scale": params.w_scale,
-                "m1": m1,
-                "m2": m2,
-            }
+            analytic = {**vars(bwd.params), "m1": bwd.grad_m1, "m2": bwd.grad_m2}
+            theta = {**vars(params), "m1": m1, "m2": m2}
             if proj is not None:
                 analytic["proj"] = bwd.grad_proj
-                theta_template["proj"] = proj
+                theta["proj"] = proj
 
         if not _grad_margins_ok(analytic):
             continue
+        table = param_table(theta)
 
-        def loss_fn(theta: Array) -> float:
-            parts = _unflatten(theta, theta_template)
-            if variant.kind == NAIVE:
-                trial = fusion_forward(params, mem, variant, parts["m1"], parts["m2"])[0]
-            else:
-                trial_params = FusionParams(
-                    w_read=parts["w_read"],
-                    b_read=parts["b_read"],
-                    w_comp=parts["w_comp"],
-                    b_comp=parts["b_comp"],
-                    w_scale=parts["w_scale"],
-                )
-                trial = fusion_forward(
-                    trial_params,
-                    mem,
-                    variant,
-                    parts["m1"],
-                    parts["m2"],
-                    proj=parts.get("proj"),
-                )[0]
+        def loss_fn(flat: Array) -> float:
+            parts = table_views(table, flat)
+            layer = params if variant.kind == NAIVE else FusionParams(*(parts[f] for f in PARAM_FIELDS))
+            trial = fusion_forward(layer, mem, variant, parts["m1"], parts["m2"], proj=parts.get("proj"))[0]
             return float(np.sum(trial * trial))
 
-        theta0 = _flatten(theta_template)
-        numeric_flat = central_diff(loss_fn, theta0, step=step)
-        numeric = _unflatten(numeric_flat, theta_template)
+        numeric = table_views(table, central_diff(loss_fn, flatten(table, theta), step=step))
         return _report_from_blocks(analytic, numeric, threshold, step, tries=attempt)
 
     raise ParameterError(
@@ -321,9 +285,7 @@ def check_classifier(seed: int, variant: Variant = Variant(), threshold: float =
     the mean cross-entropy on one batch, and compares every named
     parameter array against the oracle.
     """
-    from . import model as model_mod
-
-    cfg = model_mod.ClassifierConfig(
+    cfg = ClassifierConfig(
         variant=variant.kind,
         out_dim=variant.out_dim if variant.kind == MEMORY_RESAMPLED else 0,
         encoder_hidden=3,
@@ -344,26 +306,24 @@ def check_classifier(seed: int, variant: Variant = Variant(), threshold: float =
 
     for attempt in range(1, MAX_TRIES + 1):
         case_rng = rng.split(7000 + attempt)
-        state = model_mod.build_state(cfg, s1=3, s2=2, init_seed=int(case_rng.integers(1, 2**31)[0]))
+        state = build_state(cfg, s1=3, s2=2, init_seed=int(case_rng.integers(1, 2**31)[0]))
         m1 = INPUT_SIGMA * case_rng.normal(cfg.batch * 3).reshape(cfg.batch, 3)
         m2 = INPUT_SIGMA * case_rng.normal(cfg.batch * 2).reshape(cfg.batch, 2)
         labels = case_rng.integers(cfg.batch, cfg.classes)
 
-        loss, grads, cache = model_mod.loss_and_grads(state, m1, m2, labels)
-        if not model_mod.relu_margins_ok(cache, KINK_MARGIN):
+        loss, grads, cache = loss_and_grads(state, m1, m2, labels)
+        if not relu_margins_ok(cache, KINK_MARGIN):
             continue
         if not _grad_margins_ok(grads):
             continue
 
-        template = dict(state.params.named())
+        table = state.params.table
 
-        def loss_fn(theta: Array) -> float:
-            parts = _unflatten(theta, template)
-            return model_mod.loss_with_overrides(state, parts, m1, m2, labels)
+        def loss_fn(flat: Array) -> float:
+            logits, _ = forward_logits(cfg, ModelParams(flat, table), state.memories, m1, m2)
+            return cross_entropy_batch(logits, labels)[0]
 
-        theta0 = _flatten(template)
-        numeric_flat = central_diff(loss_fn, theta0, step=step)
-        numeric = _unflatten(numeric_flat, template)
+        numeric = table_views(table, central_diff(loss_fn, state.params.flat, step=step))
         return _report_from_blocks(grads, numeric, threshold, step, tries=attempt)
 
     raise ParameterError(

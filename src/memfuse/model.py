@@ -14,7 +14,9 @@ default, across epochs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import functools
+import math
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -25,7 +27,6 @@ from .fusion import (
     MEMORY_RESAMPLED,
     MEMORY_SINGLE,
     NAIVE,
-    PARAM_FIELDS,
     ForwardTrace,
     FusionParams,
     MemoryState,
@@ -93,56 +94,72 @@ class ClassifierConfig:
         return [Variant(self.variant)]
 
 
-@dataclass
+# name -> (offset, shape) of each learnable block in a flat parameter vector
+Table = Dict[str, Tuple[int, Tuple[int, ...]]]
+
+
+def param_table(blocks: Dict[str, Array]) -> Table:
+    """Lay the given blocks end to end, in their order."""
+    table: Table = {}
+    offset = 0
+    for name, block in blocks.items():
+        table[name] = (offset, block.shape)
+        offset += block.size
+    return table
+
+
+def table_views(table: Table, flat: Array, prefix: str = "") -> Dict[str, Array]:
+    """Name -> view of that block of `flat`, each name led by `prefix`."""
+    return {
+        prefix + name: flat[offset : offset + math.prod(shape)].reshape(shape)
+        for name, (offset, shape) in table.items()
+    }
+
+
+def flatten(table: Table, arrays: Dict[str, Array], prefix: str = "") -> Array:
+    """The named arrays (each name led by `prefix`) copied into one flat vector."""
+    parts = [arrays[prefix + name] for name in table]
+    for (name, (_, shape)), part in zip(table.items(), parts):
+        if part.shape != shape:
+            raise ShapeError(f"{prefix}{name} has shape {part.shape}, want {shape}")
+    return np.concatenate(parts, axis=None)
+
+
 class ModelParams:
-    head1_w: Array
-    head1_b: Array
-    head2_w: Array
-    head2_b: Array
-    enc1_w: Optional[Array] = None
-    enc1_b: Optional[Array] = None
-    enc2_w: Optional[Array] = None
-    enc2_b: Optional[Array] = None
-    fusion_layers: List[FusionParams] = field(default_factory=list)
-    proj: Optional[Array] = None
+    """Every learnable block of the classifier, as views into one flat vector.
+
+    `flat` holds the blocks end to end in `table` order: encoders, fusion
+    layers, projection, head.  The attributes, `named()` and
+    `fusion_layers` are views of `flat`, so an update to `flat` reaches
+    all of them.  A deep copy or a pickle copies `flat` once and rebinds
+    the views to the copy.
+    """
+
+    def __init__(self, flat: Array, table: Table):
+        self.flat = flat
+        self.table = table
+        named = self._named = table_views(table, flat)
+        self.enc1_w, self.enc1_b = named.get("enc1_w"), named.get("enc1_b")
+        self.enc2_w, self.enc2_b = named.get("enc2_w"), named.get("enc2_b")
+        self.proj = named.get("proj")
+        self.head1_w, self.head1_b = named["head1_w"], named["head1_b"]
+        self.head2_w, self.head2_b = named["head2_w"], named["head2_b"]
+        layers: Dict[str, List[str]] = {}
+        for name in table:
+            layer, dot, _ = name.partition(".")
+            if dot:
+                layers.setdefault(layer, []).append(name)
+        # table names of each fusion layer's blocks, in FusionParams field order
+        self.fusion_keys = list(layers.values())
+        self.fusion_layers = [FusionParams(*(named[k] for k in keys)) for keys in self.fusion_keys]
 
     def named(self) -> Dict[str, Array]:
-        """Flat name -> array view of every learnable block, fixed order."""
-        out: Dict[str, Array] = {}
-        if self.enc1_w is not None:
-            out["enc1_w"] = self.enc1_w
-            out["enc1_b"] = self.enc1_b
-            out["enc2_w"] = self.enc2_w
-            out["enc2_b"] = self.enc2_b
-        for i, fp in enumerate(self.fusion_layers):
-            for name in PARAM_FIELDS:
-                out[f"fusion{i}.{name}"] = getattr(fp, name)
-        if self.proj is not None:
-            out["proj"] = self.proj
-        out["head1_w"] = self.head1_w
-        out["head1_b"] = self.head1_b
-        out["head2_w"] = self.head2_w
-        out["head2_b"] = self.head2_b
-        return out
+        """Name -> view of every learnable block, in table order."""
+        return dict(self._named)
 
-    def with_named(self, arrays: Dict[str, Array]) -> "ModelParams":
-        """Rebuild with the given arrays substituted (shapes must match)."""
-        fusion_layers = [
-            FusionParams(**{f: arrays[f"fusion{i}.{f}"] for f in PARAM_FIELDS})
-            for i in range(len(self.fusion_layers))
-        ]
-        return ModelParams(
-            head1_w=arrays["head1_w"],
-            head1_b=arrays["head1_b"],
-            head2_w=arrays["head2_w"],
-            head2_b=arrays["head2_b"],
-            enc1_w=arrays.get("enc1_w"),
-            enc1_b=arrays.get("enc1_b"),
-            enc2_w=arrays.get("enc2_w"),
-            enc2_b=arrays.get("enc2_b"),
-            fusion_layers=fusion_layers,
-            proj=arrays.get("proj"),
-        )
+    def __reduce__(self):
+        # rebuild from the vector, so deep copies and pickles keep the views tied
+        return ModelParams, (self.flat, self.table)
 
 
 @dataclass
@@ -152,11 +169,19 @@ class TrainState:
     s2: int
     params: ModelParams
     memories: List[MemoryState]
-    adam_m: Dict[str, Array]
-    adam_v: Dict[str, Array]
+    m_flat: Array   # Adam's first moment, laid out like params.flat
+    v_flat: Array   # Adam's second moment, likewise
     step: int
     drop_rng: Rng
     mem_seed: int
+
+    @property
+    def adam_m(self) -> Dict[str, Array]:
+        return table_views(self.params.table, self.m_flat)
+
+    @property
+    def adam_v(self) -> Dict[str, Array]:
+        return table_views(self.params.table, self.v_flat)
 
 
 def _encoded_dims(config: ClassifierConfig, s1: int, s2: int) -> Tuple[int, int]:
@@ -186,17 +211,13 @@ def build_state(config: ClassifierConfig, s1: int, s2: int, init_seed: Optional[
         return w, b
 
     e1, e2 = _encoded_dims(config, s1, s2)
-    enc1_w = enc1_b = enc2_w = enc2_b = None
+    init: Dict[str, Array] = {}
     if config.encoder_hidden > 0:
-        enc1_w, enc1_b = linear(prng.split(10), s1, config.encoder_hidden)
-        enc2_w, enc2_b = linear(prng.split(11), s2, config.encoder_hidden)
+        init["enc1_w"], init["enc1_b"] = linear(prng.split(10), s1, config.encoder_hidden)
+        init["enc2_w"], init["enc2_b"] = linear(prng.split(11), s2, config.encoder_hidden)
 
-    variants = config.layer_variants()
-    fusion_layers = []
-    for i, var in enumerate(variants):
-        d = e1 if var.kind == MEMORY_SINGLE and var.mode == 1 else (
-            e2 if var.kind == MEMORY_SINGLE else e1 + e2
-        )
+    for i, var in enumerate(config.layer_variants()):
+        d = var.input_dim(e1, e2)
         layer_rng = prng.split(20 + i)
         fp = init_params(layer_rng, d)
         if config.read_bias_init > 0:
@@ -204,56 +225,36 @@ def build_state(config: ClassifierConfig, s1: int, s2: int, init_seed: Optional[
                 d, -config.read_bias_init, config.read_bias_init
             )
         fp.w_scale *= config.transform_gain
-        fusion_layers.append(fp)
+        init.update((f"fusion{i}.{name}", block) for name, block in vars(fp).items())
 
-    proj = None
     if config.variant == MEMORY_RESAMPLED:
         d = e1 + e2
         bound = 1.0 / np.sqrt(d)
-        proj = prng.split(30).uniform(d * config.out_dim, -bound, bound).reshape(d, config.out_dim)
+        init["proj"] = prng.split(30).uniform(d * config.out_dim, -bound, bound).reshape(d, config.out_dim)
 
     fused_dim = head_input_dim(config, s1, s2)
-    head1_w, head1_b = linear(prng.split(40), fused_dim, config.head_hidden)
-    head2_w, head2_b = linear(prng.split(41), config.head_hidden, config.classes)
+    init["head1_w"], init["head1_b"] = linear(prng.split(40), fused_dim, config.head_hidden)
+    init["head2_w"], init["head2_b"] = linear(prng.split(41), config.head_hidden, config.classes)
 
-    params = ModelParams(
-        head1_w=head1_w,
-        head1_b=head1_b,
-        head2_w=head2_w,
-        head2_b=head2_b,
-        enc1_w=enc1_w,
-        enc1_b=enc1_b,
-        enc2_w=enc2_w,
-        enc2_b=enc2_b,
-        fusion_layers=fusion_layers,
-        proj=proj,
-    )
-
-    memories = _fresh_memories(config, e1, e2, mem_seed)
-    named = params.named()
+    table = param_table(init)
+    params = ModelParams(flatten(table, init), table)
     return TrainState(
         config=config,
         s1=s1,
         s2=s2,
         params=params,
-        memories=memories,
-        adam_m={k: np.zeros_like(v) for k, v in named.items()},
-        adam_v={k: np.zeros_like(v) for k, v in named.items()},
+        memories=_fresh_memories(config.slots, params, mem_seed),
+        m_flat=np.zeros_like(params.flat),
+        v_flat=np.zeros_like(params.flat),
         step=0,
         drop_rng=drop_rng,
         mem_seed=mem_seed,
     )
 
 
-def _fresh_memories(config: ClassifierConfig, e1: int, e2: int, mem_seed: int, epoch: int = 0) -> List[MemoryState]:
+def _fresh_memories(slots: int, params: ModelParams, mem_seed: int, epoch: int = 0) -> List[MemoryState]:
     mrng = Rng(mem_seed).split(epoch)
-    memories = []
-    for i, var in enumerate(config.layer_variants()):
-        d = e1 if var.kind == MEMORY_SINGLE and var.mode == 1 else (
-            e2 if var.kind == MEMORY_SINGLE else e1 + e2
-        )
-        memories.append(init_memory(mrng.split(i), config.slots, d))
-    return memories
+    return [init_memory(mrng.split(i), slots, fp.dim) for i, fp in enumerate(params.fusion_layers)]
 
 
 @dataclass
@@ -262,7 +263,7 @@ class BatchCache:
     enc2: Array
     pre1: Optional[Array]
     pre2: Optional[Array]
-    traces: List[Optional[ForwardTrace]]
+    traces: List[ForwardTrace]
     mem_prev: List[MemoryState]
     new_memories: List[MemoryState]
     fused_out: Array
@@ -312,24 +313,16 @@ def forward_logits(
     """Pure forward pass over one batch; never mutates the given memories."""
     enc1, enc2, pre1, pre2 = encode(params, m1, m2)
 
-    variants = config.layer_variants()
-    traces: List[Optional[ForwardTrace]] = []
+    outs: List[Array] = []
+    traces: List[ForwardTrace] = []
     new_memories: List[MemoryState] = []
-    if config.variant == NAIVE:
-        fused_out = np.concatenate([enc1, enc2], axis=1)
-    elif config.variant == MEMORY_SINGLE:
-        out1, tr1, nm1 = fusion_forward(params.fusion_layers[0], memories[0], variants[0], enc1, enc2)
-        out2, tr2, nm2 = fusion_forward(params.fusion_layers[1], memories[1], variants[1], enc1, enc2)
-        fused_out = np.concatenate([out1, out2], axis=1)
-        traces = [tr1, tr2]
-        new_memories = [nm1, nm2]
-    else:
-        out, tr, nm = fusion_forward(
-            params.fusion_layers[0], memories[0], variants[0], enc1, enc2, proj=params.proj
-        )
-        fused_out = out
-        traces = [tr]
-        new_memories = [nm]
+    for layer, mem, variant in zip(params.fusion_layers, memories, config.layer_variants(), strict=True):
+        out, trace, new_mem = fusion_forward(layer, mem, variant, enc1, enc2, proj=params.proj)
+        outs.append(out)
+        traces.append(trace)
+        new_memories.append(new_mem)
+    # with no fusion layer (the naive variant) the head reads the plain concatenation
+    fused_out = np.concatenate(outs or [enc1, enc2], axis=1)
 
     logits, hid_pre, hid, hid_dropped = head_forward(params, fused_out, drop_mask)
 
@@ -340,7 +333,7 @@ def forward_logits(
         pre2=pre2,
         traces=traces,
         mem_prev=list(memories),
-        new_memories=new_memories or list(memories),
+        new_memories=new_memories,
         fused_out=fused_out,
         hid_pre=hid_pre,
         hid=hid,
@@ -404,32 +397,20 @@ def backward_batch(
     grads["head1_b"] = grad_hid_pre.sum(axis=0)
     grad_fused = grad_hid_pre @ params.head1_w.T
 
-    if config.variant == NAIVE:
-        e1 = cache.enc1.shape[1]
-        grad_enc1, grad_enc2 = naive_backward(grad_fused, e1)
-    elif config.variant == MEMORY_SINGLE:
-        e1 = cache.enc1.shape[1]
-        bwd1 = fusion_backward(
-            params.fusion_layers[0], cache.traces[0], cache.mem_prev[0], grad_fused[:, :e1]
-        )
-        bwd2 = fusion_backward(
-            params.fusion_layers[1], cache.traces[1], cache.mem_prev[1], grad_fused[:, e1:]
-        )
-        for name in PARAM_FIELDS:
-            grads[f"fusion0.{name}"] = getattr(bwd1.params, name)
-            grads[f"fusion1.{name}"] = getattr(bwd2.params, name)
-        grad_enc1 = bwd1.grad_m1 + bwd2.grad_m1
-        grad_enc2 = bwd1.grad_m2 + bwd2.grad_m2
-    else:
-        bwd = fusion_backward(
-            params.fusion_layers[0], cache.traces[0], cache.mem_prev[0], grad_fused,
-            proj=params.proj,
-        )
-        for name in PARAM_FIELDS:
-            grads[f"fusion0.{name}"] = getattr(bwd.params, name)
+    # each layer reads its own columns of the fused output and adds to both inputs
+    grads_in: List[Tuple[Array, Array]] = []
+    start = 0
+    for keys, layer, trace, mem in zip(params.fusion_keys, params.fusion_layers, cache.traces, cache.mem_prev):
+        width = trace.out.shape[1]
+        bwd = fusion_backward(layer, trace, mem, grad_fused[:, start : start + width], proj=params.proj)
+        start += width
+        grads.update(zip(keys, vars(bwd.params).values()))
         if bwd.grad_proj is not None:
             grads["proj"] = bwd.grad_proj
-        grad_enc1, grad_enc2 = bwd.grad_m1, bwd.grad_m2
+        grads_in.append((bwd.grad_m1, bwd.grad_m2))
+    if not grads_in:
+        grads_in.append(naive_backward(grad_fused, cache.enc1.shape[1]))
+    grad_enc1, grad_enc2 = (functools.reduce(np.add, g) for g in zip(*grads_in))
 
     if params.enc1_w is not None:
         grad_pre1 = grad_enc1 * (cache.pre1 > 0.0)
@@ -450,21 +431,12 @@ def loss_and_grads(state: TrainState, m1: Array, m2: Array, labels: Array):
     return loss, grads, cache
 
 
-def loss_with_overrides(state: TrainState, arrays: Dict[str, Array], m1, m2, labels) -> float:
-    """Loss at substituted parameter values (finite-difference hook)."""
-    params = state.params.with_named(arrays)
-    logits, _ = forward_logits(state.config, params, state.memories, m1, m2)
-    return cross_entropy_batch(logits, labels)[0]
-
-
 def relu_margins_ok(cache: BatchCache, margin: float) -> bool:
     """True when every ReLU pre-activation sits clear of its kink."""
     pres = [cache.hid_pre]
     if cache.pre1 is not None:
         pres += [cache.pre1, cache.pre2]
-    for tr in cache.traces:
-        if tr is not None:
-            pres.append(tr.pre_act)
+    pres += [tr.pre_act for tr in cache.traces]
     return all(np.abs(p).min() >= margin for p in pres if p.size)
 
 
@@ -476,24 +448,23 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> TrainState:
-    """Bias-corrected Adam update, in place on the state's parameters."""
+    """Bias-corrected Adam update, in place on the state's parameters.
+
+    The gradient dict is flattened once through the parameter table, so
+    the update is a few whole-vector operations.
+    """
     lr = state.config.lr if lr is None else lr
-    named = state.params.named()
+    g = flatten(state.params.table, grads)
     state.step += 1
     t = state.step
-    for key, p in named.items():
-        g = grads[key]
-        if g.shape != p.shape:
-            raise ShapeError(f"adam_step: grad {key} has shape {g.shape}, want {p.shape}")
-        m = state.adam_m[key]
-        v = state.adam_v[key]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        m_hat = m / (1.0 - beta1**t)
-        v_hat = v / (1.0 - beta2**t)
-        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    m, v = state.m_flat, state.v_flat
+    m *= beta1
+    m += (1.0 - beta1) * g
+    v *= beta2
+    v += (1.0 - beta2) * g * g
+    m_hat = m / (1.0 - beta1**t)
+    v_hat = v / (1.0 - beta2**t)
+    state.params.flat -= lr * m_hat / (np.sqrt(v_hat) + eps)
     return state
 
 
@@ -573,11 +544,10 @@ def fit(
 ) -> List[dict]:
     """Run config.epochs passes; returns one curve row per epoch."""
     cfg = state.config
-    e1, e2 = _encoded_dims(cfg, state.s1, state.s2)
     curves = []
     for epoch in range(1, cfg.epochs + 1):
         if cfg.reset_memory_each_epoch and epoch > 1:
-            state.memories = _fresh_memories(cfg, e1, e2, state.mem_seed, epoch=epoch - 1)
+            state.memories = _fresh_memories(cfg.slots, state.params, state.mem_seed, epoch=epoch - 1)
         state, loss = train_epoch(state, train_set)
         row = {"epoch": epoch, "train_loss": loss}
         if val_set is not None:

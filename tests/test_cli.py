@@ -2,11 +2,16 @@
 
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import jsonschema
+import numpy as np
 import pytest
 
-from memfuse.cli import main
+from memfuse import cli
+from memfuse.cli import ExperimentConfig, load_experiment, main, restore_state, state_to_arrays
+from memfuse.model import build_state, train_epoch
+from memfuse.synthdata import gen_dataset, stack
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "memfuse" / "schemas"
 
@@ -147,6 +152,79 @@ class TestAblate:
         assert main(["ablate", "--config", cfg]) == 0
         doc = json.loads((out / "ablation.json").read_text())
         assert len(doc["memory_size"]) == 1
+
+
+    def test_no_cell_trained_twice(self, tmp_path, monkeypatch):
+        # classifier.slots (4) is in the slot sweep, so the location study's
+        # memory cells are the memory-size study's
+        cells = []
+
+        def fake_run_single(exp, seed, variant=None, slots=None):
+            cls = exp.classifier
+            key = (variant or cls.variant, slots or cls.slots, cls.out_dim, seed)
+            cells.append(key)
+            wa = (len(cells) % 7) / 7
+            return None, [], SimpleNamespace(wa=wa, ua=wa / 2)
+
+        monkeypatch.setattr(cli, "run_single", fake_run_single)
+        out = tmp_path / "abl"
+        sweep = {"slots": [2, 4], "variants": ["memory", "memory_cross"], "out_dims": [4]}
+        cfg = write_config(tmp_path, tiny_experiment(out, seeds=(0, 1), sweep=sweep))
+        assert main(["ablate", "--config", cfg]) == 0
+        assert len(cells) == len(set(cells)) == 8 + 2 + 2 + 2
+        doc = json.loads((out / "ablation.json").read_text())
+        assert len(doc["memory_location"]) == 4
+        for row in doc["memory_location"]:
+            if row["variant"] == "memory":
+                assert row in doc["memory_size"]
+
+
+class TestCheckpoint:
+    def test_round_trip_is_exact_and_keeps_views(self, tmp_path):
+        doc = tiny_experiment(tmp_path / "run")
+        doc["classifier"].update(variant="memory_single", encoder_hidden=3)
+        exp = load_experiment(write_config(tmp_path, doc))
+        cls, task = exp.classifier, exp.task
+        state = build_state(cls, task.s1, task.s2)
+        train_epoch(state, stack(gen_dataset(task)[:40]))
+        fresh = build_state(cls, task.s1, task.s2)
+        p = fresh.params
+        views = [p.head1_w, p.head2_b, p.enc1_w, *vars(p.fusion_layers[1]).values()]
+        restore_state(fresh, state_to_arrays(state))
+
+        assert fresh.params.flat.tobytes() == state.params.flat.tobytes()
+        assert fresh.m_flat.tobytes() == state.m_flat.tobytes()
+        assert fresh.v_flat.tobytes() == state.v_flat.tobytes()
+        assert fresh.step == state.step == 10
+        assert fresh.mem_seed == state.mem_seed
+        assert len(fresh.memories) == len(state.memories) == 2
+        for a, b in zip(fresh.memories, state.memories):
+            assert a.matrix.tobytes() == b.matrix.tobytes()
+            assert a.writes_enabled == b.writes_enabled
+        # restored in place: the same views, not rebound copies
+        assert p is fresh.params and p.head1_w is views[0] and p.fusion_layers[1].w_comp is views[5]
+        assert all(np.shares_memory(v, p.flat) for v in views)
+        for k, a in state.params.named().items():
+            assert p.named()[k].tobytes() == a.tobytes()
+
+
+class TestExperimentDefaults:
+    def test_absent_fields_take_the_dataclass_defaults(self, tmp_path):
+        doc = tiny_experiment(tmp_path / "run")
+        del doc["train_frac"], doc["val_frac"]
+        exp = load_experiment(write_config(tmp_path, doc))
+        defaults = ExperimentConfig(task=exp.task, classifier=exp.classifier, seeds=[0], out_dir="x")
+        for name in ("train_frac", "val_frac", "sweep_slots", "sweep_variants", "sweep_out_dims"):
+            assert getattr(exp, name) == getattr(defaults, name)
+        assert (exp.train_frac, exp.val_frac) == (0.8, 0.1)
+        assert exp.sweep_out_dims == [8, 16, 32]
+
+    def test_present_fields_override(self, tmp_path):
+        doc = tiny_experiment(tmp_path / "run", sweep={"slots": [3], "out_dims": [5]})
+        doc["val_frac"] = 0.2
+        exp = load_experiment(write_config(tmp_path, doc))
+        assert (exp.val_frac, exp.sweep_slots, exp.sweep_out_dims) == (0.2, [3], [5])
+        assert exp.sweep_variants == ["memory", "memory_cross"]
 
 
 class TestGradcheckCommand:

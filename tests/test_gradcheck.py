@@ -72,14 +72,15 @@ class TestCheckLayer:
         import numpy as np
 
         from memfuse.fusion import (
+            PARAM_FIELDS,
             FusionParams,
             Variant,
             fusion_backward,
             fusion_forward,
             init_memory,
         )
-        from memfuse.gradcheck import _flatten, _unflatten
         from memfuse.kernels import Rng
+        from memfuse.model import flatten, param_table, table_views
 
         d = 4
         params = FusionParams(
@@ -95,20 +96,16 @@ class TestCheckLayer:
         m2 = rng.normal(2 * 2).reshape(2, 2)
         out, trace, _ = fusion_forward(params, mem, Variant(), m1, m2)
         bwd = fusion_backward(params, trace, mem, 2.0 * out)
-        template = {
-            "w_read": params.w_read, "b_read": params.b_read,
-            "w_comp": params.w_comp, "b_comp": params.b_comp,
-            "w_scale": params.w_scale,
-        }
+        table = param_table(vars(params))
+        assert list(table) == list(PARAM_FIELDS)
 
         def loss_fn(theta):
-            parts = _unflatten(theta, template)
-            trial = FusionParams(**parts)
+            trial = FusionParams(**table_views(table, theta))
             o = fusion_forward(trial, mem, Variant(), m1, m2)[0]
             return float(np.sum(o * o))
 
-        fd = _unflatten(central_diff(loss_fn, _flatten(template)), template)
-        for name in template:
+        fd = table_views(table, central_diff(loss_fn, flatten(table, vars(params))))
+        for name in table:
             np.testing.assert_array_equal(getattr(bwd.params, name), 0.0)
             np.testing.assert_array_equal(fd[name], 0.0)
             np.testing.assert_array_equal(relative_errors(getattr(bwd.params, name), fd[name]), 0.0)

@@ -1,9 +1,12 @@
 """Classifier, optimizer, and training-loop contracts."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
-from memfuse.errors import ParameterError
+from memfuse.errors import ParameterError, ShapeError
 from memfuse.gradcheck import central_diff
 from memfuse.kernels import Rng
 from memfuse.model import (
@@ -17,6 +20,7 @@ from memfuse.model import (
     fit,
     forward_logits,
     head_forward,
+    loss_and_grads,
     train_epoch,
 )
 from memfuse.synthdata import TaskConfig, gen_dataset, stack
@@ -172,6 +176,81 @@ class TestAdam:
             adam_step(state, grads)
             history.append(abs(float(state.params.head2_b[0])))
         assert all(b < a for a, b in zip(history, history[1:]))
+
+
+class TestParamLayout:
+    def _state(self):
+        # encoders, two fusion layers and a full head: every kind of block
+        return build_state(tiny_config(variant="memory_single", encoder_hidden=3), 4, 4)
+
+    def test_blocks_tile_one_vector(self):
+        state = self._state()
+        p = state.params
+        assert list(p.table) == [
+            "enc1_w", "enc1_b", "enc2_w", "enc2_b",
+            *(f"fusion{i}.{f}" for i in (0, 1)
+              for f in ("w_read", "b_read", "w_comp", "b_comp", "w_scale")),
+            "head1_w", "head1_b", "head2_w", "head2_b",
+        ]
+        end = 0
+        for name, (offset, shape) in p.table.items():
+            assert offset == end, name
+            end += int(np.prod(shape))
+        assert end == p.flat.size == state.m_flat.size == state.v_flat.size
+        views = list(p.named().values()) + [p.head1_w, p.enc2_b]
+        views += [getattr(fp, f) for fp in p.fusion_layers for f in vars(fp)]
+        assert all(np.shares_memory(v, p.flat) for v in views)
+
+    def test_copies_keep_views_tied_to_the_copy(self):
+        # numpy alone does not: a deep-copied (base, view) pair loses the link
+        base = np.zeros(4)
+        pair = copy.deepcopy({"base": base, "view": base[:2]})
+        pair["base"][0] = 1.0
+        assert pair["view"][0] == 0.0
+
+        state = self._state()
+        flat, m, v = state.params.flat.copy(), state.m_flat.copy(), state.v_flat.copy()
+        named = {k: a.copy() for k, a in state.params.named().items()}
+        clone = copy.deepcopy(state)
+        m1, m2, y = tiny_data(n=4)
+        _, grads, _ = loss_and_grads(clone, m1, m2, y)
+        adam_step(clone, grads)
+
+        cp = clone.params
+        lr = clone.config.lr
+        for k, a in cp.named().items():
+            g = grads[k]
+            want_m = (1.0 - 0.9) * g
+            want_v = (1.0 - 0.999) * g * g
+            want = named[k] - lr * (want_m / (1.0 - 0.9)) / (np.sqrt(want_v / (1.0 - 0.999)) + 1e-8)
+            assert np.shares_memory(a, cp.flat) and not np.shares_memory(a, state.params.flat)
+            np.testing.assert_array_equal(a, want)
+            np.testing.assert_array_equal(clone.adam_m[k], want_m)
+            np.testing.assert_array_equal(clone.adam_v[k], want_v)
+        for keys, fp in zip(cp.fusion_keys, cp.fusion_layers):
+            for key, f in zip(keys, vars(fp)):
+                assert key.endswith("." + f)
+                assert np.shares_memory(getattr(fp, f), cp.flat)
+                np.testing.assert_array_equal(getattr(fp, f), cp.named()[key])
+        assert not np.array_equal(cp.fusion_layers[1].w_comp, named["fusion1.w_comp"])
+        assert clone.step == 1
+
+        unpickled = pickle.loads(pickle.dumps(clone)).params
+        assert unpickled.flat.tobytes() == cp.flat.tobytes()
+        assert all(np.shares_memory(a, unpickled.flat) for a in unpickled.named().values())
+
+        assert state.step == 0
+        assert state.params.flat.tobytes() == flat.tobytes()
+        assert state.m_flat.tobytes() == m.tobytes() and state.v_flat.tobytes() == v.tobytes()
+        for k, a in state.params.named().items():
+            assert a.tobytes() == named[k].tobytes()
+
+    def test_grad_shape_mismatch_raises(self):
+        state = build_state(tiny_config(), 4, 4)
+        grads = {k: np.zeros_like(v) for k, v in state.params.named().items()}
+        grads["head2_w"] = grads["head2_w"].T
+        with pytest.raises(ShapeError):
+            adam_step(state, grads)
 
 
 class TestTrainEpoch:
