@@ -63,11 +63,33 @@ class ExperimentConfig:
             raise ParameterError("seeds list must be nonempty")
 
 
+TOP_LEVEL_KEYS = ("task", "classifier", "seeds", "train_frac", "val_frac", "out_dir", "sweep")
+SWEEP_KEYS = ("slots", "variants", "out_dims")
+
+
+def checked_section(where: str, doc, allowed) -> dict:
+    """`doc` itself, once it is a JSON object whose keys are all in `allowed`."""
+    if not isinstance(doc, dict):
+        raise ParameterError(f"{where} must be a JSON object, got {type(doc).__name__}")
+    unknown = sorted(set(doc) - set(allowed))
+    if unknown:
+        raise ParameterError(f"unknown key {unknown[0]!r} in {where}; known keys: {', '.join(allowed)}")
+    return doc
+
+
+def field_names(cls) -> tuple:
+    return tuple(f.name for f in dataclasses.fields(cls))
+
+
+def load_task(doc: dict) -> TaskConfig:
+    return TaskConfig(**checked_section("task", doc, field_names(TaskConfig)))
+
+
 def load_experiment(path: str, overrides: Optional[dict] = None) -> ExperimentConfig:
-    doc = json.loads(Path(path).read_text())
+    doc = checked_section("the config", json.loads(Path(path).read_text()), TOP_LEVEL_KEYS)
     overrides = overrides or {}
-    task = TaskConfig(**doc.get("task", {}))
-    cls_doc = dict(doc.get("classifier", {}))
+    task = load_task(doc.get("task", {}))
+    cls_doc = dict(checked_section("classifier", doc.get("classifier", {}), field_names(ClassifierConfig)))
     cls_doc.setdefault("classes", task.classes)
     if cls_doc["classes"] != task.classes:
         raise ParameterError(
@@ -85,8 +107,8 @@ def load_experiment(path: str, overrides: Optional[dict] = None) -> ExperimentCo
     out_dir = overrides.get("out") or doc.get("out_dir", "runs/out")
     # fields the document leaves out keep ExperimentConfig's defaults
     optional = {k: doc[k] for k in ("train_frac", "val_frac") if k in doc}
-    sweep = doc.get("sweep", {})
-    optional.update({f"sweep_{k}": sweep[k] for k in ("slots", "variants", "out_dims") if k in sweep})
+    sweep = checked_section("sweep", doc.get("sweep", {}), SWEEP_KEYS)
+    optional.update({f"sweep_{k}": sweep[k] for k in SWEEP_KEYS if k in sweep})
     return ExperimentConfig(task=task, classifier=classifier, seeds=seeds, out_dir=out_dir, **optional)
 
 
@@ -122,7 +144,23 @@ def state_to_arrays(state: TrainState) -> dict:
 
 
 def restore_state(state: TrainState, arrays: dict) -> TrainState:
-    """Load checkpoint arrays into a freshly built state, in place."""
+    """Load checkpoint arrays into a freshly built state, in place.
+
+    The checkpoint must hold exactly the entries this state writes, each
+    in the same shape; otherwise ParameterError (a missing or extra
+    entry) or ShapeError (a wrong shape) names the first offender.
+    """
+    wanted = state_to_arrays(state)
+    for name, want in wanted.items():
+        if name not in arrays:
+            raise ParameterError(f"checkpoint has no entry {name!r}; was it written for another config?")
+        if arrays[name].shape != want.shape:
+            raise ShapeError(
+                f"checkpoint entry {name!r} has shape {arrays[name].shape}, this config needs {want.shape}"
+            )
+    extra = sorted(set(arrays) - set(wanted))
+    if extra:
+        raise ParameterError(f"checkpoint entry {extra[0]!r} does not belong to this config")
     table = state.params.table
     state.params.flat[...] = flatten(table, arrays, "param.")
     state.m_flat[...] = flatten(table, arrays, "adam_m.")
@@ -135,19 +173,42 @@ def restore_state(state: TrainState, arrays: dict) -> TrainState:
     return state
 
 
-def run_single(exp: ExperimentConfig, seed: int, variant: Optional[str] = None, slots: Optional[int] = None):
-    """Train one (variant, slots, seed) cell; returns (state, curves, report)."""
+def stacked_splits(exp: ExperimentConfig):
+    """The task's (train, val, test) splits, each as read-only (m1, m2, labels) arrays.
+
+    Read-only, so runs that share the splits cannot change what the next
+    run reads.
+    """
+    train, val, test = split(gen_dataset(exp.task), exp.train_frac, exp.val_frac)
+    splits = tuple(stack(part) for part in (train, val, test))
+    for arrays in splits:
+        for a in arrays:
+            a.flags.writeable = False
+    return splits
+
+
+def run_single(
+    exp: ExperimentConfig,
+    seed: int,
+    variant: Optional[str] = None,
+    slots: Optional[int] = None,
+    splits=None,
+):
+    """Train one (variant, slots, seed) cell; returns (state, curves, report).
+
+    `splits` is stacked_splits(exp), built here when not given; a sweep
+    builds it once and passes it to every cell.
+    """
     cls = dataclasses.replace(
         exp.classifier,
         seed=seed,
         variant=variant if variant is not None else exp.classifier.variant,
         slots=slots if slots is not None else exp.classifier.slots,
     )
-    data = gen_dataset(exp.task)
-    train, val, test = split(data, exp.train_frac, exp.val_frac)
+    train, val, test = stacked_splits(exp) if splits is None else splits
     state = build_state(cls, exp.task.s1, exp.task.s2)
-    curves = fit(state, stack(train), stack(val))
-    report = evaluate(state, stack(test))
+    curves = fit(state, train, val)
+    report = evaluate(state, test)
     return state, curves, report
 
 
@@ -185,11 +246,10 @@ def cmd_evaluate(args) -> int:
         raise ParameterError(f"checkpoint not found: {checkpoint}")
     seed = exp.seeds[0]
     cls = dataclasses.replace(exp.classifier, seed=seed)
-    data = gen_dataset(exp.task)
-    _, _, test = split(data, exp.train_frac, exp.val_frac)
+    _, _, test = stacked_splits(exp)
     state = build_state(cls, exp.task.s1, exp.task.s2)
     restore_state(state, load_arrays(checkpoint))
-    report = evaluate(state, stack(test), freeze_writes=args.freeze_writes or None)
+    report = evaluate(state, test, freeze_writes=args.freeze_writes or None)
     out.mkdir(parents=True, exist_ok=True)
     write_json(out / "metrics.json", metrics_doc(exp, seed, report, []))
     (out / "confusion.csv").write_text(confusion_to_csv(report.confusion))
@@ -200,12 +260,14 @@ def cmd_evaluate(args) -> int:
 def cmd_ablate(args) -> int:
     exp = load_experiment(args.config, vars(args))
     out = Path(exp.out_dir)
+    # every cell trains on the same task, so the dataset is built once
+    splits = stacked_splits(exp)
 
     memory_size_rows = []
     for variant in exp.sweep_variants:
         for slots in exp.sweep_slots:
             for seed in exp.seeds:
-                _, curves, report = run_single(exp, seed, variant=variant, slots=slots)
+                _, curves, report = run_single(exp, seed, variant=variant, slots=slots, splits=splits)
                 memory_size_rows.append(
                     {
                         "variant": variant,
@@ -228,7 +290,7 @@ def cmd_ablate(args) -> int:
         for seed in exp.seeds:
             row = trained.get((variant, exp.classifier.slots, seed))
             if row is None:
-                _, _, report = run_single(exp, seed, variant=variant)
+                _, _, report = run_single(exp, seed, variant=variant, splits=splits)
                 row = {"variant": variant, "slots": exp.classifier.slots, "seed": seed,
                        "wa": report.wa, "ua": report.ua}
             location_rows.append(dict(row))
@@ -244,7 +306,7 @@ def cmd_ablate(args) -> int:
         for seed in exp.seeds:
             cls = dataclasses.replace(exp.classifier, variant="memory_resampled", out_dim=d_out)
             sub = dataclasses.replace(exp, classifier=cls)
-            _, _, report = run_single(sub, seed)
+            _, _, report = run_single(sub, seed, splits=splits)
             out_dim_rows.append(
                 {"variant": "memory_resampled", "out_dim": d_out, "seed": seed,
                  "wa": report.wa, "ua": report.ua}
@@ -253,7 +315,7 @@ def cmd_ablate(args) -> int:
 
     baseline_rows = []
     for seed in exp.seeds:
-        _, _, report = run_single(exp, seed, variant="naive")
+        _, _, report = run_single(exp, seed, variant="naive", splits=splits)
         baseline_rows.append({"variant": "naive", "seed": seed, "wa": report.wa, "ua": report.ua})
         print(f"[baseline] naive seed={seed}: wa={report.wa:.4f}", flush=True)
 
@@ -318,7 +380,10 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_gen_data(args) -> int:
     doc = json.loads(Path(args.config).read_text()) if args.config else {}
-    task = TaskConfig(**doc.get("task", doc))
+    # an experiment config, or a document holding only the task fields
+    if isinstance(doc, dict) and "task" in doc:
+        doc = checked_section("the config", doc, TOP_LEVEL_KEYS)["task"]
+    task = load_task(doc)
     data = gen_dataset(task)
     out = Path(args.out or "dataset.csv")
     out.parent.mkdir(parents=True, exist_ok=True)

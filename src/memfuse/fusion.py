@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ParameterError, ShapeError
-from .kernels import Array, Rng, concat, relu, softmax, softmax_rows
+from .kernels import Array, Rng, as_batch, concat, relu, softmax, softmax_rows
 
 PARAM_FIELDS = ("w_read", "b_read", "w_comp", "b_comp", "w_scale")
 
@@ -127,12 +127,6 @@ class FusionParams:
     @property
     def dim(self) -> int:
         return self.b_read.shape[0]
-
-    def zeros_like(self) -> "FusionParams":
-        return FusionParams(*(np.zeros_like(getattr(self, f)) for f in PARAM_FIELDS))
-
-    def scaled(self, factor: float) -> "FusionParams":
-        return FusionParams(*(factor * getattr(self, f) for f in PARAM_FIELDS))
 
 
 @dataclass
@@ -267,21 +261,22 @@ def write_memory(mem: MemoryState, batch_keys: Array, batch_values: Array) -> Me
     one-hot key this replaces exactly one row and leaves every other row
     bit-identical.  Returns a new state; the input is never mutated.
     """
-    keys = np.atleast_2d(np.asarray(batch_keys, dtype=np.float64))
-    values = np.atleast_2d(np.asarray(batch_values, dtype=np.float64))
-    if keys.shape[0] == 0:
+    keys = as_batch(batch_keys)
+    values = as_batch(batch_values)
+    batch = keys.shape[0]
+    if batch == 0:
         raise ParameterError("write_memory: empty batch")
-    if keys.shape[1] != mem.slots or values.shape[1] != mem.dim:
+    if keys.shape[1] != mem.matrix.shape[0] or values.shape[1] != mem.matrix.shape[1]:
         raise ShapeError(
             f"write_memory: keys {keys.shape} / values {values.shape} "
-            f"vs memory ({mem.slots}, {mem.dim})"
+            f"vs memory {mem.matrix.shape}"
         )
-    if keys.shape[0] != values.shape[0]:
+    if batch != values.shape[0]:
         raise ShapeError("write_memory: batch sizes differ")
     if not mem.writes_enabled:
         return mem
-    batch = keys.shape[0]
-    erase = keys.mean(axis=0)
+    # the sum over the batch divided by its size: the same bits as keys.mean(axis=0)
+    erase = keys.sum(axis=0) / batch
     add = keys.T @ values / batch
     matrix = mem.matrix * (1.0 - erase)[:, None] + add
     return MemoryState(matrix=matrix, writes_enabled=True)
@@ -289,8 +284,8 @@ def write_memory(mem: MemoryState, batch_keys: Array, batch_values: Array) -> Me
 
 def naive_fusion(batch_m1, batch_m2) -> Array:
     """Plain per-example concatenation, the no-memory baseline."""
-    m1 = np.atleast_2d(np.asarray(batch_m1, dtype=np.float64))
-    m2 = np.atleast_2d(np.asarray(batch_m2, dtype=np.float64))
+    m1 = as_batch(batch_m1)
+    m2 = as_batch(batch_m2)
     if m1.shape[0] != m2.shape[0]:
         raise ShapeError(
             f"naive_fusion: batch sizes differ, {m1.shape[0]} vs {m2.shape[0]}"
@@ -333,8 +328,8 @@ def param_count_actual(params: FusionParams) -> int:
 
 
 def _check_mode_batches(batch_m1, batch_m2):
-    m1 = np.atleast_2d(np.asarray(batch_m1, dtype=np.float64))
-    m2 = np.atleast_2d(np.asarray(batch_m2, dtype=np.float64))
+    m1 = as_batch(batch_m1)
+    m2 = as_batch(batch_m2)
     if m1.shape[0] != m2.shape[0]:
         raise ShapeError(
             f"fusion_forward: batch sizes differ, {m1.shape[0]} vs {m2.shape[0]}"
@@ -375,9 +370,9 @@ def fusion_forward(
         query = np.concatenate([m2, m1], axis=1) if variant.kind == MEMORY_CROSS else fused
 
     d = fused.shape[1]
-    if mem.dim != d:
+    if mem.matrix.shape[1] != d:
         raise ShapeError(f"fusion_forward: memory dim {mem.dim} vs input dim {d}")
-    if params.dim != d:
+    if params.b_read.shape[0] != d:
         raise ShapeError(f"fusion_forward: params dim {params.dim} vs input dim {d}")
 
     mapped = fused @ params.w_read + params.b_read       # (B, d)
@@ -421,7 +416,7 @@ def fusion_forward(
 
 def _softmax_vjp(soft: Array, grad: Array) -> Array:
     # rows of soft are softmax outputs; standard Jacobian-transpose product
-    inner = np.sum(grad * soft, axis=1, keepdims=True)
+    inner = (grad * soft).sum(axis=1, keepdims=True)
     return soft * (grad - inner)
 
 
@@ -442,7 +437,7 @@ def fusion_backward(
         raise ParameterError(
             "naive fusion has no trace; use naive_backward to split the gradient"
         )
-    grad_out = np.atleast_2d(np.asarray(batch_grad_out, dtype=np.float64))
+    grad_out = as_batch(batch_grad_out)
     variant = trace.variant
     s1, s2 = trace.s1, trace.s2
 
@@ -451,7 +446,6 @@ def fusion_backward(
             f"fusion_backward: grad {grad_out.shape} vs outputs {trace.out.shape}"
         )
 
-    grads = params.zeros_like()
     grad_proj = None
 
     if variant.kind == MEMORY_RESAMPLED:
@@ -460,13 +454,10 @@ def fusion_backward(
         grad_proj = trace.out_raw.T @ grad_out
         grad_out = grad_out @ proj.T
 
-    # out = fused + transformed
-    grad_fused = grad_out.copy()
-    grad_transformed = grad_out
-
+    # out = fused + transformed: both take grad_out unchanged
     # transformed = relu(gated * w_scale)
-    grad_pre = grad_transformed * (trace.pre_act > 0.0)
-    grads.w_scale += np.sum(grad_pre * trace.gated, axis=0)
+    grad_pre = grad_out * (trace.pre_act > 0.0)
+    grad_w_scale = (grad_pre * trace.gated).sum(axis=0)
     grad_gated = grad_pre * params.w_scale
 
     # gated = attn * scores, attn = softmax(scores)
@@ -474,10 +465,10 @@ def fusion_backward(
     grad_scores = grad_gated * trace.attn + _softmax_vjp(trace.attn, grad_attn)
 
     # scores = mlp_in @ w_comp + b_comp
-    grads.w_comp += trace.mlp_in.T @ grad_scores
-    grads.b_comp += grad_scores.sum(axis=0)
+    grad_w_comp = trace.mlp_in.T @ grad_scores
+    grad_b_comp = grad_scores.sum(axis=0)
     grad_mlp_in = grad_scores @ params.w_comp.T
-    d = params.dim
+    d = trace.fused.shape[1]
     grad_query = grad_mlp_in[:, :d]
     grad_recalled = grad_mlp_in[:, d:]
 
@@ -487,9 +478,14 @@ def fusion_backward(
     grad_mapped = grad_scores_read @ mem_prev.matrix
 
     # mapped = fused @ w_read + b_read
-    grads.w_read += trace.fused.T @ grad_mapped
-    grads.b_read += grad_mapped.sum(axis=0)
-    grad_fused += grad_mapped @ params.w_read.T
+    grads = FusionParams(
+        w_read=trace.fused.T @ grad_mapped,
+        b_read=grad_mapped.sum(axis=0),
+        w_comp=grad_w_comp,
+        b_comp=grad_b_comp,
+        w_scale=grad_w_scale,
+    )
+    grad_fused = grad_out + grad_mapped @ params.w_read.T
 
     batch = grad_out.shape[0]
     if variant.kind == MEMORY_SINGLE:
@@ -501,21 +497,18 @@ def fusion_backward(
         else:
             grad_m1 = np.zeros((batch, s1))
             grad_m2 = grad_single
+    elif variant.kind == MEMORY_CROSS:
+        # query = [m2, m1]
+        grad_m1 = grad_fused[:, :s1] + grad_query[:, s2:]
+        grad_m2 = grad_fused[:, s1:] + grad_query[:, :s2]
     else:
-        grad_m1 = grad_fused[:, :s1].copy()
-        grad_m2 = grad_fused[:, s1:].copy()
-        if variant.kind == MEMORY_CROSS:
-            # query = [m2, m1]
-            grad_m2 += grad_query[:, :s2]
-            grad_m1 += grad_query[:, s2:]
-        else:
-            grad_m1 += grad_query[:, :s1]
-            grad_m2 += grad_query[:, s1:]
+        grad_m1 = grad_fused[:, :s1] + grad_query[:, :s1]
+        grad_m2 = grad_fused[:, s1:] + grad_query[:, s1:]
 
     return FusionBackward(params=grads, grad_m1=grad_m1, grad_m2=grad_m2, grad_proj=grad_proj)
 
 
 def naive_backward(grad_out, s1: int) -> tuple[Array, Array]:
     """Backward of naive fusion: pure slicing of the output gradient."""
-    grad_out = np.atleast_2d(np.asarray(grad_out, dtype=np.float64))
+    grad_out = as_batch(grad_out)
     return grad_out[:, :s1].copy(), grad_out[:, s1:].copy()

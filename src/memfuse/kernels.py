@@ -27,6 +27,7 @@ _MIX_A = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_B = np.uint64(0x94D049BB133111EB)
 _U64_MASK = (1 << 64) - 1
 _INV_2_53 = float(2.0**-53)
+_FLOAT64 = np.dtype(np.float64)
 
 
 def as_vector(x) -> Array:
@@ -43,6 +44,17 @@ def as_matrix(x) -> Array:
     if m.ndim != 2:
         raise ShapeError(f"expected a matrix, got ndim={m.ndim}")
     return m
+
+
+def as_batch(x) -> Array:
+    """Coerce to a 2-D float64 array of rows (a vector becomes one row).
+
+    A 2-D float64 ndarray comes back as the same object with no numpy
+    call, which keeps per-step input checks cheap.
+    """
+    if type(x) is np.ndarray and x.dtype is _FLOAT64 and x.ndim == 2:
+        return x
+    return np.atleast_2d(np.asarray(x, dtype=np.float64))
 
 
 def matmul(a, b) -> Array:

@@ -38,7 +38,7 @@ from .fusion import (
     naive_backward,
     parse_variant,
 )
-from .kernels import Array, Rng, softmax
+from .kernels import Array, Rng, as_batch, softmax
 from .metrics import MetricsReport, report_from_labels
 from .synthdata import Sample, stack
 
@@ -85,13 +85,20 @@ class ClassifierConfig:
         parse_variant(self.variant, out_dim=self.out_dim)  # validates the kind
 
     def layer_variants(self) -> List[Variant]:
-        if self.variant == NAIVE:
-            return []
-        if self.variant == MEMORY_SINGLE:
-            return [Variant(MEMORY_SINGLE, mode=1), Variant(MEMORY_SINGLE, mode=2)]
-        if self.variant == MEMORY_RESAMPLED:
-            return [Variant(MEMORY_RESAMPLED, out_dim=self.out_dim)]
-        return [Variant(self.variant)]
+        """One Variant per fusion layer, in layer order (none for naive)."""
+        return list(_layer_variants(self.variant, self.out_dim))
+
+
+@functools.lru_cache(maxsize=None)
+def _layer_variants(variant: str, out_dim: int) -> Tuple[Variant, ...]:
+    # built once per (variant, out_dim); Variant is frozen, so the tuple is safe to share
+    if variant == NAIVE:
+        return ()
+    if variant == MEMORY_SINGLE:
+        return (Variant(MEMORY_SINGLE, mode=1), Variant(MEMORY_SINGLE, mode=2))
+    if variant == MEMORY_RESAMPLED:
+        return (Variant(MEMORY_RESAMPLED, out_dim=out_dim),)
+    return (Variant(variant),)
 
 
 # name -> (offset, shape) of each learnable block in a flat parameter vector
@@ -280,8 +287,8 @@ def encode(params: ModelParams, m1: Array, m2: Array):
     Returns (enc1, enc2, pre1, pre2) with the pre-activations kept for
     the backward pass (None under the identity encoder).
     """
-    m1 = np.atleast_2d(np.asarray(m1, dtype=np.float64))
-    m2 = np.atleast_2d(np.asarray(m2, dtype=np.float64))
+    m1 = as_batch(m1)
+    m2 = as_batch(m2)
     if params.enc1_w is None:
         return m1, m2, None, None
     pre1 = m1 @ params.enc1_w + params.enc1_b
@@ -294,7 +301,7 @@ def head_forward(params: ModelParams, fused: Array, drop_mask: Optional[Array] =
 
     Returns (logits, hid_pre, hid, hid_dropped).
     """
-    fused = np.atleast_2d(np.asarray(fused, dtype=np.float64))
+    fused = as_batch(fused)
     hid_pre = fused @ params.head1_w + params.head1_b
     hid = np.maximum(hid_pre, 0.0)
     hid_dropped = hid if drop_mask is None else hid * drop_mask
@@ -360,7 +367,7 @@ def cross_entropy(logits: Array, label: int) -> Tuple[float, Array]:
 
 def cross_entropy_batch(logits: Array, labels: Array) -> Tuple[float, Array]:
     """Mean cross-entropy over a batch and the gradient of that mean."""
-    logits = np.atleast_2d(np.asarray(logits, dtype=np.float64))
+    logits = as_batch(logits)
     labels = np.asarray(labels, dtype=np.int64)
     batch, classes = logits.shape
     if labels.shape != (batch,):
@@ -370,7 +377,8 @@ def cross_entropy_batch(logits: Array, labels: Array) -> Tuple[float, Array]:
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_z = np.log(np.exp(shifted).sum(axis=1))
     rows = np.arange(batch)
-    loss = float(np.mean(log_z - shifted[rows, labels]))
+    # the sum divided by the batch size: the same bits as np.mean
+    loss = float((log_z - shifted[rows, labels]).sum() / batch)
     probs = np.exp(shifted - log_z[:, None])
     grad = probs
     grad[rows, labels] -= 1.0
@@ -408,11 +416,12 @@ def backward_batch(
         if bwd.grad_proj is not None:
             grads["proj"] = bwd.grad_proj
         grads_in.append((bwd.grad_m1, bwd.grad_m2))
-    if not grads_in:
-        grads_in.append(naive_backward(grad_fused, cache.enc1.shape[1]))
-    grad_enc1, grad_enc2 = (functools.reduce(np.add, g) for g in zip(*grads_in))
 
+    # the input gradients only matter when there are encoders to train
     if params.enc1_w is not None:
+        if not grads_in:
+            grads_in.append(naive_backward(grad_fused, cache.enc1.shape[1]))
+        grad_enc1, grad_enc2 = (functools.reduce(np.add, g) for g in zip(*grads_in))
         grad_pre1 = grad_enc1 * (cache.pre1 > 0.0)
         grads["enc1_w"] = np.asarray(m1, dtype=np.float64).T @ grad_pre1
         grads["enc1_b"] = grad_pre1.sum(axis=0)
@@ -505,7 +514,7 @@ def train_epoch(state: TrainState, dataset) -> Tuple[TrainState, float]:
             drop_mask = keep / (1.0 - cfg.dropout_rate)
         logits, cache = forward_logits(cfg, state.params, state.memories, m1, m2, drop_mask)
         loss, grad_logits = cross_entropy_batch(logits, y)
-        if not np.isfinite(loss):
+        if not math.isfinite(loss):
             raise NumericError(f"train_epoch: non-finite loss at batch {b}")
         grads = backward_batch(cfg, state.params, cache, grad_logits, m1, m2)
         adam_step(state, grads)
@@ -528,13 +537,18 @@ def evaluate(state: TrainState, dataset, freeze_writes: Optional[bool] = None) -
     freeze = cfg.freeze_eval_writes if freeze_writes is None else freeze_writes
     memories = [m.frozen() if freeze else m.copy() for m in state.memories]
 
-    preds = np.empty(n, dtype=np.int64)
+    logits_all = np.empty((n, cfg.classes))
     for start in range(0, n, cfg.batch):
         sl = slice(start, min(start + cfg.batch, n))
         logits, cache = forward_logits(cfg, state.params, memories, m1_all[sl], m2_all[sl])
         memories = cache.new_memories
-        preds[sl] = np.argmax(logits, axis=1)
-    return report_from_labels(y_all, preds, cfg.classes)
+        logits_all[sl] = logits
+    # argmax would turn a NaN into a silent prediction
+    finite = np.isfinite(logits_all).all(axis=1)
+    if not finite.all():
+        first = int(np.argmin(finite))
+        raise NumericError(f"evaluate: non-finite logits for sample {first} of {n}")
+    return report_from_labels(y_all, logits_all.argmax(axis=1), cfg.classes)
 
 
 def fit(

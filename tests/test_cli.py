@@ -11,9 +11,11 @@ import pytest
 from memfuse import cli
 from memfuse.cli import ExperimentConfig, load_experiment, main, restore_state, state_to_arrays
 from memfuse.model import build_state, train_epoch
+from memfuse.serialize import load_arrays, save_arrays
 from memfuse.synthdata import gen_dataset, stack
 
-SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "memfuse" / "schemas"
+ROOT = Path(__file__).resolve().parents[1]
+SCHEMA_DIR = ROOT / "src" / "memfuse" / "schemas"
 
 
 def tiny_experiment(out_dir, length=240, epochs=2, seeds=(0,), sweep=None):
@@ -121,6 +123,56 @@ class TestEvaluate:
         cfg = write_config(tmp_path, tiny_experiment(tmp_path / "run"))
         assert main(["evaluate", "--config", cfg, "--checkpoint", str(tmp_path / "no.bin")]) == 2
 
+    def test_wrong_slot_count_exit_2_names_the_entry(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path, tiny_experiment(out))
+        assert main(["train", "--config", cfg]) == 0
+        code = main(["evaluate", "--config", cfg, "--slots", "6",
+                     "--checkpoint", str(out / "checkpoint.bin"), "--out", str(tmp_path / "eval")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "memory0.matrix" in err and "(4, 8)" in err and "(6, 8)" in err
+        assert "Traceback" not in err
+
+    def test_checkpoint_of_another_variant_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path, tiny_experiment(out))
+        assert main(["train", "--config", cfg]) == 0
+        capsys.readouterr()
+        for variant, message in (
+            ("naive", "'adam_m.fusion0.b_comp' does not belong to this config"),
+            ("memory_single", "'param.fusion0.w_read' has shape (8, 8), this config needs (4, 4)"),
+        ):
+            code = main(["evaluate", "--config", cfg, "--variant", variant,
+                         "--checkpoint", str(out / "checkpoint.bin"), "--out", str(tmp_path / "eval")])
+            assert code == 2
+            assert message in capsys.readouterr().err
+
+    def test_missing_entry_exit_2_names_it(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path, tiny_experiment(out))
+        assert main(["train", "--config", cfg]) == 0
+        arrays = load_arrays(out / "checkpoint.bin")
+        del arrays["adam_v.head1_w"]
+        save_arrays(tmp_path / "short.bin", arrays)
+        code = main(["evaluate", "--config", cfg, "--checkpoint", str(tmp_path / "short.bin"),
+                     "--out", str(tmp_path / "eval")])
+        assert code == 2
+        assert "no entry 'adam_v.head1_w'" in capsys.readouterr().err
+
+    def test_non_finite_logits_exit_3(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path, tiny_experiment(out))
+        assert main(["train", "--config", cfg]) == 0
+        arrays = load_arrays(out / "checkpoint.bin")
+        arrays["param.head2_b"][0] = np.nan
+        save_arrays(tmp_path / "nan.bin", arrays)
+        code = main(["evaluate", "--config", cfg, "--checkpoint", str(tmp_path / "nan.bin"),
+                     "--out", str(tmp_path / "eval")])
+        assert code == 3
+        assert "non-finite logits" in capsys.readouterr().err
+        assert not (tmp_path / "eval" / "metrics.json").exists()
+
     def test_freeze_writes_flag_runs(self, tmp_path):
         out = tmp_path / "run"
         cfg = write_config(tmp_path, tiny_experiment(out))
@@ -158,11 +210,13 @@ class TestAblate:
         # classifier.slots (4) is in the slot sweep, so the location study's
         # memory cells are the memory-size study's
         cells = []
+        given_splits = []
 
-        def fake_run_single(exp, seed, variant=None, slots=None):
+        def fake_run_single(exp, seed, variant=None, slots=None, splits=None):
             cls = exp.classifier
             key = (variant or cls.variant, slots or cls.slots, cls.out_dim, seed)
             cells.append(key)
+            given_splits.append(splits)
             wa = (len(cells) % 7) / 7
             return None, [], SimpleNamespace(wa=wa, ua=wa / 2)
 
@@ -177,6 +231,49 @@ class TestAblate:
         for row in doc["memory_location"]:
             if row["variant"] == "memory":
                 assert row in doc["memory_size"]
+        # every cell was handed the one dataset the sweep built
+        assert given_splits[0] is not None
+        assert all(sp is given_splits[0] for sp in given_splits)
+
+    def test_dataset_built_once_per_sweep(self, tmp_path, monkeypatch):
+        built = []
+
+        def counting_gen_dataset(task):
+            built.append(task)
+            return gen_dataset(task)
+
+        monkeypatch.setattr(cli, "gen_dataset", counting_gen_dataset)
+        out = tmp_path / "abl"
+        sweep = {"slots": [2, 4], "variants": ["memory", "memory_cross"], "out_dims": [4]}
+        cfg = write_config(tmp_path, tiny_experiment(out, length=120, epochs=1, seeds=(0, 1), sweep=sweep))
+        assert main(["ablate", "--config", cfg]) == 0
+        assert len(built) == 1
+        doc = json.loads((out / "ablation.json").read_text())
+        assert len(doc["memory_size"]) + len(doc["output_dim"]) + len(doc["baseline"]) == 8 + 2 + 2
+
+
+class TestStackedSplits:
+    def test_read_only_and_equal_to_a_fresh_stack(self, tmp_path):
+        exp = load_experiment(write_config(tmp_path, tiny_experiment(tmp_path / "run")))
+        splits = cli.stacked_splits(exp)
+        data = gen_dataset(exp.task)
+        n_train, n_val = int(len(data) * exp.train_frac), int(len(data) * exp.val_frac)
+        parts = (data[:n_train], data[n_train:n_train + n_val], data[n_train + n_val:])
+        for arrays, part in zip(splits, parts):
+            for got, want in zip(arrays, stack(part)):
+                assert not got.flags.writeable
+                np.testing.assert_array_equal(got, want)
+                assert got.dtype == want.dtype
+        with pytest.raises(ValueError):
+            splits[0][0][0, 0] = 1.0
+
+    def test_cells_given_the_splits_match_cells_that_build_them(self, tmp_path):
+        exp = load_experiment(write_config(tmp_path, tiny_experiment(tmp_path / "run")))
+        splits = cli.stacked_splits(exp)
+        _, curves_a, report_a = cli.run_single(exp, 0, variant="memory_cross", splits=splits)
+        _, curves_b, report_b = cli.run_single(exp, 0, variant="memory_cross")
+        assert curves_a == curves_b
+        assert report_a.to_dict() == report_b.to_dict()
 
 
 class TestCheckpoint:
@@ -206,6 +303,47 @@ class TestCheckpoint:
         assert all(np.shares_memory(v, p.flat) for v in views)
         for k, a in state.params.named().items():
             assert p.named()[k].tobytes() == a.tobytes()
+
+
+class TestStrictConfig:
+    @pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.json")), ids=lambda p: p.name)
+    def test_shipped_configs_load(self, path):
+        exp = load_experiment(str(path))
+        assert exp.task.length > 0 and exp.classifier.slots > 0
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [("task", "lenght"), ("classifier", "slotz"), (None, "epochs"), ("sweep", "slot")],
+    )
+    def test_unknown_key_exit_2_names_it(self, tmp_path, capsys, section, key):
+        doc = tiny_experiment(tmp_path / "run", sweep={"slots": [4]})
+        (doc if section is None else doc[section])[key] = 1
+        cfg = write_config(tmp_path, doc)
+        assert main(["train", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert repr(key) in err and "Traceback" not in err
+
+    def test_section_that_is_not_an_object_exit_2(self, tmp_path, capsys):
+        doc = tiny_experiment(tmp_path / "run")
+        doc["classifier"] = [1, 2]
+        assert main(["train", "--config", write_config(tmp_path, doc)]) == 2
+        assert "classifier must be a JSON object" in capsys.readouterr().err
+
+    def test_gen_data_task_only_document(self, tmp_path, capsys):
+        task = tiny_experiment(tmp_path / "run", length=30)["task"]
+        out = tmp_path / "d.csv"
+        assert main(["gen-data", "--config", write_config(tmp_path, task), "--out", str(out)]) == 0
+        task["occlusion"] = 0.5
+        assert main(["gen-data", "--config", write_config(tmp_path, task), "--out", str(out)]) == 2
+        assert "'occlusion'" in capsys.readouterr().err
+
+    def test_gen_data_experiment_document(self, tmp_path, capsys):
+        doc = tiny_experiment(tmp_path / "run", length=30)
+        out = tmp_path / "d.csv"
+        assert main(["gen-data", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        doc["task"]["sead"] = 3
+        assert main(["gen-data", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+        assert "'sead'" in capsys.readouterr().err
 
 
 class TestExperimentDefaults:

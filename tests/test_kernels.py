@@ -8,6 +8,7 @@ import pytest
 from memfuse.errors import ParameterError, ShapeError
 from memfuse.kernels import (
     Rng,
+    as_batch,
     concat,
     hadamard,
     matmul,
@@ -31,6 +32,39 @@ def brute_matmul(a, b):
                 acc += a[i, t] * b[t, j]
             out[i, j] = acc
     return out
+
+
+class TestAsBatch:
+    def test_float64_matrix_passes_through(self):
+        m = np.arange(6.0).reshape(2, 3)
+        assert as_batch(m) is m
+        view = m[:, 1:]
+        assert as_batch(view) is view
+
+    @pytest.mark.parametrize(
+        "given",
+        [
+            [[1, 2, 3], [4, 5, 6]],                       # nested lists
+            np.arange(6).reshape(2, 3),                   # int matrix
+            np.arange(6, dtype=np.float32).reshape(2, 3),
+            np.arange(6.0).reshape(2, 3).astype(">f8"),   # non-native byte order
+        ],
+    )
+    def test_coerces_like_atleast_2d_asarray(self, given):
+        got = as_batch(given)
+        want = np.atleast_2d(np.asarray(given, dtype=np.float64))
+        assert got is not given
+        assert got.dtype == np.float64 and got.dtype.isnative and got.shape == (2, 3)
+        np.testing.assert_array_equal(got, want)
+
+    def test_vector_and_scalar_become_one_row(self):
+        assert as_batch([1.0, 2.0]).shape == (1, 2)
+        assert as_batch(np.arange(3.0)).shape == (1, 3)
+        assert as_batch(7).shape == (1, 1)
+
+    def test_higher_rank_is_left_to_the_caller(self):
+        # as today: atleast_2d keeps a 3-D array 3-D, and the callers' shape checks reject it
+        assert as_batch(np.zeros((2, 3, 4))).shape == (2, 3, 4)
 
 
 class TestMatmul:

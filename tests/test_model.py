@@ -2,11 +2,14 @@
 
 import copy
 import pickle
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from memfuse.errors import ParameterError, ShapeError
+import memfuse
+from memfuse.errors import NumericError, ParameterError, ShapeError
 from memfuse.gradcheck import central_diff
 from memfuse.kernels import Rng
 from memfuse.model import (
@@ -365,6 +368,21 @@ class TestEvaluate:
         assert r1.wa == r2.wa
         np.testing.assert_array_equal(r1.confusion, r2.confusion)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_logits_raise(self, bad):
+        # argmax would read a NaN row as a prediction of class 0
+        state = build_state(tiny_config(variant="memory"), 4, 4)
+        state.params.head2_b[1] = bad
+        with pytest.raises(NumericError, match="sample 0 of 24"):
+            evaluate(state, tiny_data(n=24))
+
+    def test_non_finite_logits_named_by_first_sample(self):
+        state = self._state_with_onehot_readout()
+        m1, m2, y = np.zeros((9, 4)), np.zeros((9, 3)), np.arange(9) % 3
+        m2[6, 0] = np.nan
+        with pytest.raises(NumericError, match="sample 6 of 9"):
+            evaluate(state, (m1, m2, y))
+
 
 class TestVariantsTrain:
     @pytest.mark.parametrize(
@@ -421,3 +439,64 @@ class TestConfigValidation:
     def test_spelling_normalized(self):
         cfg = tiny_config(variant="Memory-Cross")
         assert cfg.variant == "memory_cross"
+
+
+class TestLayerVariants:
+    @pytest.mark.parametrize("variant", ["naive", "memory", "memory_cross", "memory_single", "memory_resampled"])
+    def test_equal_lists_across_calls(self, variant):
+        cfg = tiny_config(variant=variant, out_dim=3)
+        first = cfg.layer_variants()
+        assert first == cfg.layer_variants() == tiny_config(variant=variant, out_dim=3).layer_variants()
+        assert len(first) == {"naive": 0, "memory_single": 2}.get(variant, 1)
+        assert all(v.kind == variant for v in first)
+
+    def test_mutating_the_returned_list_does_not_leak(self):
+        cfg = tiny_config(variant="memory_single")
+        got = cfg.layer_variants()
+        got.clear()
+        assert [v.mode for v in cfg.layer_variants()] == [1, 2]
+
+    def test_follows_the_config_fields(self):
+        cfg = tiny_config(variant="memory_resampled", out_dim=3)
+        assert cfg.layer_variants()[0].out_dim == 3
+        cfg.out_dim = 5
+        assert cfg.layer_variants()[0].out_dim == 5
+
+
+class TestStepCallBudget:
+    """A deterministic guard on the per-step Python work of the training loop.
+
+    Counts calls into memfuse's own Python functions over one paper-shape
+    epoch (d = 8, batch 2, k = 20) with sys.setprofile; no timing, so it
+    cannot flake.  A wrapper or helper added to the step raises the count
+    and fails this test; lower the budget when a change removes calls.
+    """
+
+    # per batch: forward_logits, layer_variants, encode, fusion_forward,
+    # _check_mode_batches, softmax_rows x2 (each with as_matrix),
+    # write_memory, head_forward, cross_entropy_batch, backward_batch,
+    # fusion_backward, _softmax_vjp x2, adam_step, flatten and its list
+    # comprehension, and nine as_batch input checks
+    PER_STEP = 28
+    PER_EPOCH = 2  # train_epoch itself and _as_arrays
+
+    def test_paper_shape_epoch_stays_within_budget(self):
+        cfg = tiny_config(variant="memory", slots=20, batch=2, head_hidden=32,
+                          read_bias_init=0.0, transform_gain=1.0)
+        state = build_state(cfg, 4, 4)
+        data = tiny_data(n=200)
+        package = str(Path(memfuse.__file__).parent)
+        calls = []
+
+        def count(frame, event, arg):
+            if event == "call" and frame.f_code.co_filename.startswith(package):
+                calls.append(frame.f_code.co_name)
+
+        sys.setprofile(count)
+        try:
+            train_epoch(state, data)
+        finally:
+            sys.setprofile(None)
+        steps = 200 // cfg.batch
+        assert calls.count("forward_logits") == steps
+        assert len(calls) <= self.PER_STEP * steps + self.PER_EPOCH, sorted(set(calls))
