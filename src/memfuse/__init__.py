@@ -43,7 +43,7 @@ from .model import (
     fit,
     train_epoch,
 )
-from .synthdata import Sample, TaskConfig, gen_dataset, split, stack
+from .synthdata import Dataset, TaskConfig, gen_dataset, split, stack
 
 __version__ = "0.1.0"
 

@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import typing
 from pathlib import Path
 from typing import Optional
 
@@ -38,7 +39,7 @@ from .model import (
     table_views,
 )
 from .serialize import load_arrays, save_arrays
-from .synthdata import TaskConfig, gen_dataset, split, stack, to_csv
+from .synthdata import TaskConfig, gen_dataset, split, to_csv
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -50,46 +51,61 @@ EXIT_NUMERIC = 3
 class ExperimentConfig:
     task: TaskConfig
     classifier: ClassifierConfig
-    seeds: list
+    seeds: list[int]
     out_dir: str
     train_frac: float = 0.8
     val_frac: float = 0.1
-    sweep_slots: list = dataclasses.field(default_factory=lambda: [10, 20, 30, 40, 50, 100])
-    sweep_variants: list = dataclasses.field(default_factory=lambda: ["memory", "memory_cross"])
-    sweep_out_dims: list = dataclasses.field(default_factory=lambda: [8, 16, 32])
+    sweep_slots: list[int] = dataclasses.field(default_factory=lambda: [10, 20, 30, 40, 50, 100])
+    sweep_variants: list[str] = dataclasses.field(default_factory=lambda: ["memory", "memory_cross"])
+    sweep_out_dims: list[int] = dataclasses.field(default_factory=lambda: [8, 16, 32])
 
     def __post_init__(self):
         if not self.seeds:
             raise ParameterError("seeds list must be nonempty")
 
 
-TOP_LEVEL_KEYS = ("task", "classifier", "seeds", "train_frac", "val_frac", "out_dir", "sweep")
-SWEEP_KEYS = ("slots", "variants", "out_dims")
+_FIELDS = typing.get_type_hints(ExperimentConfig)
+# a section is an object that is checked on its own
+TOP_LEVEL_KEYS = {"task": object, "classifier": object, "sweep": object,
+                  **{k: _FIELDS[k] for k in ("seeds", "train_frac", "val_frac", "out_dir")}}
+SWEEP_KEYS = {k: _FIELDS[f"sweep_{k}"] for k in ("slots", "variants", "out_dims")}
 
 
-def checked_section(where: str, doc, allowed) -> dict:
-    """`doc` itself, once it is a JSON object whose keys are all in `allowed`."""
+def fits(value, kind) -> bool:
+    """Whether a JSON value has a field's type: an int field takes no bool
+    or float, a float field takes an int, a list field checks each item."""
+    if typing.get_origin(kind) is list:
+        return isinstance(value, list) and all(fits(v, typing.get_args(kind)[0]) for v in value)
+    if kind in (int, float) and isinstance(value, bool):
+        return False
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def checked_section(where: str, doc, types: dict) -> dict:
+    """`doc` itself, once it is a JSON object whose keys are all in `types`
+    and whose values each have the type `types` gives their key."""
     if not isinstance(doc, dict):
         raise ParameterError(f"{where} must be a JSON object, got {type(doc).__name__}")
-    unknown = sorted(set(doc) - set(allowed))
+    unknown = sorted(set(doc) - set(types))
     if unknown:
-        raise ParameterError(f"unknown key {unknown[0]!r} in {where}; known keys: {', '.join(allowed)}")
+        raise ParameterError(f"unknown key {unknown[0]!r} in {where}; known keys: {', '.join(types)}")
+    for key, value in doc.items():
+        kind = types[key]
+        if not fits(value, kind):
+            name = kind if typing.get_origin(kind) else kind.__name__
+            raise ParameterError(f"{key!r} in {where} must be {name}, got {json.dumps(value)}")
     return doc
 
 
-def field_names(cls) -> tuple:
-    return tuple(f.name for f in dataclasses.fields(cls))
-
-
 def load_task(doc: dict) -> TaskConfig:
-    return TaskConfig(**checked_section("task", doc, field_names(TaskConfig)))
+    return TaskConfig(**checked_section("task", doc, typing.get_type_hints(TaskConfig)))
 
 
 def load_experiment(path: str, overrides: Optional[dict] = None) -> ExperimentConfig:
     doc = checked_section("the config", json.loads(Path(path).read_text()), TOP_LEVEL_KEYS)
     overrides = overrides or {}
     task = load_task(doc.get("task", {}))
-    cls_doc = dict(checked_section("classifier", doc.get("classifier", {}), field_names(ClassifierConfig)))
+    cls_doc = dict(checked_section("classifier", doc.get("classifier", {}), typing.get_type_hints(ClassifierConfig)))
     cls_doc.setdefault("classes", task.classes)
     if cls_doc["classes"] != task.classes:
         raise ParameterError(
@@ -174,17 +190,15 @@ def restore_state(state: TrainState, arrays: dict) -> TrainState:
 
 
 def stacked_splits(exp: ExperimentConfig):
-    """The task's (train, val, test) splits, each as read-only (m1, m2, labels) arrays.
+    """The task's (train, val, test) splits, each a Dataset of read-only row views.
 
     Read-only, so runs that share the splits cannot change what the next
     run reads.
     """
-    train, val, test = split(gen_dataset(exp.task), exp.train_frac, exp.val_frac)
-    splits = tuple(stack(part) for part in (train, val, test))
-    for arrays in splits:
-        for a in arrays:
-            a.flags.writeable = False
-    return splits
+    data = gen_dataset(exp.task)
+    for column in data:
+        column.flags.writeable = False  # and so is every view of it
+    return split(data, exp.train_frac, exp.val_frac)
 
 
 def run_single(
@@ -388,7 +402,7 @@ def cmd_gen_data(args) -> int:
     out = Path(args.out or "dataset.csv")
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(to_csv(data))
-    print(f"wrote {len(data)} samples -> {out}")
+    print(f"wrote {len(data.labels)} samples -> {out}")
     return EXIT_OK
 
 

@@ -40,7 +40,6 @@ from .fusion import (
 )
 from .kernels import Array, Rng, as_batch, softmax
 from .metrics import MetricsReport, report_from_labels
-from .synthdata import Sample, stack
 
 
 @dataclass
@@ -477,12 +476,13 @@ def adam_step(
     return state
 
 
-def _as_arrays(dataset) -> Tuple[Array, Array, Array]:
-    if isinstance(dataset, tuple) and len(dataset) == 3:
-        return dataset
-    if isinstance(dataset, list) and dataset and isinstance(dataset[0], Sample):
-        return stack(dataset)
-    raise ParameterError("dataset must be a (m1, m2, labels) tuple or a list of samples")
+def _as_arrays(dataset, caller: str) -> Tuple[Array, Array, Array]:
+    """The (m1, m2, labels) arrays of a dataset with at least one row."""
+    if not (isinstance(dataset, tuple) and len(dataset) == 3):
+        raise ParameterError(f"{caller}: dataset must be a (m1, m2, labels) tuple")
+    if len(dataset[0]) == 0:
+        raise ParameterError(f"{caller}: empty dataset")
+    return dataset
 
 
 def train_epoch(state: TrainState, dataset) -> Tuple[TrainState, float]:
@@ -491,10 +491,8 @@ def train_epoch(state: TrainState, dataset) -> Tuple[TrainState, float]:
     The ragged tail (fewer than `batch` examples) is dropped; the memory
     advances through every processed batch.  Returns the mean batch loss.
     """
-    m1_all, m2_all, y_all = _as_arrays(dataset)
+    m1_all, m2_all, y_all = _as_arrays(dataset, "train_epoch")
     n = m1_all.shape[0]
-    if n == 0:
-        raise ParameterError("train_epoch: empty dataset")
     cfg = state.config
     n_batches = n // cfg.batch
     if n_batches == 0:
@@ -529,10 +527,8 @@ def evaluate(state: TrainState, dataset, freeze_writes: Optional[bool] = None) -
     Writes follow the flag (default: the config's freeze_eval_writes);
     either way the training memories are untouched.
     """
-    m1_all, m2_all, y_all = _as_arrays(dataset)
+    m1_all, m2_all, y_all = _as_arrays(dataset, "evaluate")
     n = m1_all.shape[0]
-    if n == 0:
-        raise ParameterError("evaluate: empty dataset")
     cfg = state.config
     freeze = cfg.freeze_eval_writes if freeze_writes is None else freeze_writes
     memories = [m.frozen() if freeze else m.copy() for m in state.memories]

@@ -13,7 +13,7 @@ cannot.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
@@ -50,15 +50,18 @@ class TaskConfig:
             raise ParameterError(f"length must be >= 1, got {self.length}")
 
 
-@dataclass(frozen=True)
-class Sample:
+class Dataset(NamedTuple):
+    """The stream as row-aligned columns, row t being step t: m1 (n, s1) and
+    m2 (n, s2) float64, labels (n,) int64.  It unpacks as (m1, m2, labels),
+    the form training takes; `len` counts those three fields, not rows.
+    """
+
     m1: Array
     m2: Array
-    label: int
-    t: int
+    labels: Array
 
 
-def gen_dataset(config: TaskConfig) -> List[Sample]:
+def gen_dataset(config: TaskConfig) -> Dataset:
     """Deterministic stream generation; a pure function of the config.
 
     Prototypes are drawn once and frozen.  Occluded steps replace mode 1
@@ -79,68 +82,54 @@ def gen_dataset(config: TaskConfig) -> List[Sample]:
     occlusion_scale = float(np.sqrt(1.0 + config.noise_sigma**2))
     occ_noise = rng.normal(n * s1, 0.0, occlusion_scale).reshape(n, s1)
 
-    regimes_t = (np.arange(n) // config.regime_period) % config.regimes
+    regimes_t = regime_at(config, np.arange(n, dtype=np.int64))
     labels = (regimes_t + signals) % config.classes
 
     m1 = proto1[regimes_t] + noise1
     m1[occluded] = occ_noise[occluded]
     m2 = proto2[signals] + noise2
-
-    return [
-        Sample(m1=m1[t], m2=m2[t], label=int(labels[t]), t=t)
-        for t in range(n)
-    ]
+    return Dataset(m1, m2, labels)
 
 
-def regime_at(config: TaskConfig, t: int) -> int:
-    """Latent regime of step t (exposed for dataset diagnostics)."""
+def regime_at(config: TaskConfig, t):
+    """Latent regime of step t, an int or an integer array of steps."""
     return (t // config.regime_period) % config.regimes
 
 
-def split(dataset: List[Sample], train_frac: float, val_frac: float) -> Tuple[List[Sample], List[Sample], List[Sample]]:
-    """Contiguous train/val/test split preserving stream order."""
+def split(dataset: Dataset, train_frac: float, val_frac: float) -> Tuple[Dataset, Dataset, Dataset]:
+    """Contiguous train/val/test split preserving stream order; each part
+    holds row-slice views of the dataset's columns."""
     if train_frac <= 0 or val_frac <= 0:
         raise ParameterError("split fractions must be positive")
     if train_frac + val_frac >= 1.0:
         raise ParameterError(
             f"split fractions must leave a test remainder, got {train_frac} + {val_frac}"
         )
-    n = len(dataset)
+    m1, m2, labels = dataset
+    n = len(labels)
     n_train = int(n * train_frac)
     n_val = int(n * val_frac)
     if n_train == 0 or n_val == 0 or n_train + n_val >= n:
         raise ParameterError(f"degenerate split for {n} samples")
-    return (
-        dataset[:n_train],
-        dataset[n_train : n_train + n_val],
-        dataset[n_train + n_val :],
-    )
+    rows = (slice(0, n_train), slice(n_train, n_train + n_val), slice(n_train + n_val, n))
+    return tuple(Dataset(m1[r], m2[r], labels[r]) for r in rows)
 
 
-def stack(dataset: List[Sample]) -> Tuple[Array, Array, Array]:
-    """Batch a sample list into (M1, M2, labels) arrays."""
-    if not dataset:
+def stack(dataset: Dataset) -> Dataset:
+    """The dataset's (m1, m2, labels) arrays; the stream is columnar, so nothing is copied."""
+    m1, m2, labels = dataset
+    if len(labels) == 0:
         raise ParameterError("stack: empty dataset")
-    m1 = np.stack([s.m1 for s in dataset])
-    m2 = np.stack([s.m2 for s in dataset])
-    y = np.array([s.label for s in dataset], dtype=np.int64)
-    return m1, m2, y
+    return Dataset(m1, m2, labels)
 
 
-def to_csv(dataset: List[Sample]) -> str:
-    """One row per sample: t, label, then mode-1 and mode-2 features."""
-    if not dataset:
+def to_csv(dataset: Dataset) -> str:
+    """One row per sample: t (the row index), label, then mode-1 and mode-2 features."""
+    m1, m2, labels = dataset
+    if len(labels) == 0:
         raise ParameterError("to_csv: empty dataset")
-    s1 = dataset[0].m1.size
-    s2 = dataset[0].m2.size
-    header = (
-        "t,label,"
-        + ",".join(f"m1_{i}" for i in range(s1))
-        + ","
-        + ",".join(f"m2_{i}" for i in range(s2))
-    )
-    lines = [header]
-    for s in dataset:
-        feats = [repr(float(v)) for v in s.m1] + [repr(float(v)) for v in s.m2]
-        lines.append(f"{s.t},{s.label}," + ",".join(feats))
+    header = ["t", "label"] + [f"m1_{i}" for i in range(m1.shape[1])] + [f"m2_{i}" for i in range(m2.shape[1])]
+    lines = [",".join(header)]
+    for t, (label, x1, x2) in enumerate(zip(labels.tolist(), m1.tolist(), m2.tolist())):
+        lines.append(f"{t},{label}," + ",".join(map(repr, x1 + x2)))
     return "\n".join(lines) + "\n"

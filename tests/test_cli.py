@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, artifacts, determinism, schema validity."""
 
 import json
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -12,7 +13,7 @@ from memfuse import cli
 from memfuse.cli import ExperimentConfig, load_experiment, main, restore_state, state_to_arrays
 from memfuse.model import build_state, train_epoch
 from memfuse.serialize import load_arrays, save_arrays
-from memfuse.synthdata import gen_dataset, stack
+from memfuse.synthdata import Dataset, gen_dataset
 
 ROOT = Path(__file__).resolve().parents[1]
 SCHEMA_DIR = ROOT / "src" / "memfuse" / "schemas"
@@ -257,15 +258,30 @@ class TestStackedSplits:
         exp = load_experiment(write_config(tmp_path, tiny_experiment(tmp_path / "run")))
         splits = cli.stacked_splits(exp)
         data = gen_dataset(exp.task)
-        n_train, n_val = int(len(data) * exp.train_frac), int(len(data) * exp.val_frac)
-        parts = (data[:n_train], data[n_train:n_train + n_val], data[n_train + n_val:])
-        for arrays, part in zip(splits, parts):
-            for got, want in zip(arrays, stack(part)):
+        n = exp.task.length
+        n_train, n_val = int(n * exp.train_frac), int(n * exp.val_frac)
+        rows = (slice(0, n_train), slice(n_train, n_train + n_val), slice(n_train + n_val, n))
+        for arrays, r in zip(splits, rows):
+            for got, column in zip(arrays, data):
+                want = column[r]
                 assert not got.flags.writeable
                 np.testing.assert_array_equal(got, want)
-                assert got.dtype == want.dtype
+                assert got.dtype == want.dtype and got.shape == want.shape
         with pytest.raises(ValueError):
             splits[0][0][0, 0] = 1.0
+
+    def test_parts_are_read_only_views_of_one_buffer_per_column(self, tmp_path):
+        exp = load_experiment(write_config(tmp_path, tiny_experiment(tmp_path / "run")))
+        splits = cli.stacked_splits(exp)
+        assert all(isinstance(part, Dataset) for part in splits)
+        for i in range(3):
+            parts = [part[i] for part in splits]
+            base = parts[0].base
+            assert base is not None and len(base) == exp.task.length
+            for a in parts:
+                assert a.base is base and np.shares_memory(a, base)
+                assert not a.flags.writeable
+            assert sum(len(a) for a in parts) == len(base)
 
     def test_cells_given_the_splits_match_cells_that_build_them(self, tmp_path):
         exp = load_experiment(write_config(tmp_path, tiny_experiment(tmp_path / "run")))
@@ -276,6 +292,39 @@ class TestStackedSplits:
         assert report_a.to_dict() == report_b.to_dict()
 
 
+class TestSetupCallBudget:
+    """A deterministic guard on the Python work of building a run's data.
+
+    Counts every Python-level call event (memfuse, numpy and the standard
+    library alike) with sys.setprofile while stacked_splits builds the
+    splits of a 500-step and of a 5000-step stream.  The counts must be
+    equal: setup makes no Python call per row.  No timing, so it cannot
+    flake.
+    """
+
+    @staticmethod
+    def count_calls(tmp_path, length):
+        exp = load_experiment(write_config(tmp_path, tiny_experiment(tmp_path / "run", length=length)))
+        calls = []
+
+        def count(frame, event, arg):
+            if event == "call":
+                calls.append(frame.f_code.co_name)
+
+        sys.setprofile(count)
+        try:
+            cli.stacked_splits(exp)
+        finally:
+            sys.setprofile(None)
+        return calls
+
+    def test_call_count_does_not_grow_with_the_stream(self, tmp_path):
+        self.count_calls(tmp_path, 500)  # first calls may fill caches
+        short = self.count_calls(tmp_path, 500)
+        long = self.count_calls(tmp_path, 5000)
+        assert len(long) == len(short), sorted(set(long) - set(short))
+
+
 class TestCheckpoint:
     def test_round_trip_is_exact_and_keeps_views(self, tmp_path):
         doc = tiny_experiment(tmp_path / "run")
@@ -283,7 +332,8 @@ class TestCheckpoint:
         exp = load_experiment(write_config(tmp_path, doc))
         cls, task = exp.classifier, exp.task
         state = build_state(cls, task.s1, task.s2)
-        train_epoch(state, stack(gen_dataset(task)[:40]))
+        m1, m2, labels = gen_dataset(task)
+        train_epoch(state, (m1[:40], m2[:40], labels[:40]))
         fresh = build_state(cls, task.s1, task.s2)
         p = fresh.params
         views = [p.head1_w, p.head2_b, p.enc1_w, *vars(p.fusion_layers[1]).values()]
@@ -322,6 +372,42 @@ class TestStrictConfig:
         assert main(["train", "--config", cfg]) == 2
         err = capsys.readouterr().err
         assert repr(key) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("classifier", "slots", "20"),
+            ("classifier", "lr", "0.01"),
+            ("task", "length", "100"),
+            ("task", "s1", None),
+            ("classifier", "epochs", 1.5),
+            ("classifier", "batch", True),
+            ("classifier", "reset_memory_each_epoch", 1),
+            ("classifier", "variant", 3),
+            (None, "seeds", [0, "1"]),
+            (None, "seeds", 0),
+            (None, "train_frac", "0.8"),
+            (None, "out_dir", 5),
+            ("sweep", "slots", [2, 4.0]),
+            ("sweep", "variants", "memory"),
+            ("sweep", "out_dims", [True]),
+        ],
+    )
+    def test_value_of_the_wrong_type_exit_2_names_it(self, tmp_path, capsys, section, key, value):
+        doc = tiny_experiment(tmp_path / "run", sweep={"slots": [4]})
+        (doc if section is None else doc[section])[key] = value
+        assert main(["train", "--config", write_config(tmp_path, doc)]) == 2
+        err = capsys.readouterr().err
+        assert f"{key!r} in {section or 'the config'} must be" in err
+        assert "Traceback" not in err
+
+    def test_int_is_accepted_where_a_number_is_expected(self, tmp_path):
+        doc = tiny_experiment(tmp_path / "run")
+        doc["task"]["noise_sigma"] = 1
+        doc["classifier"].update(lr=1, dropout_rate=0, freeze_eval_writes=True)
+        exp = load_experiment(write_config(tmp_path, doc))
+        assert (exp.task.noise_sigma, exp.classifier.lr, exp.classifier.dropout_rate) == (1, 1, 0)
+        assert exp.classifier.freeze_eval_writes is True
 
     def test_section_that_is_not_an_object_exit_2(self, tmp_path, capsys):
         doc = tiny_experiment(tmp_path / "run")
@@ -398,6 +484,14 @@ class TestGenData:
         lines = out.read_text().strip().split("\n")
         assert len(lines) == 51
         assert lines[0].startswith("t,label,m1_0")
+
+    def test_printed_count_is_the_csv_row_count(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, tiny_experiment(tmp_path / "run", length=37))
+        out = tmp_path / "data.csv"
+        assert main(["gen-data", "--config", cfg, "--out", str(out)]) == 0
+        rows = out.read_text().strip().split("\n")[1:]
+        assert len(rows) == 37
+        assert capsys.readouterr().out.startswith(f"wrote {len(rows)} samples ")
 
     def test_bad_task_config_exit_2(self, tmp_path):
         cfg = write_config(tmp_path, {"task": {"s1": 0, "s2": 2}})

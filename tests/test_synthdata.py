@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from memfuse.errors import ParameterError
-from memfuse.synthdata import TaskConfig, gen_dataset, regime_at, split, stack, to_csv
+from memfuse.kernels import Rng
+from memfuse.synthdata import Dataset, TaskConfig, gen_dataset, regime_at, split, stack, to_csv
 
 
 def small_config(**overrides):
@@ -38,43 +39,51 @@ class TestGeneration:
         cfg = small_config()
         a = gen_dataset(cfg)
         b = gen_dataset(cfg)
-        for sa, sb in zip(a, b):
-            np.testing.assert_array_equal(sa.m1, sb.m1)
-            np.testing.assert_array_equal(sa.m2, sb.m2)
-            assert sa.label == sb.label and sa.t == sb.t
+        np.testing.assert_array_equal(a.m1, b.m1)
+        np.testing.assert_array_equal(a.m2, b.m2)
+        np.testing.assert_array_equal(a.labels, b.labels)
+
+    def test_columns(self):
+        cfg = small_config(s1=3, s2=5, length=50)
+        data = gen_dataset(cfg)
+        assert isinstance(data, Dataset)
+        assert (data.m1.shape, data.m2.shape, data.labels.shape) == ((50, 3), (50, 5), (50,))
+        assert (data.m1.dtype, data.m2.dtype, data.labels.dtype) == (np.float64, np.float64, np.int64)
+        m1, m2, labels = data
+        assert m1 is data.m1 and m2 is data.m2 and labels is data.labels
 
     def test_noiseless_case_is_lookup_separable(self):
         # tiny noise, no occlusion: a lookup table keyed on rounded
         # features predicts every sample
         cfg = small_config(occlusion_prob=0.0, noise_sigma=1e-7, length=300)
-        data = gen_dataset(cfg)
+        m1, m2, labels = gen_dataset(cfg)
         table = {}
-        for s in data:
-            key = (tuple(np.round(s.m1, 4)), tuple(np.round(s.m2, 4)))
-            table.setdefault(key, s.label)
+        for x1, x2, label in zip(m1, m2, labels):
+            key = (tuple(np.round(x1, 4)), tuple(np.round(x2, 4)))
+            table.setdefault(key, label)
         correct = sum(
-            table[(tuple(np.round(s.m1, 4)), tuple(np.round(s.m2, 4)))] == s.label
-            for s in data
+            table[(tuple(np.round(x1, 4)), tuple(np.round(x2, 4)))] == label
+            for x1, x2, label in zip(m1, m2, labels)
         )
-        assert correct == len(data)
+        assert correct == len(labels) == cfg.length
         # far fewer distinct keys than samples, so the table generalizes
         assert len(table) <= cfg.regimes * cfg.classes
 
     def test_labels_follow_regime_plus_signal_rule(self):
         cfg = small_config(occlusion_prob=0.0, noise_sigma=1e-9, length=200)
-        data = gen_dataset(cfg)
-        # reconstruct prototype tables from noiseless features
+        m1, m2, labels = gen_dataset(cfg)
+        # reconstruct prototype tables from noiseless features; row t is step t
         m1_protos, m2_protos = {}, {}
-        for s in data:
-            r = regime_at(cfg, s.t)
-            m1_protos.setdefault(r, s.m1)
-            sig = (s.label - r) % cfg.classes
-            m2_protos.setdefault(sig, s.m2)
-        for s in data:
-            r = regime_at(cfg, s.t)
-            np.testing.assert_allclose(s.m1, m1_protos[r], atol=1e-6)
-            sig = (s.label - r) % cfg.classes
-            np.testing.assert_allclose(s.m2, m2_protos[sig], atol=1e-6)
+        for t, label in enumerate(labels):
+            r = regime_at(cfg, t)
+            m1_protos.setdefault(r, m1[t])
+            sig = (label - r) % cfg.classes
+            m2_protos.setdefault(sig, m2[t])
+        for t, label in enumerate(labels):
+            r = regime_at(cfg, t)
+            np.testing.assert_allclose(m1[t], m1_protos[r], atol=1e-6)
+            sig = (label - r) % cfg.classes
+            np.testing.assert_allclose(m2[t], m2_protos[sig], atol=1e-6)
 
     def test_full_occlusion_kills_mode1_information(self):
         cfg = small_config(occlusion_prob=1.0, length=10_000)
@@ -87,10 +96,9 @@ class TestGeneration:
 
     def test_mode2_stays_informative_about_signal(self):
         cfg = small_config(occlusion_prob=1.0, length=10_000, noise_sigma=0.2)
-        data = gen_dataset(cfg)
-        _, m2, y = stack(data)
+        _, m2, y = stack(gen_dataset(cfg))
         signals = np.array(
-            [(s.label - regime_at(cfg, s.t)) % cfg.classes for s in data]
+            [(label - regime_at(cfg, t)) % cfg.classes for t, label in enumerate(y)]
         )
         assert plug_in_mi(m2[:, 0], signals) > 0.2
 
@@ -127,22 +135,41 @@ class TestGeneration:
             small_config(length=0)
 
 
+def rows(part):
+    """Row count of a dataset, checked to agree across its three columns."""
+    assert len(part.m1) == len(part.m2) == len(part.labels)
+    return len(part.labels)
+
+
 class TestSplit:
     def test_eight_one_one(self):
         data = gen_dataset(small_config(length=1000))
         train, val, test = split(data, 0.8, 0.1)
-        assert (len(train), len(val), len(test)) == (800, 100, 100)
+        assert (rows(train), rows(val), rows(test)) == (800, 100, 100)
 
     def test_half_quarter(self):
         data = gen_dataset(small_config(length=100))
         train, val, test = split(data, 0.5, 0.25)
-        assert (len(train), len(val), len(test)) == (50, 25, 25)
+        assert (rows(train), rows(val), rows(test)) == (50, 25, 25)
 
     def test_partition_preserves_order(self):
         data = gen_dataset(small_config(length=200))
-        train, val, test = split(data, 0.6, 0.2)
-        rejoined = train + val + test
-        assert [s.t for s in rejoined] == [s.t for s in data]
+        parts = split(data, 0.6, 0.2)
+        for i, column in enumerate(data):
+            rejoined = np.concatenate([part[i] for part in parts])
+            assert rejoined.tobytes() == column.tobytes()
+            for part in parts:
+                assert isinstance(part, Dataset) and part[i].base is column
+
+    def test_stack_returns_the_columns_without_copying(self):
+        data = gen_dataset(small_config(length=60))
+        test = split(data, 0.5, 0.25)[2]
+        stacked = stack(test)
+        assert all(a is b for a, b in zip(stacked, test))
+        m1, m2, y = stack(data)
+        assert m1 is data.m1 and m2 is data.m2 and y is data.labels
+        with pytest.raises(ParameterError):
+            stack(Dataset(data.m1[:0], data.m2[:0], data.labels[:0]))
 
     def test_degenerate_rejected(self):
         data = gen_dataset(small_config(length=100))
@@ -166,12 +193,47 @@ class TestExport:
         assert len(lines[1].split(",")) == 2 + 4 + 4
 
     def test_csv_round_trip_values(self):
-        data = gen_dataset(small_config(length=3))
-        rows = to_csv(data).strip().split("\n")[1:]
-        for s, row in zip(data, rows):
-            parts = row.split(",")
-            assert int(parts[0]) == s.t
-            assert int(parts[1]) == s.label
+        m1, m2, labels = gen_dataset(small_config(length=3))
+        lines = to_csv((m1, m2, labels)).strip().split("\n")[1:]
+        assert len(lines) == 3
+        for t, line in enumerate(lines):
+            parts = line.split(",")
+            assert int(parts[0]) == t
+            assert int(parts[1]) == labels[t]
             np.testing.assert_array_equal(
-                np.array([float(v) for v in parts[2:6]]), s.m1
+                np.array([float(v) for v in parts[2:6]]), m1[t]
             )
+            np.testing.assert_array_equal(
+                np.array([float(v) for v in parts[6:10]]), m2[t]
+            )
+
+
+class TestReference:
+    def test_matches_a_row_by_row_rebuild(self):
+        """gen_dataset equals, bit for bit, the stream rebuilt one step at a
+        time from Rng draws taken in the documented order: proto1, proto2,
+        signals, occluded, noise1, noise2, occ_noise."""
+        cfg = small_config(s1=3, s2=2, length=90, regime_period=5, occlusion_prob=0.4)
+        n, s1, s2, sigma = cfg.length, cfg.s1, cfg.s2, cfg.noise_sigma
+        rng = Rng(cfg.seed)
+        proto1 = rng.normal(cfg.regimes * s1).reshape(cfg.regimes, s1)
+        proto2 = rng.normal(cfg.classes * s2).reshape(cfg.classes, s2)
+        signals = rng.integers(n, cfg.classes)
+        occluded = rng.uniform(n) < cfg.occlusion_prob
+        noise1 = rng.normal(n * s1, 0.0, sigma).reshape(n, s1)
+        noise2 = rng.normal(n * s2, 0.0, sigma).reshape(n, s2)
+        occ_noise = rng.normal(n * s1, 0.0, float(np.sqrt(1.0 + sigma**2))).reshape(n, s1)
+        assert occluded.any() and not occluded.all()
+
+        want_m1, want_m2, want_labels = [], [], []
+        for t in range(n):
+            regime = (t // cfg.regime_period) % cfg.regimes
+            signal = int(signals[t])
+            want_m1.append(occ_noise[t] if occluded[t] else proto1[regime] + noise1[t])
+            want_m2.append(proto2[signal] + noise2[t])
+            want_labels.append((regime + signal) % cfg.classes)
+
+        m1, m2, labels = gen_dataset(cfg)
+        assert m1.tobytes() == np.array(want_m1).tobytes() and m1.shape == (n, s1)
+        assert m2.tobytes() == np.array(want_m2).tobytes() and m2.shape == (n, s2)
+        assert labels.dtype == np.int64 and labels.tolist() == want_labels
