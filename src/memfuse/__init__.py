@@ -18,6 +18,7 @@ from .fusion import (
     fuse_output,
     fusion_backward,
     fusion_forward,
+    fusion_input_grads,
     init_memory,
     init_params,
     naive_backward,
@@ -38,7 +39,6 @@ from .model import (
     TrainState,
     adam_step,
     build_state,
-    cross_entropy,
     evaluate,
     fit,
     train_epoch,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import typing
 from pathlib import Path
@@ -83,7 +84,8 @@ def fits(value, kind) -> bool:
 
 def checked_section(where: str, doc, types: dict) -> dict:
     """`doc` itself, once it is a JSON object whose keys are all in `types`
-    and whose values each have the type `types` gives their key."""
+    and whose values each have the type `types` gives their key; a float
+    must be finite (Python's json reads NaN and Infinity)."""
     if not isinstance(doc, dict):
         raise ParameterError(f"{where} must be a JSON object, got {type(doc).__name__}")
     unknown = sorted(set(doc) - set(types))
@@ -94,6 +96,8 @@ def checked_section(where: str, doc, types: dict) -> dict:
         if not fits(value, kind):
             name = kind if typing.get_origin(kind) else kind.__name__
             raise ParameterError(f"{key!r} in {where} must be {name}, got {json.dumps(value)}")
+        if kind is float and not math.isfinite(value):
+            raise ParameterError(f"{key!r} in {where} must be finite, got {json.dumps(value)}")
     return doc
 
 
@@ -226,11 +230,11 @@ def run_single(
     return state, curves, report
 
 
-def metrics_doc(exp: ExperimentConfig, seed: int, report, curves, variant=None, slots=None) -> dict:
+def metrics_doc(exp: ExperimentConfig, seed: int, report, curves) -> dict:
     cls = exp.classifier
     return {
-        "variant": variant or cls.variant,
-        "slots": slots if slots is not None else cls.slots,
+        "variant": cls.variant,
+        "slots": cls.slots,
         "seed": seed,
         "train_loss_final": curves[-1]["train_loss"] if curves else None,
         "epochs": cls.epochs,

@@ -10,7 +10,8 @@ output keeps the plain-concatenation shape.
 Forward passes consume whole batches: every example reads the same
 pre-step memory, and a single mean-aggregated write advances the state.
 The backward pass returns exact vector-Jacobian products for all
-parameter blocks and both inputs, treating the pre-step memory as a
+parameter blocks (fusion_backward) and both inputs
+(fusion_input_grads), treating the pre-step memory as a
 constant (no gradient flows across write steps).
 """
 
@@ -157,12 +158,18 @@ class ForwardTrace:
 
 @dataclass
 class FusionBackward:
-    """Cotangents returned by fusion_backward."""
+    """Cotangents returned by fusion_backward.
+
+    params and grad_proj are the parameter gradients.  grad_out (the
+    output's cotangent before any projection), grad_query and grad_mapped
+    are what fusion_input_grads needs to carry the chain into the inputs.
+    """
 
     params: FusionParams
-    grad_m1: Array
-    grad_m2: Array
-    grad_proj: Optional[Array] = None
+    grad_proj: Optional[Array]
+    grad_out: Array
+    grad_query: Array
+    grad_mapped: Array
 
 
 def init_params(rng: Rng, dim: int) -> FusionParams:
@@ -426,29 +433,32 @@ def fusion_backward(
     mem_prev: MemoryState,
     batch_grad_out,
     proj: Optional[Array] = None,
+    out: Optional[FusionParams] = None,
 ) -> FusionBackward:
-    """Exact cotangents for one forward batch.
+    """Exact parameter cotangents for one forward batch.
 
     mem_prev must be the state the forward pass read from; its contents
     are treated as constants.  Gradients flow through both the attention
-    keys and the composer gate, but not into the written memory.
+    keys and the composer gate, but not into the written memory.  The
+    parameter gradients are written into `out` (for example views of one
+    flat gradient vector), or into fresh arrays when it is None.  The
+    input gradients are left to fusion_input_grads.
     """
     if trace is None:
         raise ParameterError(
             "naive fusion has no trace; use naive_backward to split the gradient"
         )
     grad_out = as_batch(batch_grad_out)
-    variant = trace.variant
-    s1, s2 = trace.s1, trace.s2
 
     if grad_out.shape != trace.out.shape:
         raise ShapeError(
             f"fusion_backward: grad {grad_out.shape} vs outputs {trace.out.shape}"
         )
+    if out is None:
+        out = FusionParams(*(np.empty_like(block) for block in vars(params).values()))
 
     grad_proj = None
-
-    if variant.kind == MEMORY_RESAMPLED:
+    if trace.variant.kind == MEMORY_RESAMPLED:
         if proj is None:
             raise ParameterError("resampled variant needs its projection matrix")
         grad_proj = trace.out_raw.T @ grad_out
@@ -457,7 +467,7 @@ def fusion_backward(
     # out = fused + transformed: both take grad_out unchanged
     # transformed = relu(gated * w_scale)
     grad_pre = grad_out * (trace.pre_act > 0.0)
-    grad_w_scale = (grad_pre * trace.gated).sum(axis=0)
+    (grad_pre * trace.gated).sum(axis=0, out=out.w_scale)
     grad_gated = grad_pre * params.w_scale
 
     # gated = attn * scores, attn = softmax(scores)
@@ -465,8 +475,8 @@ def fusion_backward(
     grad_scores = grad_gated * trace.attn + _softmax_vjp(trace.attn, grad_attn)
 
     # scores = mlp_in @ w_comp + b_comp
-    grad_w_comp = trace.mlp_in.T @ grad_scores
-    grad_b_comp = grad_scores.sum(axis=0)
+    np.matmul(trace.mlp_in.T, grad_scores, out=out.w_comp)
+    grad_scores.sum(axis=0, out=out.b_comp)
     grad_mlp_in = grad_scores @ params.w_comp.T
     d = trace.fused.shape[1]
     grad_query = grad_mlp_in[:, :d]
@@ -478,34 +488,33 @@ def fusion_backward(
     grad_mapped = grad_scores_read @ mem_prev.matrix
 
     # mapped = fused @ w_read + b_read
-    grads = FusionParams(
-        w_read=trace.fused.T @ grad_mapped,
-        b_read=grad_mapped.sum(axis=0),
-        w_comp=grad_w_comp,
-        b_comp=grad_b_comp,
-        w_scale=grad_w_scale,
-    )
-    grad_fused = grad_out + grad_mapped @ params.w_read.T
+    np.matmul(trace.fused.T, grad_mapped, out=out.w_read)
+    grad_mapped.sum(axis=0, out=out.b_read)
 
-    batch = grad_out.shape[0]
+    return FusionBackward(out, grad_proj, grad_out, grad_query, grad_mapped)
+
+
+def fusion_input_grads(params: FusionParams, trace: ForwardTrace, bwd: FusionBackward) -> tuple[Array, Array]:
+    """Cotangents of the two mode inputs, from fusion_backward's result.
+
+    Only a model that trains something upstream of the layer (encoders)
+    needs these; the mode a single-mode layer ignores gets exact zeros.
+    """
+    variant = trace.variant
+    s1, s2 = trace.s1, trace.s2
+    grad_fused = bwd.grad_out + bwd.grad_mapped @ params.w_read.T
+    grad_query = bwd.grad_query
     if variant.kind == MEMORY_SINGLE:
         # the query is the fused input itself
         grad_single = grad_fused + grad_query
+        batch = grad_fused.shape[0]
         if variant.mode == 1:
-            grad_m1 = grad_single
-            grad_m2 = np.zeros((batch, s2))
-        else:
-            grad_m1 = np.zeros((batch, s1))
-            grad_m2 = grad_single
-    elif variant.kind == MEMORY_CROSS:
+            return grad_single, np.zeros((batch, s2))
+        return np.zeros((batch, s1)), grad_single
+    if variant.kind == MEMORY_CROSS:
         # query = [m2, m1]
-        grad_m1 = grad_fused[:, :s1] + grad_query[:, s2:]
-        grad_m2 = grad_fused[:, s1:] + grad_query[:, :s2]
-    else:
-        grad_m1 = grad_fused[:, :s1] + grad_query[:, :s1]
-        grad_m2 = grad_fused[:, s1:] + grad_query[:, s1:]
-
-    return FusionBackward(params=grads, grad_m1=grad_m1, grad_m2=grad_m2, grad_proj=grad_proj)
+        return grad_fused[:, :s1] + grad_query[:, s2:], grad_fused[:, s1:] + grad_query[:, :s2]
+    return grad_fused[:, :s1] + grad_query[:, :s1], grad_fused[:, s1:] + grad_query[:, s1:]
 
 
 def naive_backward(grad_out, s1: int) -> tuple[Array, Array]:

@@ -31,6 +31,7 @@ from .fusion import (
     Variant,
     fusion_backward,
     fusion_forward,
+    fusion_input_grads,
     init_memory,
     init_params,
     naive_backward,
@@ -241,7 +242,8 @@ def check_layer(
             if np.abs(trace.pre_act).min() < KINK_MARGIN:
                 continue
             bwd = fusion_backward(params, trace, mem, grad_out, proj=proj)
-            analytic = {**vars(bwd.params), "m1": bwd.grad_m1, "m2": bwd.grad_m2}
+            g1, g2 = fusion_input_grads(params, trace, bwd)
+            analytic = {**vars(bwd.params), "m1": g1, "m2": g2}
             theta = {**vars(params), "m1": m1, "m2": m2}
             if proj is not None:
                 analytic["proj"] = bwd.grad_proj
@@ -312,6 +314,7 @@ def check_classifier(seed: int, variant: Variant = Variant(), threshold: float =
         labels = case_rng.integers(cfg.batch, cfg.classes)
 
         loss, grads, cache = loss_and_grads(state, m1, m2, labels)
+        grads = grads.named()
         if not relu_margins_ok(cache, KINK_MARGIN):
             continue
         if not _grad_margins_ok(grads):

@@ -33,12 +33,13 @@ from .fusion import (
     Variant,
     fusion_backward,
     fusion_forward,
+    fusion_input_grads,
     init_memory,
     init_params,
     naive_backward,
     parse_variant,
 )
-from .kernels import Array, Rng, as_batch, softmax
+from .kernels import Array, Rng, as_batch
 from .metrics import MetricsReport, report_from_labels
 
 
@@ -137,8 +138,9 @@ class ModelParams:
     `flat` holds the blocks end to end in `table` order: encoders, fusion
     layers, projection, head.  The attributes, `named()` and
     `fusion_layers` are views of `flat`, so an update to `flat` reaches
-    all of them.  A deep copy or a pickle copies `flat` once and rebinds
-    the views to the copy.
+    all of them; `params[name]` is the view of one block.  A deep copy or
+    a pickle copies `flat` once and rebinds the views to the copy.  The
+    same class holds a gradient vector in the same layout.
     """
 
     def __init__(self, flat: Array, table: Table):
@@ -163,6 +165,9 @@ class ModelParams:
         """Name -> view of every learnable block, in table order."""
         return dict(self._named)
 
+    def __getitem__(self, name: str) -> Array:
+        return self._named[name]
+
     def __reduce__(self):
         # rebuild from the vector, so deep copies and pickles keep the views tied
         return ModelParams, (self.flat, self.table)
@@ -177,6 +182,7 @@ class TrainState:
     memories: List[MemoryState]
     m_flat: Array   # Adam's first moment, laid out like params.flat
     v_flat: Array   # Adam's second moment, likewise
+    grads: ModelParams  # the last backward's gradients; every backward overwrites them
     step: int
     drop_rng: Rng
     mem_seed: int
@@ -252,6 +258,7 @@ def build_state(config: ClassifierConfig, s1: int, s2: int, init_seed: Optional[
         memories=_fresh_memories(config.slots, params, mem_seed),
         m_flat=np.zeros_like(params.flat),
         v_flat=np.zeros_like(params.flat),
+        grads=ModelParams(np.zeros_like(params.flat), table),
         step=0,
         drop_rng=drop_rng,
         mem_seed=mem_seed,
@@ -327,8 +334,11 @@ def forward_logits(
         outs.append(out)
         traces.append(trace)
         new_memories.append(new_mem)
-    # with no fusion layer (the naive variant) the head reads the plain concatenation
-    fused_out = np.concatenate(outs or [enc1, enc2], axis=1)
+    if len(outs) == 1:
+        fused_out = outs[0]  # concatenating one array would only copy it
+    else:
+        # with no fusion layer (the naive variant) the head reads the plain concatenation
+        fused_out = np.concatenate(outs or [enc1, enc2], axis=1)
 
     logits, hid_pre, hid, hid_dropped = head_forward(params, fused_out, drop_mask)
 
@@ -350,20 +360,6 @@ def forward_logits(
     return logits, cache
 
 
-def cross_entropy(logits: Array, label: int) -> Tuple[float, Array]:
-    """Single-example softmax cross-entropy and its logit gradient."""
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim != 1:
-        raise ShapeError(f"cross_entropy: logits must be 1-D, got {logits.shape}")
-    if not 0 <= label < logits.size:
-        raise ParameterError(f"cross_entropy: label {label} out of range for {logits.size} classes")
-    probs = softmax(logits)
-    loss = -float(np.log(probs[label]))
-    grad = probs.copy()
-    grad[label] -= 1.0
-    return loss, grad
-
-
 def cross_entropy_batch(logits: Array, labels: Array) -> Tuple[float, Array]:
     """Mean cross-entropy over a batch and the gradient of that mean."""
     logits = as_batch(logits)
@@ -371,7 +367,8 @@ def cross_entropy_batch(logits: Array, labels: Array) -> Tuple[float, Array]:
     batch, classes = logits.shape
     if labels.shape != (batch,):
         raise ShapeError(f"cross_entropy_batch: labels {labels.shape} vs batch {batch}")
-    if labels.size and (labels.min() < 0 or labels.max() >= classes):
+    # int64 labels seen as uint64: a negative one is at least 2**63, so one max checks both ends
+    if labels.size and labels.view(np.uint64).max() >= classes:
         raise ParameterError("cross_entropy_batch: label out of range")
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_z = np.log(np.exp(shifted).sum(axis=1))
@@ -391,51 +388,55 @@ def backward_batch(
     grad_logits: Array,
     m1: Array,
     m2: Array,
-) -> Dict[str, Array]:
-    """Gradients of the batch loss for every named parameter array."""
-    grads: Dict[str, Array] = {}
-
-    grads["head2_w"] = cache.hid_dropped.T @ grad_logits
-    grads["head2_b"] = grad_logits.sum(axis=0)
+    grads: ModelParams,
+) -> ModelParams:
+    """Gradients of the batch loss, written into `grads` (laid out like params)."""
+    np.matmul(cache.hid_dropped.T, grad_logits, out=grads.head2_w)
+    grad_logits.sum(axis=0, out=grads.head2_b)
     grad_hid_dropped = grad_logits @ params.head2_w.T
     grad_hid = grad_hid_dropped if cache.drop_mask is None else grad_hid_dropped * cache.drop_mask
     grad_hid_pre = grad_hid * (cache.hid_pre > 0.0)
-    grads["head1_w"] = cache.fused_out.T @ grad_hid_pre
-    grads["head1_b"] = grad_hid_pre.sum(axis=0)
+    np.matmul(cache.fused_out.T, grad_hid_pre, out=grads.head1_w)
+    grad_hid_pre.sum(axis=0, out=grads.head1_b)
     grad_fused = grad_hid_pre @ params.head1_w.T
 
+    # the input gradients only matter when there are encoders to train
+    encoders = params.enc1_w is not None
     # each layer reads its own columns of the fused output and adds to both inputs
     grads_in: List[Tuple[Array, Array]] = []
     start = 0
-    for keys, layer, trace, mem in zip(params.fusion_keys, params.fusion_layers, cache.traces, cache.mem_prev):
+    for layer, out, trace, mem in zip(params.fusion_layers, grads.fusion_layers, cache.traces, cache.mem_prev):
         width = trace.out.shape[1]
-        bwd = fusion_backward(layer, trace, mem, grad_fused[:, start : start + width], proj=params.proj)
+        bwd = fusion_backward(layer, trace, mem, grad_fused[:, start : start + width], proj=params.proj, out=out)
         start += width
-        grads.update(zip(keys, vars(bwd.params).values()))
         if bwd.grad_proj is not None:
-            grads["proj"] = bwd.grad_proj
-        grads_in.append((bwd.grad_m1, bwd.grad_m2))
+            grads.proj[...] = bwd.grad_proj
+        if encoders:
+            grads_in.append(fusion_input_grads(layer, trace, bwd))
 
-    # the input gradients only matter when there are encoders to train
-    if params.enc1_w is not None:
+    if encoders:
         if not grads_in:
             grads_in.append(naive_backward(grad_fused, cache.enc1.shape[1]))
         grad_enc1, grad_enc2 = (functools.reduce(np.add, g) for g in zip(*grads_in))
         grad_pre1 = grad_enc1 * (cache.pre1 > 0.0)
-        grads["enc1_w"] = np.asarray(m1, dtype=np.float64).T @ grad_pre1
-        grads["enc1_b"] = grad_pre1.sum(axis=0)
+        np.matmul(np.asarray(m1, dtype=np.float64).T, grad_pre1, out=grads.enc1_w)
+        grad_pre1.sum(axis=0, out=grads.enc1_b)
         grad_pre2 = grad_enc2 * (cache.pre2 > 0.0)
-        grads["enc2_w"] = np.asarray(m2, dtype=np.float64).T @ grad_pre2
-        grads["enc2_b"] = grad_pre2.sum(axis=0)
+        np.matmul(np.asarray(m2, dtype=np.float64).T, grad_pre2, out=grads.enc2_w)
+        grad_pre2.sum(axis=0, out=grads.enc2_b)
 
     return grads
 
 
 def loss_and_grads(state: TrainState, m1: Array, m2: Array, labels: Array):
-    """Loss, full gradient dict, and the cache for one batch (no dropout)."""
+    """Loss, gradients and the cache for one batch (no dropout).
+
+    The gradients are `state.grads`: views of the state's one gradient
+    vector, which the next backward on this state overwrites.
+    """
     logits, cache = forward_logits(state.config, state.params, state.memories, m1, m2)
     loss, grad_logits = cross_entropy_batch(logits, labels)
-    grads = backward_batch(state.config, state.params, cache, grad_logits, m1, m2)
+    grads = backward_batch(state.config, state.params, cache, grad_logits, m1, m2, state.grads)
     return loss, grads, cache
 
 
@@ -450,7 +451,7 @@ def relu_margins_ok(cache: BatchCache, margin: float) -> bool:
 
 def adam_step(
     state: TrainState,
-    grads: Dict[str, Array],
+    grads: ModelParams,
     lr: Optional[float] = None,
     beta1: float = 0.9,
     beta2: float = 0.999,
@@ -458,11 +459,13 @@ def adam_step(
 ) -> TrainState:
     """Bias-corrected Adam update, in place on the state's parameters.
 
-    The gradient dict is flattened once through the parameter table, so
-    the update is a few whole-vector operations.
+    The gradients are laid out like the parameters, so the update is a
+    few whole-vector operations on `grads.flat`.
     """
+    if grads.table is not state.params.table and grads.table != state.params.table:
+        raise ShapeError("adam_step: gradients are not laid out like the parameters")
     lr = state.config.lr if lr is None else lr
-    g = flatten(state.params.table, grads)
+    g = grads.flat
     state.step += 1
     t = state.step
     m, v = state.m_flat, state.v_flat
@@ -499,6 +502,13 @@ def train_epoch(state: TrainState, dataset) -> Tuple[TrainState, float]:
         raise ParameterError(
             f"train_epoch: dataset of {n} smaller than one batch of {cfg.batch}"
         )
+    # every label is checked before the first step changes the state
+    # (seen as uint64, a negative label is at least 2**63)
+    y_all = np.asarray(y_all, dtype=np.int64)
+    if y_all.shape != (n,):
+        raise ShapeError(f"train_epoch: labels {y_all.shape} vs {n} rows")
+    if y_all.view(np.uint64).max() >= cfg.classes:
+        raise ParameterError("train_epoch: label out of range")
 
     total = 0.0
     for b in range(n_batches):
@@ -514,8 +524,7 @@ def train_epoch(state: TrainState, dataset) -> Tuple[TrainState, float]:
         loss, grad_logits = cross_entropy_batch(logits, y)
         if not math.isfinite(loss):
             raise NumericError(f"train_epoch: non-finite loss at batch {b}")
-        grads = backward_batch(cfg, state.params, cache, grad_logits, m1, m2)
-        adam_step(state, grads)
+        adam_step(state, backward_batch(cfg, state.params, cache, grad_logits, m1, m2, state.grads))
         state.memories = cache.new_memories
         total += loss
     return state, total / n_batches

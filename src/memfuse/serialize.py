@@ -18,6 +18,7 @@ byte-identical files.
 
 from __future__ import annotations
 
+import math
 import struct
 from typing import Dict
 
@@ -61,7 +62,10 @@ def parse_arrays(blob: bytes) -> Dict[str, Array]:
             pos += 1
             shape = struct.unpack_from(f"<{ndim}Q", blob, pos)
             pos += 8 * ndim
-            n = int(np.prod(shape)) if ndim else 1
+            # exact in Python ints: a corrupt shape must not wrap or overflow numpy's count
+            n = math.prod(shape)
+            if 8 * n > len(blob) - pos:
+                raise ValueError(f"entry {name!r} of shape {shape} needs {8 * n} bytes, {len(blob) - pos} left")
             arr = np.frombuffer(blob, dtype="<f8", count=n, offset=pos).reshape(shape)
             pos += 8 * n
             out[name] = arr.astype(np.float64)

@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, artifacts, determinism, schema validity."""
 
 import json
+import struct
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -160,6 +161,21 @@ class TestEvaluate:
                      "--out", str(tmp_path / "eval")])
         assert code == 2
         assert "no entry 'adam_v.head1_w'" in capsys.readouterr().err
+
+    def test_corrupt_shape_exit_2(self, tmp_path, capsys):
+        # a shape field of 2**63 or more once overflowed numpy's element count
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path, tiny_experiment(out))
+        assert main(["train", "--config", cfg]) == 0
+        blob = bytearray((out / "checkpoint.bin").read_bytes())
+        (name_len,) = struct.unpack_from("<H", blob, 12)
+        struct.pack_into("<Q", blob, 12 + 2 + name_len + 1, 2**63)
+        (tmp_path / "corrupt.bin").write_bytes(bytes(blob))
+        code = main(["evaluate", "--config", cfg, "--checkpoint", str(tmp_path / "corrupt.bin"),
+                     "--out", str(tmp_path / "eval")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "snapshot container" in err and "Traceback" not in err
 
     def test_non_finite_logits_exit_3(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -400,6 +416,27 @@ class TestStrictConfig:
         err = capsys.readouterr().err
         assert f"{key!r} in {section or 'the config'} must be" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "section, key, value, shown",
+        [
+            ("classifier", "read_bias_init", float("nan"), "NaN"),
+            (None, "train_frac", float("nan"), "NaN"),
+            ("task", "noise_sigma", float("inf"), "Infinity"),
+            ("classifier", "lr", float("-inf"), "-Infinity"),
+        ],
+    )
+    def test_non_finite_float_exit_2_names_it(self, tmp_path, capsys, section, key, value, shown):
+        # Python's json reads the non-JSON literals NaN, Infinity and -Infinity
+        doc = tiny_experiment(tmp_path / "run")
+        (doc if section is None else doc[section])[key] = value
+        cfg = write_config(tmp_path, doc)
+        assert shown in Path(cfg).read_text()
+        assert main(["train", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert f"{key!r} in {section or 'the config'} must be finite, got {shown}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "run").exists()
 
     def test_int_is_accepted_where_a_number_is_expected(self, tmp_path):
         doc = tiny_experiment(tmp_path / "run")

@@ -18,6 +18,7 @@ from memfuse.fusion import (
     fuse_output,
     fusion_backward,
     fusion_forward,
+    fusion_input_grads,
     init_memory,
     init_params,
     naive_backward,
@@ -465,8 +466,9 @@ class TestBackwardBasics:
         bwd = fusion_backward(params, trace, mem, np.zeros_like(out))
         for name in ("w_read", "b_read", "w_comp", "b_comp", "w_scale"):
             np.testing.assert_array_equal(getattr(bwd.params, name), 0.0)
-        np.testing.assert_array_equal(bwd.grad_m1, 0.0)
-        np.testing.assert_array_equal(bwd.grad_m2, 0.0)
+        grad_m1, grad_m2 = fusion_input_grads(params, trace, bwd)
+        np.testing.assert_array_equal(grad_m1, 0.0)
+        np.testing.assert_array_equal(grad_m2, 0.0)
 
     def test_zero_composer_reduces_to_identity_path(self):
         d = 5
@@ -480,8 +482,45 @@ class TestBackwardBasics:
         out, trace, _ = fusion_forward(params, mem, Variant(), m1, m2)
         grad = rng.standard_normal(out.shape)
         bwd = fusion_backward(params, trace, mem, grad)
-        np.testing.assert_array_equal(bwd.grad_m1, grad[:, :2])
-        np.testing.assert_array_equal(bwd.grad_m2, grad[:, 2:])
+        grad_m1, grad_m2 = fusion_input_grads(params, trace, bwd)
+        np.testing.assert_array_equal(grad_m1, grad[:, :2])
+        np.testing.assert_array_equal(grad_m2, grad[:, 2:])
+
+    @pytest.mark.parametrize(
+        "variant",
+        [Variant(), Variant(MEMORY_CROSS), Variant(MEMORY_SINGLE, mode=1),
+         Variant(MEMORY_SINGLE, mode=2), Variant(MEMORY_RESAMPLED, out_dim=3)],
+        ids=lambda v: f"{v.kind}{v.mode}",
+    )
+    def test_parameter_grads_do_not_depend_on_the_input_grads(self, variant):
+        rng = np.random.default_rng(53)
+        m1 = rng.standard_normal((3, 2))
+        m2 = rng.standard_normal((3, 3))
+        d = variant.input_dim(2, 3)
+        params = random_params(d, 24)
+        mem = init_memory(Rng(25), 4, d)
+        proj = rng.standard_normal((d, 3)) if variant.kind == MEMORY_RESAMPLED else None
+        out, trace, _ = fusion_forward(params, mem, variant, m1, m2, proj=proj)
+        grad = rng.standard_normal(out.shape)
+
+        alone = fusion_backward(params, trace, mem, grad, proj=proj)
+        want = {k: v.copy() for k, v in vars(alone.params).items()}
+        with_inputs = fusion_backward(params, trace, mem, grad, proj=proj)
+        grad_m1, grad_m2 = fusion_input_grads(params, trace, with_inputs)
+        assert grad_m1.shape == m1.shape and grad_m2.shape == m2.shape
+        # written into given arrays, for example views of one flat vector
+        flat = np.full(sum(v.size for v in want.values()), np.nan)
+        views, start = [], 0
+        for v in want.values():
+            views.append(flat[start : start + v.size].reshape(v.shape))
+            start += v.size
+        into = fusion_backward(params, trace, mem, grad, proj=proj, out=FusionParams(*views))
+        assert all(a is b for a, b in zip(vars(into.params).values(), views))
+        for bwd in (alone, with_inputs, into):
+            for k, v in vars(bwd.params).items():
+                assert v.tobytes() == want[k].tobytes(), k
+            if proj is not None:
+                assert bwd.grad_proj.tobytes() == alone.grad_proj.tobytes()
 
     def test_trace_shape_mismatch(self):
         params = random_params(4, 20)

@@ -14,9 +14,9 @@ from memfuse.gradcheck import central_diff
 from memfuse.kernels import Rng
 from memfuse.model import (
     ClassifierConfig,
+    ModelParams,
     adam_step,
     build_state,
-    cross_entropy,
     cross_entropy_batch,
     encode,
     evaluate,
@@ -107,25 +107,26 @@ class TestHead:
 
 class TestCrossEntropy:
     def test_uniform_logits_log4(self):
-        loss, _ = cross_entropy(np.zeros(4), 1)
+        loss, _ = cross_entropy_batch(np.zeros((1, 4)), [1])
         np.testing.assert_allclose(loss, np.log(4.0), atol=1e-14)
 
     def test_peaked_logits_near_zero_loss(self):
-        logits = np.array([20.0, 0.0, 0.0])
-        loss, _ = cross_entropy(logits, 0)
+        logits = np.array([[20.0, 0.0, 0.0]])
+        loss, _ = cross_entropy_batch(logits, [0])
         assert loss < 1e-8
 
     def test_gradient_against_central_diff(self):
         rng = np.random.default_rng(4)
         logits = rng.standard_normal(5)
         label = 3
-        _, grad = cross_entropy(logits, label)
-        fd = central_diff(lambda t: cross_entropy(t, label)[0], logits)
-        assert np.max(np.abs(grad - fd)) < 1e-7
+        _, grad = cross_entropy_batch(logits[None], [label])
+        fd = central_diff(lambda t: cross_entropy_batch(t[None], [label])[0], logits)
+        assert grad.shape == (1, 5)
+        assert np.max(np.abs(grad[0] - fd)) < 1e-7
 
     def test_label_out_of_range(self):
         with pytest.raises(ParameterError):
-            cross_entropy(np.zeros(3), 3)
+            cross_entropy_batch(np.zeros((1, 3)), [3])
         with pytest.raises(ParameterError):
             cross_entropy_batch(np.zeros((2, 3)), np.array([0, 5]))
 
@@ -134,11 +135,19 @@ class TestCrossEntropy:
         logits = rng.standard_normal((4, 3))
         labels = np.array([0, 2, 1, 1])
         loss_b, grad_b = cross_entropy_batch(logits, labels)
-        singles = [cross_entropy(logits[i], labels[i]) for i in range(4)]
-        np.testing.assert_allclose(loss_b, np.mean([s[0] for s in singles]), atol=1e-12)
-        np.testing.assert_allclose(
-            grad_b, np.stack([s[1] for s in singles]) / 4, atol=1e-12
-        )
+        losses, grads = [], []
+        for row, label in zip(logits, labels):
+            probs = np.exp(row - row.max())
+            probs /= probs.sum()
+            losses.append(-np.log(probs[label]))
+            grads.append(probs - np.eye(3)[label])
+        np.testing.assert_allclose(loss_b, np.mean(losses), atol=1e-12)
+        np.testing.assert_allclose(grad_b, np.stack(grads) / 4, atol=1e-12)
+
+
+def zero_grads(state):
+    """Zero gradients in the state's parameter layout."""
+    return ModelParams(np.zeros_like(state.params.flat), state.params.table)
 
 
 class TestAdam:
@@ -150,8 +159,7 @@ class TestAdam:
         # update at exactly zero
         for v in state.adam_v.values():
             v += 0.5
-        zero = {k: np.zeros_like(v) for k, v in named.items()}
-        adam_step(state, zero)
+        adam_step(state, zero_grads(state))
         for k, v in state.params.named().items():
             np.testing.assert_array_equal(v, before[k])
         for v in state.adam_v.values():
@@ -162,8 +170,7 @@ class TestAdam:
     def test_first_step_moves_by_lr(self):
         state = build_state(tiny_config(lr=0.01), 4, 4)
         theta0 = float(state.params.head2_b[0])
-        grads = {k: np.zeros_like(v) for k, v in state.params.named().items()}
-        grads["head2_b"] = np.zeros_like(state.params.head2_b)
+        grads = zero_grads(state)
         grads["head2_b"][0] = 3.7  # any positive value: first step is sign-scaled
         adam_step(state, grads)
         moved = float(state.params.head2_b[0]) - theta0
@@ -174,7 +181,7 @@ class TestAdam:
         state.params.head2_b[0] = 1.0
         history = [1.0]
         for _ in range(10):
-            grads = {k: np.zeros_like(v) for k, v in state.params.named().items()}
+            grads = zero_grads(state)
             grads["head2_b"][0] = 2.0 * state.params.head2_b[0]
             adam_step(state, grads)
             history.append(abs(float(state.params.head2_b[0])))
@@ -250,13 +257,66 @@ class TestParamLayout:
 
     def test_grad_shape_mismatch_raises(self):
         state = build_state(tiny_config(), 4, 4)
-        grads = {k: np.zeros_like(v) for k, v in state.params.named().items()}
-        grads["head2_w"] = grads["head2_w"].T
+        table = dict(state.params.table)
+        offset, shape = table["head2_w"]
+        table["head2_w"] = (offset, shape[::-1])
+        assert shape[0] != shape[1]
         with pytest.raises(ShapeError):
-            adam_step(state, grads)
+            adam_step(state, ModelParams(np.zeros_like(state.params.flat), table))
+
+
+class TestGradientVector:
+    @pytest.mark.parametrize("variant", ["naive", "memory", "memory_single", "memory_resampled"])
+    def test_grads_are_views_of_the_state_vector_and_the_next_backward_overwrites_them(self, variant):
+        state = build_state(tiny_config(variant=variant, out_dim=3, encoder_hidden=3), 4, 4)
+        m1, m2, y = tiny_data(n=8)
+        # NaN everywhere first: a block the backward forgot to write would stay NaN
+        state.grads.flat[:] = np.nan
+        _, grads, _ = loss_and_grads(state, m1[:4], m2[:4], y[:4])
+        assert grads is state.grads and grads.table is state.params.table
+        assert all(np.shares_memory(g, state.grads.flat) for g in grads.named().values())
+        assert np.isfinite(grads.flat).all()
+        first = {k: g.copy() for k, g in grads.named().items()}
+
+        # the same batch on a fresh copy gives the same bits; another batch overwrites every block
+        again = loss_and_grads(copy.deepcopy(state), m1[:4], m2[:4], y[:4])[1]
+        assert again.flat.tobytes() == grads.flat.tobytes()
+        _, later, _ = loss_and_grads(state, m1[4:], m2[4:], y[4:])
+        assert later is grads
+        for k, g in grads.named().items():
+            assert not np.array_equal(g, first[k]), k
+
+    def test_adam_leaves_the_gradients_unchanged(self):
+        # callers may read the gradients again after the update
+        state = build_state(tiny_config(lr=0.01), 4, 4)
+        m1, m2, y = tiny_data(n=4)
+        _, grads, _ = loss_and_grads(state, m1, m2, y)
+        g = grads.flat.copy()
+        adam_step(state, grads)
+        assert grads.flat.tobytes() == g.tobytes()
+        assert not np.array_equal(state.m_flat, 0.0)
+
+    def test_one_layer_output_is_passed_on_without_a_copy(self):
+        state = build_state(tiny_config(), 4, 4)
+        m1, m2, _ = tiny_data(n=4)
+        _, cache = forward_logits(state.config, state.params, state.memories, m1, m2)
+        assert cache.fused_out is cache.traces[0].out
 
 
 class TestTrainEpoch:
+    @pytest.mark.parametrize("bad", [3, -1])
+    def test_out_of_range_label_raises_before_the_first_step(self, bad):
+        state = build_state(tiny_config(), 4, 4)
+        m1, m2, y = tiny_data()
+        y = y.copy()
+        y[-1] = bad  # in the last batch
+        flat, memory = state.params.flat.copy(), state.memories[0].matrix.copy()
+        with pytest.raises(ParameterError, match="label out of range"):
+            train_epoch(state, (m1, m2, y))
+        assert state.step == 0
+        assert state.params.flat.tobytes() == flat.tobytes()
+        assert state.memories[0].matrix.tobytes() == memory.tobytes()
+
     def test_lr_zero_keeps_params(self):
         state = build_state(tiny_config(lr=0.0), 4, 4)
         before = {k: v.copy() for k, v in state.params.named().items()}
@@ -475,9 +535,10 @@ class TestStepCallBudget:
     # per batch: forward_logits, layer_variants, encode, fusion_forward,
     # _check_mode_batches, softmax_rows x2 (each with as_matrix),
     # write_memory, head_forward, cross_entropy_batch, backward_batch,
-    # fusion_backward, _softmax_vjp x2, adam_step, flatten and its list
-    # comprehension, and nine as_batch input checks
-    PER_STEP = 28
+    # fusion_backward, _softmax_vjp x2, adam_step, and nine as_batch
+    # input checks; the gradients go straight into the state's vector,
+    # so flatten and its list comprehension are gone
+    PER_STEP = 26
     PER_EPOCH = 2  # train_epoch itself and _as_arrays
 
     def test_paper_shape_epoch_stays_within_budget(self):
