@@ -58,7 +58,7 @@ class ExperimentConfig:
     val_frac: float = 0.1
     sweep_slots: list[int] = dataclasses.field(default_factory=lambda: [10, 20, 30, 40, 50, 100])
     sweep_variants: list[str] = dataclasses.field(default_factory=lambda: ["memory", "memory_cross"])
-    sweep_out_dims: list[int] = dataclasses.field(default_factory=lambda: [8, 16, 32])
+    sweep_out_dims: list[int] = dataclasses.field(default_factory=lambda: [4, 8, 16])
 
     def __post_init__(self):
         if not self.seeds:

@@ -12,6 +12,12 @@ finalizer.  Because each draw is a pure function of (seed, counter), the
 stream is reproducible bit-for-bit across runs and platforms.  Normal
 deviates come from uniforms via the Box-Muller transform, two per pair
 of uniforms.
+
+Draws are made a block of 2**14 pairs at a time, so a long draw holds no
+temporary longer than a block, and the blocks never change a value: the
+bits are those of the whole-array formula.  `Rng.fill_normal` draws
+straight into a caller's array, which is how `synthdata.gen_dataset`
+peaks at about its output plus one column.
 """
 
 from __future__ import annotations
@@ -27,6 +33,10 @@ _MIX_A = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_B = np.uint64(0x94D049BB133111EB)
 _U64_MASK = (1 << 64) - 1
 _INV_2_53 = float(2.0**-53)
+_SHIFT_11, _SHIFT_27, _SHIFT_30, _SHIFT_31 = (np.uint64(k) for k in (11, 27, 30, 31))
+# Draws per block: 2**14 Box-Muller pairs.  Uniform and normal draws are
+# made a block at a time, so no temporary grows with the draw's length.
+_BLOCK = 1 << 15
 _FLOAT64 = np.dtype(np.float64)
 
 
@@ -119,10 +129,13 @@ def concat(u, v) -> Array:
 
 
 def _mix64(z: Array) -> Array:
-    with np.errstate(over="ignore"):
-        z = (z ^ (z >> np.uint64(30))) * _MIX_A
-        z = (z ^ (z >> np.uint64(27))) * _MIX_B
-        return z ^ (z >> np.uint64(31))
+    """SplitMix64's finalizer, in place on a uint64 array, which it returns."""
+    z ^= z >> _SHIFT_30
+    z *= _MIX_A
+    z ^= z >> _SHIFT_27
+    z *= _MIX_B
+    z ^= z >> _SHIFT_31
+    return z
 
 
 class Rng:
@@ -136,11 +149,15 @@ class Rng:
         self.seed = np.uint64(int(seed) & _U64_MASK)
         self.counter = 0
 
-    def _raw(self, n: int) -> Array:
-        idx = np.arange(self.counter + 1, self.counter + n + 1, dtype=np.uint64)
-        self.counter += n
-        with np.errstate(over="ignore"):
-            return _mix64(self.seed + idx * _GOLDEN)
+    def _units(self, first: int, n: int, out=None) -> Array:
+        """Uniforms in [0, 1) from counters first + 1 .. first + n, into `out`
+        when given; the instance's counter is left alone."""
+        z = np.arange(first + 1, first + n + 1, dtype=np.uint64)
+        z *= _GOLDEN
+        z += self.seed
+        _mix64(z)
+        z >>= _SHIFT_11
+        return np.multiply(z, _INV_2_53, out=out)
 
     def uniform(self, n: int, lo: float = 0.0, hi: float = 1.0) -> Array:
         """n draws uniform in [lo, hi)."""
@@ -148,32 +165,72 @@ class Rng:
             raise ParameterError(f"uniform: n must be >= 0, got {n}")
         if not lo < hi:
             raise ParameterError(f"uniform: need lo < hi, got [{lo}, {hi})")
-        u = (self._raw(n) >> np.uint64(11)).astype(np.float64) * _INV_2_53
-        return lo + u * (hi - lo)
+        out = np.empty(n)
+        first = self.counter
+        self.counter += n
+        for start in range(0, n, _BLOCK):
+            stop = min(start + _BLOCK, n)
+            self._units(first + start, stop - start, out[start:stop])
+        # lo + u * (hi - lo) is u itself on [0, 1), so skip it there.
+        if lo != 0.0 or hi != 1.0:
+            out *= hi - lo
+            out += lo
+        return out
 
     def normal(self, n: int, mu: float = 0.0, sigma: float = 1.0) -> Array:
         """n draws from N(mu, sigma^2) via Box-Muller."""
         if n < 0:
             raise ParameterError(f"normal: n must be >= 0, got {n}")
+        return self.fill_normal(np.empty(n), mu, sigma)
+
+    def fill_normal(self, out: Array, mu: float = 0.0, sigma: float = 1.0) -> Array:
+        """Fill a C-contiguous float64 array, in row-major order, with the
+        values normal(out.size, mu, sigma) would return, and return it.
+
+        Pair j of the draw takes its radius from the draw's counter j and
+        its angle from counter pairs + j, so a block of pairs mixes two
+        counter ranges; a draw that fits in one block mixes one.
+        """
         if sigma <= 0:
             raise ParameterError(f"normal: sigma must be > 0, got {sigma}")
-        pairs = (n + 1) // 2
-        u = self.uniform(2 * pairs)
-        # 1 - u lies in (0, 1], so the log is always finite.
-        r = np.sqrt(-2.0 * np.log(1.0 - u[:pairs]))
-        theta = 2.0 * np.pi * u[pairs:]
-        z = np.empty(2 * pairs)
-        z[0::2] = r * np.cos(theta)
-        z[1::2] = r * np.sin(theta)
-        return mu + sigma * z[:n]
+        if out.dtype != _FLOAT64 or not out.flags.c_contiguous:
+            raise ShapeError("fill_normal: need a C-contiguous float64 array")
+        flat = out.reshape(-1)
+        pairs = (flat.size + 1) // 2
+        first = self.counter
+        self.counter += 2 * pairs
+        per_block = max(_BLOCK // 2, 1)
+        for p0 in range(0, pairs, per_block):
+            p1 = min(p0 + per_block, pairs)
+            if pairs <= per_block:
+                u = self._units(first, 2 * pairs)
+                r, theta = u[:pairs], u[pairs:]
+            else:
+                r = self._units(first + p0, p1 - p0)
+                theta = self._units(first + pairs + p0, p1 - p0)
+            # 1 - u lies in (0, 1], so the log is always finite.
+            np.subtract(1.0, r, out=r)
+            np.log(r, out=r)
+            r *= -2.0
+            np.sqrt(r, out=r)
+            theta *= 2.0 * np.pi
+            z = flat[2 * p0 : 2 * p1]
+            trig = np.cos(theta)
+            np.multiply(r, trig, out=z[0::2])
+            odd = z[1::2]
+            np.sin(theta, out=trig)
+            np.multiply(r[: odd.size], trig[: odd.size], out=odd)
+            z *= sigma
+            z += mu
+        return out
 
     def integers(self, n: int, bound: int) -> Array:
         """n draws uniform over {0, ..., bound - 1} as int64."""
         if bound < 1:
             raise ParameterError(f"integers: bound must be >= 1, got {bound}")
-        return np.minimum(
-            (self.uniform(n) * bound).astype(np.int64), bound - 1
-        )
+        u = self.uniform(n)
+        u *= bound
+        return np.minimum(u.astype(np.int64), bound - 1)
 
     def split(self, label: int) -> "Rng":
         """Derive an independent substream keyed by an integer label.

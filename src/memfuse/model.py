@@ -460,7 +460,8 @@ def adam_step(
     """Bias-corrected Adam update, in place on the state's parameters.
 
     The gradients are laid out like the parameters, so the update is a
-    few whole-vector operations on `grads.flat`.
+    few whole-vector operations on `grads.flat`, done in place through
+    two temporaries.
     """
     if grads.table is not state.params.table and grads.table != state.params.table:
         raise ShapeError("adam_step: gradients are not laid out like the parameters")
@@ -470,12 +471,19 @@ def adam_step(
     t = state.step
     m, v = state.m_flat, state.v_flat
     m *= beta1
-    m += (1.0 - beta1) * g
+    tmp = np.multiply(1.0 - beta1, g)
+    m += tmp
     v *= beta2
-    v += (1.0 - beta2) * g * g
-    m_hat = m / (1.0 - beta1**t)
-    v_hat = v / (1.0 - beta2**t)
-    state.params.flat -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    np.multiply(1.0 - beta2, g, out=tmp)
+    tmp *= g
+    v += tmp
+    step = np.divide(m, 1.0 - beta1**t, out=tmp)  # m_hat
+    step *= lr
+    denom = np.divide(v, 1.0 - beta2**t)  # v_hat
+    np.sqrt(denom, out=denom)
+    denom += eps
+    step /= denom
+    state.params.flat -= step
     return state
 
 

@@ -77,17 +77,19 @@ def gen_dataset(config: TaskConfig) -> Dataset:
 
     signals = rng.integers(n, config.classes)
     occluded = rng.uniform(n) < config.occlusion_prob
-    noise1 = rng.normal(n * s1, 0.0, config.noise_sigma).reshape(n, s1)
-    noise2 = rng.normal(n * s2, 0.0, config.noise_sigma).reshape(n, s2)
-    occlusion_scale = float(np.sqrt(1.0 + config.noise_sigma**2))
-    occ_noise = rng.normal(n * s1, 0.0, occlusion_scale).reshape(n, s1)
-
     regimes_t = regime_at(config, np.arange(n, dtype=np.int64))
     labels = (regimes_t + signals) % config.classes
 
-    m1 = proto1[regimes_t] + noise1
-    m1[occluded] = occ_noise[occluded]
-    m2 = proto2[signals] + noise2
+    # Each column is built in place: its noise is drawn straight into it
+    # and the prototype rows are added on, so the only stream-sized
+    # temporaries are one prototype gather and the occlusion noise.
+    m1 = rng.fill_normal(np.empty((n, s1)), 0.0, config.noise_sigma)
+    m1 += proto1[regimes_t]
+    m2 = rng.fill_normal(np.empty((n, s2)), 0.0, config.noise_sigma)
+    m2 += proto2[signals]
+    occlusion_scale = float(np.sqrt(1.0 + config.noise_sigma**2))
+    occ_noise = rng.fill_normal(np.empty((n, s1)), 0.0, occlusion_scale)
+    np.copyto(m1, occ_noise, where=occluded[:, None])
     return Dataset(m1, m2, labels)
 
 

@@ -97,3 +97,43 @@ def sl_layer_batch(w_read, b_read, w_comp, b_comp, w_scale, mem_rows, batch_m1, 
         [t["transformed"] for t in traces],
     )
     return traces, new_rows
+
+
+SL_GOLDEN = 0x9E3779B97F4A7C15
+SL_MASK64 = (1 << 64) - 1
+
+
+def sl_mix64(z):
+    """SplitMix64's finalizer on one Python int, reduced mod 2**64 by hand."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & SL_MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & SL_MASK64
+    return z ^ (z >> 31)
+
+
+def sl_uniforms(seed, first, n):
+    """Uniforms in [0, 1) from draws first .. first + n - 1 of a SplitMix64
+    stream: draw i is mix64(seed + (i + 1) * golden) mod 2**64, and its
+    top 53 bits scaled by 2**-53 are the uniform."""
+    seed &= SL_MASK64
+    return [
+        (sl_mix64((seed + (i + 1) * SL_GOLDEN) & SL_MASK64) >> 11) * 2.0**-53
+        for i in range(first, first + n)
+    ]
+
+
+def sl_box_muller(u, n, mu=0.0, sigma=1.0):
+    """n normals from 2 * ceil(n / 2) uniforms by the whole-array Box-Muller
+    formula: radii from the first half, angles from the second, even
+    outputs cos and odd outputs sin.  Unlike the rest of this module it
+    uses numpy's log, sqrt, cos and sin, so that its bits can be compared
+    with the package's; only the formula is independent."""
+    import numpy as np
+
+    u = np.array(u, dtype=np.float64)
+    pairs = (n + 1) // 2
+    r = np.sqrt(-2.0 * np.log(1.0 - u[:pairs]))
+    theta = 2.0 * np.pi * u[pairs:]
+    z = np.empty(2 * pairs)
+    z[0::2] = r * np.cos(theta)
+    z[1::2] = r * np.sin(theta)
+    return mu + sigma * z[:n]

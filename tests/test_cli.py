@@ -478,7 +478,7 @@ class TestExperimentDefaults:
         for name in ("train_frac", "val_frac", "sweep_slots", "sweep_variants", "sweep_out_dims"):
             assert getattr(exp, name) == getattr(defaults, name)
         assert (exp.train_frac, exp.val_frac) == (0.8, 0.1)
-        assert exp.sweep_out_dims == [8, 16, 32]
+        assert exp.sweep_out_dims == [4, 8, 16]
 
     def test_present_fields_override(self, tmp_path):
         doc = tiny_experiment(tmp_path / "run", sweep={"slots": [3], "out_dims": [5]})

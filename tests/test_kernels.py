@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from memfuse import kernels
 from memfuse.errors import ParameterError, ShapeError
 from memfuse.kernels import (
     Rng,
@@ -17,6 +18,7 @@ from memfuse.kernels import (
     softmax,
     softmax_rows,
 )
+from oracle import sl_box_muller, sl_uniforms
 
 
 def brute_matmul(a, b):
@@ -249,3 +251,70 @@ class TestRng:
         assert draws.min() >= 0
         assert draws.max() <= 6
         assert set(np.unique(draws)) == set(range(7))
+
+
+class TestRngBlocks:
+    """Draws are made a block at a time; the blocks must never change a
+    value.  Every draw is checked bit for bit against a pure-Python-int
+    SplitMix64 and the whole-array Box-Muller formula, with the block
+    size forced down so that small draws cross many block boundaries."""
+
+    SIZES = (0, 1, 2, 3, 4, 5, 6, 7, 10, 11, 16, 33)
+    SEEDS = (0, 12345, 2**64 - 1)
+
+    @pytest.fixture(params=[3, 5, kernels._BLOCK], ids=lambda b: f"block{b}")
+    def block(self, request, monkeypatch):
+        monkeypatch.setattr(kernels, "_BLOCK", request.param)
+        return request.param
+
+    @staticmethod
+    def same_bits(got, want):
+        want = np.asarray(want, dtype=np.float64)
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_uniform_matches_reference_across_blocks(self, block):
+        for seed in self.SEEDS:
+            rng, counter = Rng(seed), 0
+            for n in self.SIZES:
+                self.same_bits(rng.uniform(n), sl_uniforms(seed, counter, n))
+                counter += n
+                scaled = -2.0 + np.array(sl_uniforms(seed, counter, n)) * (3.0 - -2.0)
+                self.same_bits(rng.uniform(n, -2.0, 3.0), scaled)
+                counter += n
+            assert rng.counter == counter
+
+    def test_normal_matches_reference_across_blocks(self, block):
+        for seed in self.SEEDS:
+            rng, counter = Rng(seed), 0
+            for n in self.SIZES:
+                used = 2 * ((n + 1) // 2)
+                want = sl_box_muller(sl_uniforms(seed, counter, used), n, 0.5, 0.3)
+                self.same_bits(rng.normal(n, 0.5, 0.3), want)
+                counter += used
+            assert rng.counter == counter
+
+    def test_fill_normal_writes_the_same_draw_in_row_major_order(self, block):
+        out = np.empty((5, 3))
+        assert Rng(8).fill_normal(out, 1.0, 2.0) is out
+        self.same_bits(out.reshape(-1), Rng(8).normal(15, 1.0, 2.0))
+        with pytest.raises(ShapeError):
+            Rng(8).fill_normal(np.empty((3, 4))[:, :2])
+        with pytest.raises(ShapeError):
+            Rng(8).fill_normal(np.empty(4, dtype=np.float32))
+        with pytest.raises(ParameterError):
+            Rng(8).fill_normal(np.empty(4), 0.0, 0.0)
+
+    def test_integers_follow_the_uniforms(self, block):
+        u = np.array(sl_uniforms(77, 0, 13))
+        want = np.minimum((u * 7).astype(np.int64), 6)
+        assert Rng(77).integers(13, 7).tolist() == want.tolist()
+
+    def test_default_block_boundary(self):
+        """One draw just longer than a block, and one that starts inside a block."""
+        n = kernels._BLOCK + 3
+        rng = Rng(31)
+        self.same_bits(rng.uniform(n), sl_uniforms(31, 0, n))
+        used = 2 * ((n + 1) // 2)
+        want = sl_box_muller(sl_uniforms(31, n, used), n)
+        self.same_bits(rng.normal(n), want)

@@ -1,8 +1,14 @@
 """Synthetic stream generator contracts."""
 
+import hashlib
+import json
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from memfuse import kernels
 from memfuse.errors import ParameterError
 from memfuse.kernels import Rng
 from memfuse.synthdata import Dataset, TaskConfig, gen_dataset, regime_at, split, stack, to_csv
@@ -237,3 +243,38 @@ class TestReference:
         assert m1.tobytes() == np.array(want_m1).tobytes() and m1.shape == (n, s1)
         assert m2.tobytes() == np.array(want_m2).tobytes() and m2.shape == (n, s2)
         assert labels.dtype == np.int64 and labels.tolist() == want_labels
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class TestPinnedStreams:
+    """sha256 of the concatenated column bytes (m1, m2, labels) of shipped
+    configs' streams.  Drawing in blocks and building the columns in
+    place must leave every bit as it was."""
+
+    @pytest.mark.parametrize("path, digest", [
+        ("bench/configs/wide_train.json", "fd156e964dd5314444d0ac8ac9e1ffb29f60aa657227ca4d2cfd0640241a257e"),
+        ("configs/regime.json", "4198bc9fdb51bbb901cbad6b3cdb90870f88df12a29df9d858ce4e972cab88ba"),
+    ])
+    def test_stream_bytes(self, path, digest):
+        task = TaskConfig(**json.loads((ROOT / path).read_text())["task"])
+        data = gen_dataset(task)
+        assert hashlib.sha256(b"".join(c.tobytes() for c in data)).hexdigest() == digest
+
+
+class TestMemory:
+    def test_peak_is_the_columns_plus_one_column(self):
+        """Traced allocations while building a stream of many blocks peak
+        at no more than the kept columns, one more mode-1 column (the
+        occlusion noise) and 2 MB of block-sized scratch."""
+        cfg = small_config(s1=48, s2=16, length=8000)
+        assert cfg.length * cfg.s1 > 8 * kernels._BLOCK
+        tracemalloc.start()
+        try:
+            data = gen_dataset(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = sum(column.nbytes for column in data)
+        assert peak <= kept + data.m1.nbytes + 2 * 2**20, (peak, kept)
