@@ -350,6 +350,12 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if args.seeds < 1:
+        raise ParameterError(f"--seeds must be >= 1, got {args.seeds}")
+    for flag in ("threshold", "step"):
+        value = getattr(args, flag)
+        if not (math.isfinite(value) and value > 0):
+            raise ParameterError(f"--{flag} must be finite and > 0, got {value}")
     variants = standard_variants(out_dim=min(args.dim, 4))
     if args.variant != "all":
         wanted = parse_variant(args.variant, out_dim=min(args.dim, 4))

@@ -9,6 +9,9 @@ output keeps the plain-concatenation shape.
 
 Forward passes consume whole batches: every example reads the same
 pre-step memory, and a single mean-aggregated write advances the state.
+fusion_forward runs one batch and keeps its trace for training;
+fusion_rows runs many batches for evaluation, looping only over the
+memory's read -> compose -> transform -> write chain.
 The backward pass returns exact vector-Jacobian products for all
 parameter blocks (fusion_backward) and both inputs
 (fusion_input_grads), treating the pre-step memory as a
@@ -17,13 +20,14 @@ constant (no gradient flows across write steps).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .errors import ParameterError, ShapeError
-from .kernels import Array, Rng, as_batch, concat, relu, softmax, softmax_rows
+from .kernels import Array, Rng, as_batch, batchwise_matmul, concat, relu, softmax, softmax_rows
 
 PARAM_FIELDS = ("w_read", "b_read", "w_comp", "b_comp", "w_scale")
 
@@ -283,7 +287,7 @@ def write_memory(mem: MemoryState, batch_keys: Array, batch_values: Array) -> Me
     if not mem.writes_enabled:
         return mem
     # the sum over the batch divided by its size: the same bits as keys.mean(axis=0)
-    erase = keys.sum(axis=0) / batch
+    erase = np.add.reduce(keys, axis=0) / batch
     add = keys.T @ values / batch
     matrix = mem.matrix * (1.0 - erase)[:, None] + add
     return MemoryState(matrix=matrix, writes_enabled=True)
@@ -334,7 +338,13 @@ def param_count_actual(params: FusionParams) -> int:
     return sum(getattr(params, f).size for f in PARAM_FIELDS)
 
 
-def _check_mode_batches(batch_m1, batch_m2):
+def _layer_inputs(params: FusionParams, mem: MemoryState, variant: Variant, batch_m1, batch_m2, matmul=np.matmul):
+    """(fused, query, mapped, s1, s2) for rows of the two modes, shapes
+    checked; mapped = fused @ w_read + b_read, the product by `matmul`.
+
+    For the naive variant the fused rows are the output, and query and
+    mapped are None.
+    """
     m1 = as_batch(batch_m1)
     m2 = as_batch(batch_m2)
     if m1.shape[0] != m2.shape[0]:
@@ -343,9 +353,58 @@ def _check_mode_batches(batch_m1, batch_m2):
         )
     if m1.shape[0] == 0:
         raise ParameterError("fusion_forward: empty batch")
-    if m1.shape[1] == 0 or m2.shape[1] == 0:
+    s1, s2 = m1.shape[1], m2.shape[1]
+    if s1 == 0 or s2 == 0:
         raise ShapeError("fusion_forward: empty mode features")
-    return m1, m2
+
+    if variant.kind == NAIVE:
+        return np.concatenate([m1, m2], axis=1), None, None, s1, s2
+    if variant.kind == MEMORY_SINGLE:
+        fused = m1 if variant.mode == 1 else m2
+        query = fused
+    else:
+        fused = np.concatenate([m1, m2], axis=1)
+        query = np.concatenate([m2, m1], axis=1) if variant.kind == MEMORY_CROSS else fused
+
+    d = fused.shape[1]
+    if mem.matrix.shape[1] != d:
+        raise ShapeError(f"fusion_forward: memory dim {mem.dim} vs input dim {d}")
+    if params.b_read.shape[0] != d:
+        raise ShapeError(f"fusion_forward: params dim {params.dim} vs input dim {d}")
+    return fused, query, matmul(fused, params.w_read) + params.b_read, s1, s2
+
+
+def _memory_chain(params: FusionParams, matrix: Array, mapped: Array, query: Array, matmul=np.matmul):
+    """Read, compose and transform: the steps that depend on the memory.
+
+    Returns (keys, recalled, mlp_in, scores, attn, gated, pre_act,
+    transformed), one row per input row; every row reads `matrix`.
+    `matmul` computes every product, so the same equations serve one
+    batch and a run of batches read against one memory.
+    """
+    keys = softmax_rows(matmul(mapped, matrix.T))            # (B, k)
+    recalled = matmul(keys, matrix)                          # (B, d)
+    mlp_in = np.concatenate([query, recalled], axis=1)       # (B, 2d)
+    scores = matmul(mlp_in, params.w_comp) + params.b_comp   # (B, d)
+    attn = softmax_rows(scores)
+    gated = attn * scores
+    pre_act = gated * params.w_scale
+    transformed = np.maximum(pre_act, 0.0)
+    return keys, recalled, mlp_in, scores, attn, gated, pre_act, transformed
+
+
+def _layer_output(variant: Variant, fused: Array, transformed: Array, proj: Optional[Array], matmul=np.matmul):
+    """(out, out_raw): the residual sum fused + transformed, which the
+    resampled variant projects through `proj` (keeping the sum as
+    out_raw; None for the other variants)."""
+    out = fused + transformed
+    if variant.kind != MEMORY_RESAMPLED:
+        return out, None
+    if proj is None:
+        raise ParameterError("resampled variant needs a projection matrix")
+    if proj.ndim != 2 or proj.shape[0] != out.shape[1]:
+        raise ShapeError(f"resampled output: out {out.shape} vs proj {proj.shape}")
+    return matmul(out, proj), out
 
 
 def fusion_forward(
@@ -363,43 +422,13 @@ def fusion_forward(
     aggregated write produces the returned state.  The naive variant has
     no trace or memory and returns (outputs, None, mem).
     """
-    m1, m2 = _check_mode_batches(batch_m1, batch_m2)
-    s1, s2 = m1.shape[1], m2.shape[1]
-
-    if variant.kind == NAIVE:
-        return np.concatenate([m1, m2], axis=1), None, mem
-
-    if variant.kind == MEMORY_SINGLE:
-        fused = m1 if variant.mode == 1 else m2
-        query = fused
-    else:
-        fused = np.concatenate([m1, m2], axis=1)
-        query = np.concatenate([m2, m1], axis=1) if variant.kind == MEMORY_CROSS else fused
-
-    d = fused.shape[1]
-    if mem.matrix.shape[1] != d:
-        raise ShapeError(f"fusion_forward: memory dim {mem.dim} vs input dim {d}")
-    if params.b_read.shape[0] != d:
-        raise ShapeError(f"fusion_forward: params dim {params.dim} vs input dim {d}")
-
-    mapped = fused @ params.w_read + params.b_read       # (B, d)
-    keys = softmax_rows(mapped @ mem.matrix.T)           # (B, k)
-    recalled = keys @ mem.matrix                         # (B, d)
-    mlp_in = np.concatenate([query, recalled], axis=1)   # (B, 2d)
-    scores = mlp_in @ params.w_comp + params.b_comp      # (B, d)
-    attn = softmax_rows(scores)
-    gated = attn * scores
-    pre_act = gated * params.w_scale
-    transformed = np.maximum(pre_act, 0.0)
-    out = fused + transformed
-
-    out_raw = None
-    if variant.kind == MEMORY_RESAMPLED:
-        if proj is None:
-            raise ParameterError("resampled variant needs a projection matrix")
-        out_raw = out
-        out = resample_output(out, proj)
-
+    fused, query, mapped, s1, s2 = _layer_inputs(params, mem, variant, batch_m1, batch_m2)
+    if query is None:
+        return fused, None, mem
+    keys, recalled, mlp_in, scores, attn, gated, pre_act, transformed = _memory_chain(
+        params, mem.matrix, mapped, query
+    )
+    out, out_raw = _layer_output(variant, fused, transformed, proj)
     new_mem = write_memory(mem, keys, transformed)
     trace = ForwardTrace(
         variant=variant,
@@ -419,6 +448,42 @@ def fusion_forward(
         out_raw=out_raw,
     )
     return out, trace, new_mem
+
+
+def fusion_rows(
+    params: FusionParams,
+    mem: MemoryState,
+    variant: Variant,
+    m1: Array,
+    m2: Array,
+    batch: int,
+    proj: Optional[Array] = None,
+) -> Tuple[Array, MemoryState]:
+    """The layer over consecutive batches of `batch` rows (the last may be
+    short), without traces.  Returns (outputs, memory after the writes).
+
+    The outputs and the memory have the bits that fusion_forward gives
+    batch by batch.  Only the memory's chain, read -> compose ->
+    transform -> write, runs once per batch, since each batch reads what
+    the one before it wrote.  The input map, the residual sum and the
+    projection run once over all rows through batchwise_matmul.  With
+    writes disabled nothing links the batches and the chain runs once.
+    """
+    matmul = functools.partial(batchwise_matmul, batch=batch)
+    fused, query, mapped, _, _ = _layer_inputs(params, mem, variant, m1, m2, matmul)
+    if query is None:
+        return fused, mem
+    if mem.writes_enabled:
+        written = []
+        for start in range(0, fused.shape[0], batch):
+            rows = slice(start, start + batch)
+            keys, *_, transformed = _memory_chain(params, mem.matrix, mapped[rows], query[rows])
+            mem = write_memory(mem, keys, transformed)
+            written.append(transformed)
+        transformed = written[0] if len(written) == 1 else np.concatenate(written)
+    else:
+        transformed = _memory_chain(params, mem.matrix, mapped, query, matmul)[-1]
+    return _layer_output(variant, fused, transformed, proj, matmul)[0], mem
 
 
 def _softmax_vjp(soft: Array, grad: Array) -> Array:

@@ -76,6 +76,28 @@ def matmul(a, b) -> Array:
     return a @ b
 
 
+def batchwise_matmul(x: Array, w: Array, batch: int) -> Array:
+    """x @ w with the rows of x taken `batch` at a time.
+
+    Every full group of `batch` rows is one matrix of a stacked matmul,
+    which numpy runs as the same gemm a 2-D call on those rows makes, so
+    each row gets the bits it would get from its own batch's product; the
+    ragged tail is one 2-D call.  One plain 2-D product over all rows can
+    block the sums differently and change the last bits.  With no more
+    than `batch` rows this is plain x @ w.
+    """
+    n = x.shape[0]
+    if n <= batch:
+        return x @ w
+    full = n - n % batch
+    out = np.empty((n, w.shape[1]))
+    np.matmul(x[:full].reshape(-1, batch, x.shape[1]), w,
+              out=out[:full].reshape(-1, batch, w.shape[1]))
+    if full < n:
+        np.matmul(x[full:], w, out=out[full:])
+    return out
+
+
 def softmax(v) -> Array:
     """Numerically stable softmax of a vector.
 
@@ -92,12 +114,14 @@ def softmax(v) -> Array:
 
 def softmax_rows(m) -> Array:
     """Row-wise stable softmax of a 2-D array."""
-    m = as_matrix(m)
+    if not (type(m) is np.ndarray and m.dtype is _FLOAT64 and m.ndim == 2):
+        m = as_matrix(m)
     if m.shape[1] == 0:
         raise ShapeError("softmax_rows: zero-width matrix")
-    shifted = m - m.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    # the ufunc reductions are what m.max and e.sum call, minus a Python layer
+    e = np.exp(m - np.maximum.reduce(m, axis=1, keepdims=True))
+    e /= np.add.reduce(e, axis=1, keepdims=True)
+    return e
 
 
 def relu(v) -> Array:

@@ -34,12 +34,13 @@ from .fusion import (
     fusion_backward,
     fusion_forward,
     fusion_input_grads,
+    fusion_rows,
     init_memory,
     init_params,
     naive_backward,
     parse_variant,
 )
-from .kernels import Array, Rng, as_batch
+from .kernels import Array, Rng, as_batch, batchwise_matmul
 from .metrics import MetricsReport, report_from_labels
 
 
@@ -78,6 +79,12 @@ class ClassifierConfig:
             raise ParameterError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         if self.batch < 1 or self.epochs < 0 or self.slots < 1:
             raise ParameterError("batch and slots must be >= 1, epochs >= 0")
+        if self.head_hidden < 1:
+            raise ParameterError(f"head_hidden must be >= 1, got {self.head_hidden}")
+        if self.encoder_hidden < 0:
+            raise ParameterError(f"encoder_hidden must be >= 0, got {self.encoder_hidden}")
+        if self.out_dim < 0:
+            raise ParameterError(f"out_dim must be >= 0, got {self.out_dim}")
         if self.variant == MEMORY_RESAMPLED and self.out_dim < 1:
             raise ParameterError("resampled variant needs out_dim >= 1")
         if self.read_bias_init < 0 or self.transform_gain <= 0:
@@ -270,6 +277,12 @@ def _fresh_memories(slots: int, params: ModelParams, mem_seed: int, epoch: int =
     return [init_memory(mrng.split(i), slots, fp.dim) for i, fp in enumerate(params.fusion_layers)]
 
 
+# Rows per evaluation block (rounded down to whole batches): long enough to
+# pay one numpy call per block instead of per batch, short enough that a
+# block's intermediates stay in cache at wide shapes.
+_EVAL_BLOCK = 256
+
+
 @dataclass
 class BatchCache:
     enc1: Array
@@ -287,32 +300,42 @@ class BatchCache:
     logits: Array
 
 
-def encode(params: ModelParams, m1: Array, m2: Array):
+def encode(params: ModelParams, m1: Array, m2: Array, matmul=np.matmul):
     """Per-mode dense+ReLU encoders; identity when none are configured.
 
     Returns (enc1, enc2, pre1, pre2) with the pre-activations kept for
-    the backward pass (None under the identity encoder).
+    the backward pass (None under the identity encoder).  `matmul`
+    computes the products (evaluation passes a batchwise one).
     """
     m1 = as_batch(m1)
     m2 = as_batch(m2)
     if params.enc1_w is None:
         return m1, m2, None, None
-    pre1 = m1 @ params.enc1_w + params.enc1_b
-    pre2 = m2 @ params.enc2_w + params.enc2_b
+    pre1 = matmul(m1, params.enc1_w) + params.enc1_b
+    pre2 = matmul(m2, params.enc2_w) + params.enc2_b
     return np.maximum(pre1, 0.0), np.maximum(pre2, 0.0), pre1, pre2
 
 
-def head_forward(params: ModelParams, fused: Array, drop_mask: Optional[Array] = None):
+def head_forward(params: ModelParams, fused: Array, drop_mask: Optional[Array] = None, matmul=np.matmul):
     """Hidden ReLU layer (with optional inverted-dropout mask) to logits.
 
-    Returns (logits, hid_pre, hid, hid_dropped).
+    Returns (logits, hid_pre, hid, hid_dropped).  `matmul` computes the
+    products, as in encode.
     """
     fused = as_batch(fused)
-    hid_pre = fused @ params.head1_w + params.head1_b
+    hid_pre = matmul(fused, params.head1_w) + params.head1_b
     hid = np.maximum(hid_pre, 0.0)
     hid_dropped = hid if drop_mask is None else hid * drop_mask
-    logits = hid_dropped @ params.head2_w + params.head2_b
+    logits = matmul(hid_dropped, params.head2_w) + params.head2_b
     return logits, hid_pre, hid, hid_dropped
+
+
+def _head_input(outs: List[Array], enc1: Array, enc2: Array) -> Array:
+    """The fusion layers' outputs side by side, or with no layer (the
+    naive variant) the plain concatenation of the encoded modes."""
+    if len(outs) == 1:
+        return outs[0]  # concatenating one array would only copy it
+    return np.concatenate(outs or [enc1, enc2], axis=1)
 
 
 def forward_logits(
@@ -329,16 +352,13 @@ def forward_logits(
     outs: List[Array] = []
     traces: List[ForwardTrace] = []
     new_memories: List[MemoryState] = []
-    for layer, mem, variant in zip(params.fusion_layers, memories, config.layer_variants(), strict=True):
+    variants = _layer_variants(config.variant, config.out_dim)
+    for layer, mem, variant in zip(params.fusion_layers, memories, variants, strict=True):
         out, trace, new_mem = fusion_forward(layer, mem, variant, enc1, enc2, proj=params.proj)
         outs.append(out)
         traces.append(trace)
         new_memories.append(new_mem)
-    if len(outs) == 1:
-        fused_out = outs[0]  # concatenating one array would only copy it
-    else:
-        # with no fusion layer (the naive variant) the head reads the plain concatenation
-        fused_out = np.concatenate(outs or [enc1, enc2], axis=1)
+    fused_out = _head_input(outs, enc1, enc2)
 
     logits, hid_pre, hid, hid_dropped = head_forward(params, fused_out, drop_mask)
 
@@ -487,13 +507,34 @@ def adam_step(
     return state
 
 
-def _as_arrays(dataset, caller: str) -> Tuple[Array, Array, Array]:
-    """The (m1, m2, labels) arrays of a dataset with at least one row."""
+def _as_arrays(dataset, caller: str, classes: int) -> Tuple[Array, Array, Array]:
+    """The (m1, m2, labels) arrays of a dataset with at least one row.
+
+    Checks everything about the rows before any work starts: the columns
+    have one row count, and every label is a whole number in
+    [0, classes).  The labels come back as int64.
+    """
     if not (isinstance(dataset, tuple) and len(dataset) == 3):
         raise ParameterError(f"{caller}: dataset must be a (m1, m2, labels) tuple")
-    if len(dataset[0]) == 0:
+    m1, m2, labels = dataset
+    n = len(m1)
+    if n == 0:
         raise ParameterError(f"{caller}: empty dataset")
-    return dataset
+    if len(m2) != n:
+        raise ShapeError(f"{caller}: m1 has {n} rows, m2 has {len(m2)}")
+    labels = np.asarray(labels)
+    if labels.shape != (n,):
+        raise ShapeError(f"{caller}: labels {labels.shape} vs {n} rows")
+    if labels.dtype.kind not in "biu":
+        # a float label is truncated by the int64 cast unless it is whole
+        whole = labels.dtype.kind == "f" and np.array_equal(labels, np.trunc(labels))
+        if not whole:
+            raise ParameterError(f"{caller}: labels must be whole numbers")
+    labels = labels.astype(np.int64, copy=False)
+    # seen as uint64, a negative label is at least 2**63
+    if labels.view(np.uint64).max() >= classes:
+        raise ParameterError(f"{caller}: label out of range")
+    return m1, m2, labels
 
 
 def train_epoch(state: TrainState, dataset) -> Tuple[TrainState, float]:
@@ -502,21 +543,15 @@ def train_epoch(state: TrainState, dataset) -> Tuple[TrainState, float]:
     The ragged tail (fewer than `batch` examples) is dropped; the memory
     advances through every processed batch.  Returns the mean batch loss.
     """
-    m1_all, m2_all, y_all = _as_arrays(dataset, "train_epoch")
-    n = m1_all.shape[0]
     cfg = state.config
+    # every row is checked before the first step changes the state
+    m1_all, m2_all, y_all = _as_arrays(dataset, "train_epoch", cfg.classes)
+    n = m1_all.shape[0]
     n_batches = n // cfg.batch
     if n_batches == 0:
         raise ParameterError(
             f"train_epoch: dataset of {n} smaller than one batch of {cfg.batch}"
         )
-    # every label is checked before the first step changes the state
-    # (seen as uint64, a negative label is at least 2**63)
-    y_all = np.asarray(y_all, dtype=np.int64)
-    if y_all.shape != (n,):
-        raise ShapeError(f"train_epoch: labels {y_all.shape} vs {n} rows")
-    if y_all.view(np.uint64).max() >= cfg.classes:
-        raise ParameterError("train_epoch: label out of range")
 
     total = 0.0
     for b in range(n_batches):
@@ -538,24 +573,56 @@ def train_epoch(state: TrainState, dataset) -> Tuple[TrainState, float]:
     return state, total / n_batches
 
 
+def forward_split(
+    config: ClassifierConfig,
+    params: ModelParams,
+    memories: List[MemoryState],
+    m1: Array,
+    m2: Array,
+) -> Tuple[Array, List[MemoryState]]:
+    """Logits for every row of a split, taken `config.batch` rows at a
+    time, and the memories after the last batch; no dropout, and the
+    given memories are never mutated.
+
+    The rows run in blocks of whole batches (`_EVAL_BLOCK` rows, rounded
+    down to a multiple of the batch).  The encoders and the head take a
+    block at a time; each layer's fusion_rows loops batch by batch only
+    over its memory's write chain.  Every product goes through
+    batchwise_matmul, so the logits and memories have the bits of
+    forward_logits run batch by batch.
+    """
+    n = m1.shape[0]
+    memories = list(memories)
+    variants = _layer_variants(config.variant, config.out_dim)
+    matmul = functools.partial(batchwise_matmul, batch=config.batch)
+    block = max(_EVAL_BLOCK // config.batch, 1) * config.batch
+    logits = np.empty((n, config.classes))
+    for start in range(0, n, block):
+        rows = slice(start, start + block)
+        enc1, enc2, _, _ = encode(params, m1[rows], m2[rows], matmul)
+        outs = []
+        for i, (layer, variant, mem) in enumerate(zip(params.fusion_layers, variants, memories, strict=True)):
+            out, memories[i] = fusion_rows(layer, mem, variant, enc1, enc2, config.batch, proj=params.proj)
+            outs.append(out)
+        logits[rows] = head_forward(params, _head_input(outs, enc1, enc2), matmul=matmul)[0]
+    return logits, memories
+
+
 def evaluate(state: TrainState, dataset, freeze_writes: Optional[bool] = None) -> MetricsReport:
     """Metrics on a dataset; dropout off, memory evolves on a copy.
 
     Writes follow the flag (default: the config's freeze_eval_writes);
-    either way the training memories are untouched.
+    either way the training memories are untouched.  The logits come
+    from forward_split, which loops batch by batch only over the
+    memory's write chain.  Non-finite logits raise NumericError naming
+    the first such sample.
     """
-    m1_all, m2_all, y_all = _as_arrays(dataset, "evaluate")
-    n = m1_all.shape[0]
     cfg = state.config
+    m1_all, m2_all, y_all = _as_arrays(dataset, "evaluate", cfg.classes)
+    n = m1_all.shape[0]
     freeze = cfg.freeze_eval_writes if freeze_writes is None else freeze_writes
     memories = [m.frozen() if freeze else m.copy() for m in state.memories]
-
-    logits_all = np.empty((n, cfg.classes))
-    for start in range(0, n, cfg.batch):
-        sl = slice(start, min(start + cfg.batch, n))
-        logits, cache = forward_logits(cfg, state.params, memories, m1_all[sl], m2_all[sl])
-        memories = cache.new_memories
-        logits_all[sl] = logits
+    logits_all, _ = forward_split(cfg, state.params, memories, m1_all, m2_all)
     # argmax would turn a NaN into a silent prediction
     finite = np.isfinite(logits_all).all(axis=1)
     if not finite.all():

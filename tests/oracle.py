@@ -137,3 +137,23 @@ def sl_box_muller(u, n, mu=0.0, sigma=1.0):
     z[0::2] = r * np.cos(theta)
     z[1::2] = r * np.sin(theta)
     return mu + sigma * z[:n]
+
+
+def per_batch_forward(forward_logits, config, params, memories, m1, m2):
+    """Logits and final memories from running `forward_logits` over
+    consecutive batches of `config.batch` rows (the last may be short),
+    each batch reading the memories the one before it wrote.
+
+    This is evaluation's batch-by-batch definition, which the row-block
+    path must reproduce bit for bit.  forward_logits is passed in, so
+    this module still imports nothing from the package.
+    """
+    import numpy as np
+
+    n = m1.shape[0]
+    logits = np.empty((n, config.classes))
+    for start in range(0, n, config.batch):
+        rows = slice(start, start + config.batch)
+        logits[rows], cache = forward_logits(config, params, memories, m1[rows], m2[rows])
+        memories = cache.new_memories
+    return logits, list(memories)

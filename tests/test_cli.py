@@ -501,12 +501,36 @@ class TestGradcheckCommand:
         assert main(["gradcheck", "--dim", "40"]) == 2
         assert main(["gradcheck", "--batch", "9"]) == 2
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--seeds", "0"), ("--seeds", "-1"),
+        ("--threshold", "inf"), ("--threshold", "0"), ("--threshold", "-1"), ("--threshold", "nan"),
+        ("--step", "inf"), ("--step", "nan"), ("--step", "0"), ("--step", "-1e-6"),
+    ])
+    def test_bad_flag_value_exit_2_names_it(self, capsys, flag, value):
+        assert main(["gradcheck", flag, value]) == 2
+        err = capsys.readouterr().err
+        assert flag in err and "Traceback" not in err
+
     def test_seed_count_respected(self, capsys):
         code = main(["gradcheck", "--seeds", "3", "--variant", "memory"])
         doc = json.loads(capsys.readouterr().out)
         assert code == 0
         assert doc["variants"]["memory"]["seeds"] == 3
         assert list(doc["variants"]) == ["memory"]
+
+
+class TestClassifierFieldChecks:
+    @pytest.mark.parametrize("field,value", [
+        ("head_hidden", 0), ("head_hidden", -2), ("encoder_hidden", -3), ("out_dim", -1),
+    ])
+    def test_out_of_range_exit_2_names_the_field(self, tmp_path, capsys, field, value):
+        doc = tiny_experiment(tmp_path / "run")
+        doc["classifier"][field] = value
+        cfg = write_config(tmp_path, doc)
+        assert main(["train", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
+        assert not (tmp_path / "run").exists()
 
 
 class TestGenData:

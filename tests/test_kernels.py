@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memfuse import kernels
 from memfuse.errors import ParameterError, ShapeError
 from memfuse.kernels import (
     Rng,
     as_batch,
+    batchwise_matmul,
     concat,
     hadamard,
     matmul,
@@ -318,3 +321,41 @@ class TestRngBlocks:
         used = 2 * ((n + 1) // 2)
         want = sl_box_muller(sl_uniforms(31, n, used), n)
         self.same_bits(rng.normal(n), want)
+
+
+class TestBatchwiseMatmul:
+    """batchwise_matmul gives each row the bits of its own batch's product."""
+
+    @staticmethod
+    def _operand(rng, rows, cols, layout):
+        if layout == "contiguous":
+            return rng.standard_normal((rows, cols))
+        if layout == "strided":
+            return rng.standard_normal((rows, cols + 3))[:, 1 : cols + 1]
+        return rng.standard_normal((cols, rows)).T
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(0, 70),
+        batch=st.integers(1, 9),
+        k=st.integers(1, 12),
+        h=st.integers(1, 12),
+        x_layout=st.sampled_from(["contiguous", "strided", "transposed"]),
+        w_layout=st.sampled_from(["contiguous", "strided", "transposed"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bits_match_a_per_batch_loop(self, n, batch, k, h, x_layout, w_layout, seed):
+        rng = np.random.default_rng(seed)
+        x = self._operand(rng, n, k, x_layout)
+        w = self._operand(rng, k, h, w_layout)
+        got = batchwise_matmul(x, w, batch)
+        assert got.shape == (n, h)
+        for start in range(0, n, batch):
+            want = x[start : start + batch] @ w
+            assert got[start : start + batch].tobytes() == want.tobytes()
+
+    def test_one_batch_is_the_plain_product(self):
+        rng = np.random.default_rng(4)
+        x, w = rng.standard_normal((3, 5)), rng.standard_normal((5, 2))
+        assert batchwise_matmul(x, w, 3).tobytes() == (x @ w).tobytes()
+        assert batchwise_matmul(x, w, 8).tobytes() == (x @ w).tobytes()

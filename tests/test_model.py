@@ -22,11 +22,13 @@ from memfuse.model import (
     evaluate,
     fit,
     forward_logits,
+    forward_split,
     head_forward,
     loss_and_grads,
     train_epoch,
 )
 from memfuse.synthdata import TaskConfig, gen_dataset, stack
+from oracle import per_batch_forward
 
 
 def tiny_config(**overrides):
@@ -532,12 +534,13 @@ class TestStepCallBudget:
     and fails this test; lower the budget when a change removes calls.
     """
 
-    # per batch: forward_logits, layer_variants, encode, fusion_forward,
-    # _check_mode_batches, softmax_rows x2 (each with as_matrix),
-    # write_memory, head_forward, cross_entropy_batch, backward_batch,
+    # per batch: forward_logits, encode, fusion_forward, _layer_inputs,
+    # _memory_chain, softmax_rows x2, _layer_output, write_memory,
+    # _head_input, head_forward, cross_entropy_batch, backward_batch,
     # fusion_backward, _softmax_vjp x2, adam_step, and nine as_batch
-    # input checks; the gradients go straight into the state's vector,
-    # so flatten and its list comprehension are gone
+    # input checks; the layer variants come from the cached table and
+    # softmax_rows checks a float64 matrix inline, so layer_variants and
+    # as_matrix are gone
     PER_STEP = 26
     PER_EPOCH = 2  # train_epoch itself and _as_arrays
 
@@ -561,3 +564,141 @@ class TestStepCallBudget:
         steps = 200 // cfg.batch
         assert calls.count("forward_logits") == steps
         assert len(calls) <= self.PER_STEP * steps + self.PER_EPOCH, sorted(set(calls))
+
+
+def _patch_block(monkeypatch, block):
+    if block is not None:
+        monkeypatch.setattr(memfuse.model, "_EVAL_BLOCK", block)
+
+
+class TestForwardSplit:
+    """forward_split against the per-batch loop over forward_logits, bit for bit.
+
+    Each case draws 12-wide rows and hands both modes over as strided
+    column views.  A block of 5 rows gives single-batch blocks, several
+    blocks and a ragged last batch; the default block gives many batches
+    per block.
+    """
+
+    @pytest.mark.parametrize("block", [5, None])
+    @pytest.mark.parametrize("freeze", [False, True])
+    @pytest.mark.parametrize("variant", ["naive", "memory", "memory_cross", "memory_single", "memory_resampled"])
+    def test_bits_match_the_per_batch_loop(self, monkeypatch, variant, freeze, block):
+        _patch_block(monkeypatch, block)
+        for encoder_hidden in (0, 5):
+            for batch in (1, 2, 3, 32):
+                cfg = tiny_config(variant=variant, out_dim=3, encoder_hidden=encoder_hidden,
+                                  head_hidden=6, slots=5, batch=batch, seed=2)
+                state = build_state(cfg, 3, 4)
+                memories = [m.frozen() if freeze else m for m in state.memories]
+                for n in (1, 7, 64, 601):
+                    rows = Rng(7 * n + batch).normal(12 * n).reshape(n, 12)
+                    m1, m2 = rows[:, 1:4], rows[:, 6:10]
+                    want, want_mems = per_batch_forward(forward_logits, cfg, state.params, memories, m1, m2)
+                    got, got_mems = forward_split(cfg, state.params, memories, m1, m2)
+                    case = (encoder_hidden, batch, n)
+                    assert got.tobytes() == want.tobytes(), case
+                    assert len(got_mems) == len(want_mems), case
+                    for g, w in zip(got_mems, want_mems):
+                        assert g.writes_enabled == w.writes_enabled, case
+                        assert g.matrix.tobytes() == w.matrix.tobytes(), case
+
+    def test_given_memories_are_not_mutated(self):
+        state = build_state(tiny_config(variant="memory_single"), 4, 4)
+        before = [m.matrix.copy() for m in state.memories]
+        m1, m2, _ = tiny_data(n=50)
+        _, after = forward_split(state.config, state.params, state.memories, m1, m2)
+        for m, b, a in zip(state.memories, before, after):
+            assert m.matrix.tobytes() == b.tobytes()
+            assert not np.array_equal(a.matrix, b)
+
+
+class TestDatasetIntake:
+    """A bad dataset is refused before the first step changes anything."""
+
+    def _assert_refused(self, data, error, match):
+        state = build_state(tiny_config(variant="memory"), 4, 4)
+        flat, mem, step = state.params.flat.copy(), state.memories[0].matrix.copy(), state.step
+        with pytest.raises(error, match=match):
+            train_epoch(state, data)
+        with pytest.raises(error, match=match):
+            evaluate(state, data)
+        assert state.params.flat.tobytes() == flat.tobytes()
+        assert state.memories[0].matrix.tobytes() == mem.tobytes()
+        assert state.step == step
+
+    def test_m2_one_batch_short(self):
+        m1, m2, y = tiny_data(n=20)
+        self._assert_refused((m1, m2[:16], y), ShapeError, "m1 has 20 rows, m2 has 16")
+
+    def test_m2_longer_than_m1(self):
+        m1, m2, y = tiny_data(n=20)
+        self._assert_refused((m1[:16], m2, y[:16]), ShapeError, "m1 has 16 rows, m2 has 20")
+
+    def test_labels_of_another_length(self):
+        m1, m2, y = tiny_data(n=20)
+        self._assert_refused((m1, m2, y[:12]), ShapeError, "labels")
+
+    @pytest.mark.parametrize("bad", [1.7, np.nan, -0.5])
+    def test_non_integer_label(self, bad):
+        m1, m2, y = tiny_data(n=20)
+        y = y.astype(np.float64)
+        y[9] = bad
+        self._assert_refused((m1, m2, y), ParameterError, "whole numbers")
+
+    def test_whole_float_labels_are_taken_as_integers(self):
+        data = tiny_data(n=20)
+        as_float = (data[0], data[1], data[2].astype(np.float64))
+        state = build_state(tiny_config(variant="memory"), 4, 4)
+        twin = copy.deepcopy(state)
+        assert evaluate(state, as_float).to_dict() == evaluate(state, data).to_dict()
+        train_epoch(state, as_float)
+        train_epoch(twin, data)
+        assert state.params.flat.tobytes() == twin.params.flat.tobytes()
+
+
+class TestEvalCallBudget:
+    """A deterministic guard on evaluate's Python work, like TestStepCallBudget.
+
+    Counts calls into memfuse's own functions at the paper shape (d = 8,
+    batch 2, k = 20).  With writes on, each batch pays only the memory
+    chain: _memory_chain, softmax_rows x2, write_memory and its two
+    as_batch checks.  With writes frozen, or with no memory, the calls
+    grow with the number of blocks, not with the number of rows.
+    """
+
+    PER_BATCH = 6
+    PER_BLOCK = 20  # encode, fusion_rows, the batchwise products, the head, ...
+
+    def _calls(self, variant, freeze, n):
+        cfg = tiny_config(variant=variant, slots=20, batch=2, head_hidden=32)
+        state = build_state(cfg, 4, 4)
+        data = tiny_data(n=n)
+        package = str(Path(memfuse.__file__).parent)
+        calls = []
+
+        def count(frame, event, arg):
+            if event == "call" and frame.f_code.co_filename.startswith(package):
+                calls.append(frame.f_code.co_name)
+
+        sys.setprofile(count)
+        try:
+            evaluate(state, data, freeze_writes=freeze)
+        finally:
+            sys.setprofile(None)
+        return calls
+
+    def test_writes_on_pays_only_the_memory_chain_per_batch(self):
+        calls = self._calls("memory", False, 2000)
+        assert calls.count("forward_logits") == calls.count("fusion_forward") == 0
+        blocks = -(-2000 // memfuse.model._EVAL_BLOCK)
+        assert len(calls) <= self.PER_BATCH * 1000 + self.PER_BLOCK * blocks, sorted(set(calls))
+
+    @pytest.mark.parametrize("variant,freeze", [("naive", False), ("memory", True), ("memory_single", True)])
+    def test_calls_grow_with_blocks_not_rows(self, monkeypatch, variant, freeze):
+        # 4 and 40 blocks of 4 batches, then 40 blocks of 8: only the block count may matter
+        _patch_block(monkeypatch, 8)
+        few, many = self._calls(variant, freeze, 32), self._calls(variant, freeze, 320)
+        _patch_block(monkeypatch, 16)
+        wide = self._calls(variant, freeze, 640)
+        assert len(wide) == len(many) > len(few), (len(few), len(many), len(wide))
