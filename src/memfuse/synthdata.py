@@ -21,6 +21,10 @@ from .errors import ParameterError
 from .kernels import Array, Rng
 
 
+# Values per row block when adding the prototypes: bounds the gather's scratch.
+_ADD_BLOCK = 1 << 15
+
+
 @dataclass(frozen=True)
 class TaskConfig:
     s1: int = 16
@@ -80,16 +84,21 @@ def gen_dataset(config: TaskConfig) -> Dataset:
     regimes_t = regime_at(config, np.arange(n, dtype=np.int64))
     labels = (regimes_t + signals) % config.classes
 
-    # Each column is built in place: its noise is drawn straight into it
-    # and the prototype rows are added on, so the only stream-sized
-    # temporaries are one prototype gather and the occlusion noise.
-    m1 = rng.fill_normal(np.empty((n, s1)), 0.0, config.noise_sigma)
-    m1 += proto1[regimes_t]
-    m2 = rng.fill_normal(np.empty((n, s2)), 0.0, config.noise_sigma)
-    m2 += proto2[signals]
+    # Each column is built in place.  Mode-1 noise is drawn only under
+    # clean rows and occlusion noise only under occluded rows, each the
+    # bits its whole draw would put there, and the prototype rows are
+    # added a row block at a time, so no temporary grows with the stream
+    # beyond a few per-row vectors.
     occlusion_scale = float(np.sqrt(1.0 + config.noise_sigma**2))
-    occ_noise = rng.fill_normal(np.empty((n, s1)), 0.0, occlusion_scale)
-    np.copyto(m1, occ_noise, where=occluded[:, None])
+    m1 = np.empty((n, s1))
+    rng.fill_normal(m1, 0.0, config.noise_sigma, rows=np.flatnonzero(~occluded))
+    m2 = rng.fill_normal(np.empty((n, s2)), 0.0, config.noise_sigma)
+    rng.fill_normal(m1, 0.0, occlusion_scale, rows=np.flatnonzero(occluded))
+    step = max(_ADD_BLOCK // max(s1, s2), 1)
+    for start in range(0, n, step):
+        rows = slice(start, start + step)
+        np.add(m1[rows], proto1[regimes_t[rows]], out=m1[rows], where=~occluded[rows, None])
+        m2[rows] += proto2[signals[rows]]
     return Dataset(m1, m2, labels)
 
 

@@ -2,13 +2,15 @@
 
 Each test prints a PASS line when its criterion holds (visible with
 pytest -s); every tolerance is fixed here, nothing is calibrated at
-run time.  The slow end-to-end criteria sit at the bottom.
+run time.  The slow end-to-end criteria sit at the bottom, marked `slow`
+so that `pytest -m "not slow"` runs everything else.
 """
 
 import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from memfuse.fusion import (
     MEMORY_CROSS,
@@ -164,6 +166,7 @@ def _regime_experiment():
     return task, cls_doc, doc
 
 
+@pytest.mark.slow
 def test_criterion_6_directional_synthetic_result():
     task, cls_doc, doc = _regime_experiment()
     assert task.occlusion_prob == 0.5
@@ -195,6 +198,7 @@ def test_criterion_6_directional_synthetic_result():
     )
 
 
+@pytest.mark.slow
 def test_criterion_7_ablation_harness(tmp_path):
     from memfuse.cli import main
 

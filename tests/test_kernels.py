@@ -1,6 +1,8 @@
 """Kernel-level contracts: dense ops and the deterministic generator."""
 
+import concurrent.futures
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -321,6 +323,105 @@ class TestRngBlocks:
         used = 2 * ((n + 1) // 2)
         want = sl_box_muller(sl_uniforms(31, n, used), n)
         self.same_bits(rng.normal(n), want)
+
+
+class TestFillNormalRows:
+    """fill_normal(rows=) writes, bit for bit, what the whole draw puts in
+    those rows and leaves every other row alone, whatever the block size
+    and whether the blocks run on the calling thread or on a pool."""
+
+    MU, SIGMA = 0.5, 1.5
+
+    def whole_draw(self, seed, skip, n, width, mp):
+        """normal(n * width) drawn serially after `skip` uniforms, as rows."""
+        mp.setattr(kernels, "_cpus", lambda: 1)
+        rng = Rng(seed)
+        rng.uniform(skip)
+        return rng.normal(n * width, self.MU, self.SIGMA).reshape(n, width), rng.counter
+
+    def check(self, seed, skip, n, width, rows, block, cpus):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "_BLOCK", block)
+            want, counter = self.whole_draw(seed, skip, n, width, mp)
+            mp.setattr(kernels, "_cpus", lambda: cpus)
+            # the threaded whole draw against the serial one
+            full = Rng(seed)
+            full.uniform(skip)
+            assert full.normal(n * width, self.MU, self.SIGMA).tobytes() == want.tobytes()
+            rng = Rng(seed)
+            rng.uniform(skip)
+            out = np.full((n, width), np.nan)
+            assert rng.fill_normal(out, self.MU, self.SIGMA, rows=np.array(rows, dtype=np.int64)) is out
+        expected = np.full((n, width), np.nan)
+        expected[rows] = want[rows]
+        assert out.tobytes() == expected.tobytes()
+        assert rng.counter == counter
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(0, 30),
+        width=st.integers(1, 9),
+        seed=st.integers(0, 2**64 - 1),
+        skip=st.integers(0, 9),
+        block=st.sampled_from([2, 3, 5, 16, 32768]),
+        cpus=st.sampled_from([1, 2, 5]),
+        which=st.sampled_from(["none", "all", "some"]),
+    )
+    def test_rows_match_the_whole_draw(self, data, n, width, seed, skip, block, cpus, which):
+        """Odd widths put a Box-Muller pair across two rows; small blocks
+        split a draw into many blocks; five threads outnumber the cores."""
+        if which == "some":
+            rows = sorted(data.draw(st.sets(st.integers(0, max(n - 1, 0)), max_size=n)) if n else [])
+        else:
+            rows = list(range(n)) if which == "all" else []
+        self.check(seed, skip, n, width, rows, block, cpus)
+
+    @pytest.mark.parametrize("width", [13, 32])
+    def test_many_default_blocks(self, width):
+        """Five threads on many default blocks, switching as often as the
+        interpreter allows."""
+        n = 12000
+        rows = np.flatnonzero(Rng(4).uniform(n) < 0.5)
+        assert n * width > 4 * kernels._BLOCK
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            self.check(21, 3, n, width, rows, kernels._BLOCK, 5)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_bad_rows(self):
+        out = np.empty((4, 3))
+        with pytest.raises(ShapeError):
+            Rng(1).fill_normal(np.empty(4), rows=[0])
+        with pytest.raises(ShapeError):
+            Rng(1).fill_normal(out, rows=[[0, 1]])
+        with pytest.raises(ShapeError):
+            Rng(1).fill_normal(out, rows=[0.0, 1.0])
+        for rows in ([1, 0], [1, 1], [-1, 2], [0, 4]):
+            with pytest.raises(ParameterError):
+                Rng(1).fill_normal(out, rows=rows)
+
+    def test_one_block_starts_no_thread_and_a_pool_never_outnumbers_blocks(self, monkeypatch):
+        pools = []
+
+        class Recording(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, workers):
+                pools.append(workers)
+                super().__init__(workers)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(kernels, "_cpus", lambda: 8)
+        Rng(1).normal(kernels._BLOCK)
+        Rng(1).fill_normal(np.empty((100, 4)), rows=np.arange(0, 100, 2))
+        assert pools == []
+        Rng(1).normal(3 * kernels._BLOCK)
+        monkeypatch.setattr(kernels, "_cpus", lambda: 2)
+        Rng(1).normal(3 * kernels._BLOCK)
+        monkeypatch.setattr(kernels, "_cpus", lambda: 1)
+        Rng(1).normal(3 * kernels._BLOCK)
+        assert pools == [3, 2]
 
 
 class TestBatchwiseMatmul:

@@ -245,6 +245,81 @@ class TestReference:
         assert labels.dtype == np.int64 and labels.tolist() == want_labels
 
 
+def rebuild(cfg):
+    """The stream rebuilt one step at a time from whole Rng draws taken in
+    the documented order (proto1, proto2, signals, occluded, noise1,
+    noise2, occ_noise), as (m1, m2, labels) arrays."""
+    n, s1, s2, sigma = cfg.length, cfg.s1, cfg.s2, cfg.noise_sigma
+    rng = Rng(cfg.seed)
+    proto1 = rng.normal(cfg.regimes * s1).reshape(cfg.regimes, s1)
+    proto2 = rng.normal(cfg.classes * s2).reshape(cfg.classes, s2)
+    signals = rng.integers(n, cfg.classes)
+    occluded = rng.uniform(n) < cfg.occlusion_prob
+    noise1 = rng.normal(n * s1, 0.0, sigma).reshape(n, s1)
+    noise2 = rng.normal(n * s2, 0.0, sigma).reshape(n, s2)
+    occ_noise = rng.normal(n * s1, 0.0, float(np.sqrt(1.0 + sigma**2))).reshape(n, s1)
+    m1, m2, labels = [], [], []
+    for t in range(n):
+        regime = (t // cfg.regime_period) % cfg.regimes
+        m1.append(occ_noise[t] if occluded[t] else proto1[regime] + noise1[t])
+        m2.append(proto2[signals[t]] + noise2[t])
+        labels.append((regime + int(signals[t])) % cfg.classes)
+    return np.array(m1).reshape(n, s1), np.array(m2).reshape(n, s2), np.array(labels)
+
+
+class TestOcclusionExtremes:
+    """With no row or every row occluded, one of the two mode-1 draws
+    writes nothing and the other every row; the stream must still be the
+    row-by-row rebuild's, odd widths and many blocks included."""
+
+    @pytest.mark.parametrize("prob", [0.0, 1.0])
+    @pytest.mark.parametrize("s1, s2, length", [(3, 2, 90), (5, 4, 9000)])
+    def test_matches_the_row_by_row_rebuild(self, prob, s1, s2, length):
+        cfg = small_config(s1=s1, s2=s2, length=length, regime_period=5, occlusion_prob=prob)
+        got = gen_dataset(cfg)
+        for column, want in zip(got, rebuild(cfg)):
+            assert column.shape == want.shape and column.tobytes() == want.tobytes()
+
+
+class TestDrawCount:
+    """A deterministic guard on wasted draws, counting the uniforms that
+    Rng._units computes while gen_dataset runs.  Every value the stream
+    keeps costs half a Box-Muller pair; none is drawn to be thrown away.
+    No timing, so it cannot flake."""
+
+    @staticmethod
+    def count_units(monkeypatch, cfg):
+        sizes = []
+        units = Rng._units
+
+        def counting(self, z, *args):
+            sizes.append(z.size)
+            return units(self, z, *args)
+
+        monkeypatch.setattr(Rng, "_units", counting)
+        gen_dataset(cfg)
+        return sum(sizes)
+
+    @staticmethod
+    def small_draws(cfg):
+        """Uniforms of the prototype normals and the per-row signal and
+        occlusion draws."""
+        pairs = (cfg.regimes * cfg.s1 + 1) // 2 + (cfg.classes * cfg.s2 + 1) // 2
+        return 2 * pairs + 2 * cfg.length
+
+    def test_even_widths_draw_exactly_the_kept_pairs(self, monkeypatch):
+        cfg = small_config(s1=32, s2=16, length=5000)
+        assert cfg.length * cfg.s1 > 4 * kernels._BLOCK
+        units = self.count_units(monkeypatch, cfg)
+        assert units == self.small_draws(cfg) + cfg.length * (cfg.s1 + cfg.s2)
+
+    def test_odd_width_draws_the_pairs_each_row_touches(self, monkeypatch):
+        # a 5-wide row touches 3 pairs; m2's whole draw is ceil(n * 4 / 2) pairs
+        cfg = small_config(s1=5, s2=4, length=999)
+        units = self.count_units(monkeypatch, cfg)
+        assert units == self.small_draws(cfg) + 2 * (cfg.length * 3 + (cfg.length * 4 + 1) // 2)
+
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -264,11 +339,23 @@ class TestPinnedStreams:
 
 
 class TestMemory:
-    def test_peak_is_the_columns_plus_one_column(self):
-        """Traced allocations while building a stream of many blocks peak
-        at no more than the kept columns, one more mode-1 column (the
-        occlusion noise) and 2 MB of block-sized scratch."""
-        cfg = small_config(s1=48, s2=16, length=8000)
+    """Traced allocations while building a stream of many blocks peak at
+    no more than the kept columns, a few per-row vectors (signals,
+    regimes, the occlusion draw and its row lists: PER_ROW bytes a row)
+    and one block's scratch for each thread that draws (PER_THREAD).
+    Neither scratch term grows with the width, so no stream-sized column
+    is ever held beside the output."""
+
+    PER_ROW = 48
+    # a thread's buffers for 2**14 pairs and the mixing's temporaries peak
+    # at about 1.2 MB; the threads can hit their peaks at the same time
+    PER_THREAD = 3 * 2**19
+    THREADS = 2
+
+    @pytest.mark.parametrize("length", [8000, 32000])
+    def test_peak_is_the_columns_plus_block_scratch(self, monkeypatch, length):
+        monkeypatch.setattr(kernels, "_cpus", lambda: self.THREADS)
+        cfg = small_config(s1=48, s2=16, length=length)
         assert cfg.length * cfg.s1 > 8 * kernels._BLOCK
         tracemalloc.start()
         try:
@@ -277,4 +364,5 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         kept = sum(column.nbytes for column in data)
-        assert peak <= kept + data.m1.nbytes + 2 * 2**20, (peak, kept)
+        bound = kept + self.PER_ROW * cfg.length + self.THREADS * self.PER_THREAD
+        assert peak <= bound, (peak, kept, bound)
