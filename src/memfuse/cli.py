@@ -65,7 +65,11 @@ class ExperimentConfig:
             raise ParameterError("seeds list must be nonempty")
 
 
+# field -> type of each config section, read once: get_type_hints evaluates
+# the annotations' strings on every call
 _FIELDS = typing.get_type_hints(ExperimentConfig)
+_TASK_FIELDS = typing.get_type_hints(TaskConfig)
+_CLASSIFIER_FIELDS = typing.get_type_hints(ClassifierConfig)
 # a section is an object that is checked on its own
 TOP_LEVEL_KEYS = {"task": object, "classifier": object, "sweep": object,
                   **{k: _FIELDS[k] for k in ("seeds", "train_frac", "val_frac", "out_dir")}}
@@ -102,14 +106,14 @@ def checked_section(where: str, doc, types: dict) -> dict:
 
 
 def load_task(doc: dict) -> TaskConfig:
-    return TaskConfig(**checked_section("task", doc, typing.get_type_hints(TaskConfig)))
+    return TaskConfig(**checked_section("task", doc, _TASK_FIELDS))
 
 
 def load_experiment(path: str, overrides: Optional[dict] = None) -> ExperimentConfig:
     doc = checked_section("the config", json.loads(Path(path).read_text()), TOP_LEVEL_KEYS)
     overrides = overrides or {}
     task = load_task(doc.get("task", {}))
-    cls_doc = dict(checked_section("classifier", doc.get("classifier", {}), typing.get_type_hints(ClassifierConfig)))
+    cls_doc = dict(checked_section("classifier", doc.get("classifier", {}), _CLASSIFIER_FIELDS))
     cls_doc.setdefault("classes", task.classes)
     if cls_doc["classes"] != task.classes:
         raise ParameterError(
@@ -356,11 +360,13 @@ def cmd_gradcheck(args) -> int:
         value = getattr(args, flag)
         if not (math.isfinite(value) and value > 0):
             raise ParameterError(f"--{flag} must be finite and > 0, got {value}")
+    if args.dim < 2:
+        raise ParameterError(f"--dim must be >= 2, one feature or more per mode, got {args.dim}")
     variants = standard_variants(out_dim=min(args.dim, 4))
     if args.variant != "all":
         wanted = parse_variant(args.variant, out_dim=min(args.dim, 4))
         variants = [v for v in variants if v.kind == wanted.kind]
-    half = max(1, args.dim // 2)
+    half = args.dim // 2
     results = {}
     all_pass = True
     worst = {"rel": 0.0, "variant": None, "seed": None, "block": None, "index": None}
@@ -369,7 +375,7 @@ def cmd_gradcheck(args) -> int:
         for seed in range(args.seeds):
             cfg = LayerCheckConfig(
                 s1=half,
-                s2=max(1, args.dim - half),
+                s2=args.dim - half,
                 slots=args.slots,
                 batch=args.batch,
                 variant=variant,

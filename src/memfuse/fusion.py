@@ -21,6 +21,7 @@ constant (no gradient flows across write steps).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
@@ -176,25 +177,45 @@ class FusionBackward:
     grad_mapped: Array
 
 
-def init_params(rng: Rng, dim: int) -> FusionParams:
+def param_shapes(dim: int) -> dict[str, tuple[int, ...]]:
+    """The shape of each of a layer's blocks, in field order; laid end to
+    end, as init_params lays them, they take 3 dim^2 + 3 dim entries."""
+    return {"w_read": (dim, dim), "b_read": (dim,), "w_comp": (2 * dim, dim), "b_comp": (dim,), "w_scale": (dim,)}
+
+
+def init_params(rng: Rng, dim: int, out: Optional[Array] = None) -> FusionParams:
     """Uniform init in +-1/sqrt(fan_in) for every block.
 
     The elementwise scale has fan-in 1, so it starts at full +-1 range
     and the transform path is active from the first step.
+
+    The five blocks, laid end to end in field order (param_shapes), are
+    one draw of `rng` into one flat vector: `out` when given (a
+    contiguous slice of a larger parameter vector, say), else a fresh
+    one.  The blocks are views of it.  Each value is u * (hi - lo) + lo
+    of its own uniform u, as rng.uniform(n, lo, hi) block by block would
+    give it.
     """
     if dim < 1:
         raise ParameterError(f"layer dim must be >= 1, got {dim}")
-
-    def block(n, fan_in):
-        bound = 1.0 / np.sqrt(fan_in)
-        return rng.uniform(n, -bound, bound)
-
+    d = dim
+    # ends of w_read, b_read, w_comp, b_comp and w_scale
+    a, b, c, e, n = d * d, d * d + d, 3 * d * d + d, 3 * d * d + 2 * d, 3 * d * d + 3 * d
+    flat = np.empty(n) if out is None else out
+    if flat.shape != (n,):
+        raise ShapeError(f"init_params: out has shape {flat.shape}, want ({n},)")
+    rng.fill_uniform(flat)
+    # w_read and b_read have fan-in d, w_comp and b_comp 2d, w_scale 1
+    for part, fan_in in ((flat[:b], d), (flat[b:e], 2 * d), (flat[e:], 1)):
+        bound = 1.0 / math.sqrt(fan_in)
+        part *= bound - -bound
+        part += -bound
     return FusionParams(
-        w_read=block(dim * dim, dim).reshape(dim, dim),
-        b_read=block(dim, dim),
-        w_comp=block(2 * dim * dim, 2 * dim).reshape(2 * dim, dim),
-        b_comp=block(dim, 2 * dim),
-        w_scale=block(dim, 1),
+        w_read=flat[:a].reshape(d, d),
+        b_read=flat[a:b],
+        w_comp=flat[b:c].reshape(2 * d, d),
+        b_comp=flat[c:e],
+        w_scale=flat[e:],
     )
 
 

@@ -36,9 +36,8 @@ from .errors import ParameterError, ShapeError
 
 Array = np.ndarray
 
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_MIX_A = np.uint64(0xBF58476D1CE4E5B9)
-_MIX_B = np.uint64(0x94D049BB133111EB)
+_GOLDEN_INT, _MIX_A_INT, _MIX_B_INT = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+_GOLDEN, _MIX_A, _MIX_B = (np.uint64(k) for k in (_GOLDEN_INT, _MIX_A_INT, _MIX_B_INT))
 _U64_MASK = (1 << 64) - 1
 _INV_2_53 = float(2.0**-53)
 _SHIFT_11, _SHIFT_27, _SHIFT_30, _SHIFT_31 = (np.uint64(k) for k in (11, 27, 30, 31))
@@ -46,6 +45,7 @@ _SHIFT_11, _SHIFT_27, _SHIFT_30, _SHIFT_31 = (np.uint64(k) for k in (11, 27, 30,
 # made a block at a time, so no temporary grows with the draw's length.
 _BLOCK = 1 << 15
 _FLOAT64 = np.dtype(np.float64)
+_INT64 = np.dtype(np.int64)
 
 
 def as_vector(x) -> Array:
@@ -73,6 +73,25 @@ def as_batch(x) -> Array:
     if type(x) is np.ndarray and x.dtype is _FLOAT64 and x.ndim == 2:
         return x
     return np.atleast_2d(np.asarray(x, dtype=np.float64))
+
+
+def as_labels(labels, caller: str) -> Array:
+    """Class labels as int64; their range is the caller's to check.
+
+    An int64 ndarray comes back as the same object.  Integer and bool
+    labels are cast; float labels only when every one is a finite whole
+    number (1.0 is taken as 1), since the cast would truncate 1.7 to 1.
+    Anything else raises ParameterError naming `caller`.
+    """
+    if type(labels) is np.ndarray and labels.dtype is _INT64:
+        return labels
+    labels = np.asarray(labels)
+    if labels.dtype.kind not in "biu":
+        whole = (labels.dtype.kind == "f" and bool(np.isfinite(labels).all())
+                 and np.array_equal(labels, np.trunc(labels)))
+        if not whole:
+            raise ParameterError(f"{caller}: labels must be whole numbers")
+    return labels.astype(np.int64, copy=False)
 
 
 def matmul(a, b) -> Array:
@@ -232,18 +251,30 @@ class Rng:
         """n draws uniform in [lo, hi)."""
         if n < 0:
             raise ParameterError(f"uniform: n must be >= 0, got {n}")
+        return self.fill_uniform(np.empty(n), lo, hi)
+
+    def fill_uniform(self, out: Array, lo: float = 0.0, hi: float = 1.0) -> Array:
+        """Fill a C-contiguous float64 array, in row-major order, with the
+        values uniform(out.size, lo, hi) would return, and return it.
+
+        The draw is one counter range, mixed a block of `_BLOCK` counters
+        at a time straight into `out`, then scaled as u * (hi - lo) + lo.
+        """
         if not lo < hi:
             raise ParameterError(f"uniform: need lo < hi, got [{lo}, {hi})")
-        out = np.empty(n)
+        if out.dtype != _FLOAT64 or not out.flags.c_contiguous:
+            raise ShapeError("fill_uniform: need a C-contiguous float64 array")
+        flat = out if out.ndim == 1 else out.reshape(-1)
+        n = flat.size
         first = self.counter
         self.counter += n
         for start in range(0, n, _BLOCK):
             stop = min(start + _BLOCK, n)
-            self._units(np.arange(first + start + 1, first + stop + 1, dtype=np.uint64), out[start:stop])
+            self._units(np.arange(first + start + 1, first + stop + 1, dtype=np.uint64), flat[start:stop])
         # lo + u * (hi - lo) is u itself on [0, 1), so skip it there.
         if lo != 0.0 or hi != 1.0:
-            out *= hi - lo
-            out += lo
+            flat *= hi - lo
+            flat += lo
         return out
 
     def normal(self, n: int, mu: float = 0.0, sigma: float = 1.0) -> Array:
@@ -398,11 +429,11 @@ class Rng:
     def split(self, label: int) -> "Rng":
         """Derive an independent substream keyed by an integer label.
 
-        The child seed is a mix of (seed, label), so distinct labels give
-        unrelated streams and the parent counter is untouched.
+        The child seed is mix64(seed + label * GOLDEN) mod 2**64, so
+        distinct labels give unrelated streams and the parent counter is
+        untouched.  It is one number, so it is mixed in Python ints.
         """
-        with np.errstate(over="ignore"):
-            key = _mix64(
-                np.uint64([self.seed + _GOLDEN * np.uint64(int(label) & _U64_MASK)])
-            )[0]
-        return Rng(int(key))
+        key = (int(self.seed) + _GOLDEN_INT * (int(label) & _U64_MASK)) & _U64_MASK
+        key = ((key ^ (key >> 30)) * _MIX_A_INT) & _U64_MASK
+        key = ((key ^ (key >> 27)) * _MIX_B_INT) & _U64_MASK
+        return Rng(key ^ (key >> 31))

@@ -15,7 +15,7 @@ from typing import List, Sequence
 import numpy as np
 
 from .errors import ParameterError
-from .kernels import Array
+from .kernels import Array, as_labels
 
 
 @dataclass
@@ -58,8 +58,8 @@ class MetricsReport:
 
 def confusion_matrix(true_labels: Sequence[int], predicted_labels: Sequence[int], classes: int) -> Array:
     """Count matrix: entry (i, j) is how often true class i was predicted as j."""
-    t = np.asarray(true_labels, dtype=np.int64)
-    p = np.asarray(predicted_labels, dtype=np.int64)
+    t = as_labels(true_labels, "confusion_matrix")
+    p = as_labels(predicted_labels, "confusion_matrix")
     if t.shape != p.shape or t.ndim != 1:
         raise ParameterError(
             f"confusion_matrix: label arrays must be equal-length 1-D, got {t.shape} vs {p.shape}"

@@ -38,10 +38,13 @@ from .fusion import (
     init_memory,
     init_params,
     naive_backward,
+    param_shapes,
     parse_variant,
 )
-from .kernels import Array, Rng, as_batch, batchwise_matmul
+from .kernels import Array, Rng, as_batch, as_labels, batchwise_matmul
 from .metrics import MetricsReport, report_from_labels
+
+_INT64 = np.dtype(np.int64)
 
 
 @dataclass
@@ -166,7 +169,7 @@ class ModelParams:
                 layers.setdefault(layer, []).append(name)
         # table names of each fusion layer's blocks, in FusionParams field order
         self.fusion_keys = list(layers.values())
-        self.fusion_layers = [FusionParams(*(named[k] for k in keys)) for keys in self.fusion_keys]
+        self.fusion_layers = [FusionParams(*[named[k] for k in keys]) for keys in self.fusion_keys]
 
     def named(self) -> Dict[str, Array]:
         """Name -> view of every learnable block, in table order."""
@@ -216,56 +219,68 @@ def head_input_dim(config: ClassifierConfig, s1: int, s2: int) -> int:
 
 
 def build_state(config: ClassifierConfig, s1: int, s2: int, init_seed: Optional[int] = None) -> TrainState:
-    """Draw all parameters and memories for a fresh training run."""
+    """Draw all parameters and memories for a fresh training run.
+
+    The parameter table is laid out from the shapes alone, then the flat
+    vector is allocated once and every random stream draws straight into
+    its contiguous slice of it, with one counter range: a linear map's
+    weight and bias together, and a fusion layer's five blocks together
+    (init_params).  The warm start's read bias is the layer stream's
+    next draw, straight into b_read.
+    """
     seed = config.seed if init_seed is None else init_seed
     rng = Rng(seed)
     prng = rng.split(1)
     mem_seed = int(rng.split(2).integers(1, 2**62)[0])
     drop_rng = rng.split(3)
 
-    def linear(rin: Rng, n_in: int, n_out: int) -> Tuple[Array, Array]:
-        bound = 1.0 / np.sqrt(n_in)
-        w = rin.uniform(n_in * n_out, -bound, bound).reshape(n_in, n_out)
-        b = rin.uniform(n_out, -bound, bound)
-        return w, b
+    table: Table = {}
+    # (label of prng's child, start, stop, fan-in or fusion layer width, fusion layer?)
+    streams: List[Tuple[int, int, int, int, bool]] = []
+
+    def lay(label: int, rows: int, blocks: Dict[str, Tuple[int, ...]], layer: bool = False) -> None:
+        start = stop = streams[-1][2] if streams else 0
+        for name, shape in blocks.items():
+            table[name] = (stop, shape)
+            stop += math.prod(shape)
+        streams.append((label, start, stop, rows, layer))
 
     e1, e2 = _encoded_dims(config, s1, s2)
-    init: Dict[str, Array] = {}
-    if config.encoder_hidden > 0:
-        init["enc1_w"], init["enc1_b"] = linear(prng.split(10), s1, config.encoder_hidden)
-        init["enc2_w"], init["enc2_b"] = linear(prng.split(11), s2, config.encoder_hidden)
-
-    for i, var in enumerate(config.layer_variants()):
+    h = config.encoder_hidden
+    if h > 0:
+        lay(10, s1, {"enc1_w": (s1, h), "enc1_b": (h,)})
+        lay(11, s2, {"enc2_w": (s2, h), "enc2_b": (h,)})
+    for i, var in enumerate(_layer_variants(config.variant, config.out_dim)):
         d = var.input_dim(e1, e2)
-        layer_rng = prng.split(20 + i)
-        fp = init_params(layer_rng, d)
-        if config.read_bias_init > 0:
-            fp.b_read[:] = layer_rng.uniform(
-                d, -config.read_bias_init, config.read_bias_init
-            )
-        fp.w_scale *= config.transform_gain
-        init.update((f"fusion{i}.{name}", block) for name, block in vars(fp).items())
-
+        lay(20 + i, d, {f"fusion{i}.{name}": shape for name, shape in param_shapes(d).items()}, layer=True)
     if config.variant == MEMORY_RESAMPLED:
-        d = e1 + e2
-        bound = 1.0 / np.sqrt(d)
-        init["proj"] = prng.split(30).uniform(d * config.out_dim, -bound, bound).reshape(d, config.out_dim)
+        lay(30, e1 + e2, {"proj": (e1 + e2, config.out_dim)})
+    fused_dim, hidden = head_input_dim(config, s1, s2), config.head_hidden
+    lay(40, fused_dim, {"head1_w": (fused_dim, hidden), "head1_b": (hidden,)})
+    lay(41, hidden, {"head2_w": (hidden, config.classes), "head2_b": (config.classes,)})
 
-    fused_dim = head_input_dim(config, s1, s2)
-    init["head1_w"], init["head1_b"] = linear(prng.split(40), fused_dim, config.head_hidden)
-    init["head2_w"], init["head2_b"] = linear(prng.split(41), config.head_hidden, config.classes)
+    flat = np.empty(streams[-1][2])
+    for label, start, stop, rows, layer in streams:
+        stream = prng.split(label)
+        if not layer:
+            bound = 1.0 / math.sqrt(rows)
+            stream.fill_uniform(flat[start:stop], -bound, bound)
+            continue
+        fp = init_params(stream, rows, out=flat[start:stop])
+        if config.read_bias_init > 0:
+            stream.fill_uniform(fp.b_read, -config.read_bias_init, config.read_bias_init)
+        fp.w_scale *= config.transform_gain
 
-    table = param_table(init)
-    params = ModelParams(flatten(table, init), table)
+    params = ModelParams(flat, table)
     return TrainState(
         config=config,
         s1=s1,
         s2=s2,
         params=params,
         memories=_fresh_memories(config.slots, params, mem_seed),
-        m_flat=np.zeros_like(params.flat),
-        v_flat=np.zeros_like(params.flat),
-        grads=ModelParams(np.zeros_like(params.flat), table),
+        m_flat=np.zeros(flat.size),
+        v_flat=np.zeros(flat.size),
+        grads=ModelParams(np.zeros(flat.size), table),
         step=0,
         drop_rng=drop_rng,
         mem_seed=mem_seed,
@@ -383,7 +398,9 @@ def forward_logits(
 def cross_entropy_batch(logits: Array, labels: Array) -> Tuple[float, Array]:
     """Mean cross-entropy over a batch and the gradient of that mean."""
     logits = as_batch(logits)
-    labels = np.asarray(labels, dtype=np.int64)
+    # training's int64 labels skip the call; as_labels refuses 2.9 rather than truncate it
+    if not (type(labels) is np.ndarray and labels.dtype is _INT64):
+        labels = as_labels(labels, "cross_entropy_batch")
     batch, classes = logits.shape
     if labels.shape != (batch,):
         raise ShapeError(f"cross_entropy_batch: labels {labels.shape} vs batch {batch}")
@@ -525,12 +542,8 @@ def _as_arrays(dataset, caller: str, classes: int) -> Tuple[Array, Array, Array]
     labels = np.asarray(labels)
     if labels.shape != (n,):
         raise ShapeError(f"{caller}: labels {labels.shape} vs {n} rows")
-    if labels.dtype.kind not in "biu":
-        # a float label is truncated by the int64 cast unless it is whole
-        whole = labels.dtype.kind == "f" and np.array_equal(labels, np.trunc(labels))
-        if not whole:
-            raise ParameterError(f"{caller}: labels must be whole numbers")
-    labels = labels.astype(np.int64, copy=False)
+    if labels.dtype is not _INT64:
+        labels = as_labels(labels, caller)
     # seen as uint64, a negative label is at least 2**63
     if labels.view(np.uint64).max() >= classes:
         raise ParameterError(f"{caller}: label out of range")
@@ -559,9 +572,7 @@ def train_epoch(state: TrainState, dataset) -> Tuple[TrainState, float]:
         m1, m2, y = m1_all[sl], m2_all[sl], y_all[sl]
         drop_mask = None
         if cfg.dropout_rate > 0.0:
-            keep = state.drop_rng.uniform(cfg.batch * cfg.head_hidden).reshape(
-                cfg.batch, cfg.head_hidden
-            ) >= cfg.dropout_rate
+            keep = state.drop_rng.fill_uniform(np.empty((cfg.batch, cfg.head_hidden))) >= cfg.dropout_rate
             drop_mask = keep / (1.0 - cfg.dropout_rate)
         logits, cache = forward_logits(cfg, state.params, state.memories, m1, m2, drop_mask)
         loss, grad_logits = cross_entropy_batch(logits, y)

@@ -511,6 +511,17 @@ class TestGradcheckCommand:
         err = capsys.readouterr().err
         assert flag in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("dim", ["0", "1", "-3"])
+    def test_dim_below_two_exit_2_names_it(self, capsys, dim):
+        # each mode needs one feature or more: --dim 1 used to check a 2-wide layer
+        assert main(["gradcheck", "--dim", dim]) == 2
+        err = capsys.readouterr().err
+        assert "--dim" in err and "out_dim" not in err and "Traceback" not in err
+
+    def test_dim_two_checks_one_feature_per_mode(self, capsys):
+        assert main(["gradcheck", "--dim", "2", "--seeds", "1", "--variant", "memory"]) == 0
+        assert json.loads(capsys.readouterr().out)["passed"] is True
+
     def test_seed_count_respected(self, capsys):
         code = main(["gradcheck", "--seeds", "3", "--variant", "memory"])
         doc = json.loads(capsys.readouterr().out)

@@ -23,7 +23,7 @@ from memfuse.kernels import (
     softmax,
     softmax_rows,
 )
-from oracle import sl_box_muller, sl_uniforms
+from oracle import SL_GOLDEN, SL_MASK64, sl_box_muller, sl_mix64, sl_uniforms
 
 
 def brute_matmul(a, b):
@@ -310,6 +310,44 @@ class TestRngBlocks:
         with pytest.raises(ParameterError):
             Rng(8).fill_normal(np.empty(4), 0.0, 0.0)
 
+    def test_fill_uniform_matches_uniform_and_reference(self, block):
+        """Into a 1-D array, a 2-D array (row-major order) and contiguous
+        slices of a larger vector, one counter range each."""
+        for seed in self.SEEDS:
+            rng, counter = Rng(seed), 0
+            for n in self.SIZES:
+                out = np.empty(n)
+                assert rng.fill_uniform(out) is out
+                self.same_bits(out, sl_uniforms(seed, counter, n))
+                self.same_bits(out, Rng(seed).uniform(counter + n)[counter:])
+                counter += n
+            grid = np.empty((3, 7))
+            rng.fill_uniform(grid, -2.0, 3.0)
+            want = -2.0 + np.array(sl_uniforms(seed, counter, 21)) * (3.0 - -2.0)
+            self.same_bits(grid.reshape(-1), want)
+            counter += 21
+            assert rng.counter == counter
+        vector = np.full(40, 7.0)
+        rng = Rng(3)
+        rng.fill_uniform(vector[5:16], -0.5, 0.5)
+        rng.fill_uniform(vector[16:33])
+        twin = Rng(3)
+        self.same_bits(vector[5:16], twin.uniform(11, -0.5, 0.5))
+        self.same_bits(vector[16:33], twin.uniform(17))
+        self.same_bits(vector[5:16], -0.5 + np.array(sl_uniforms(3, 0, 11)) * (0.5 - -0.5))
+        self.same_bits(vector[16:33], sl_uniforms(3, 11, 17))
+        assert (vector[:5] == 7.0).all() and (vector[33:] == 7.0).all()
+
+    def test_fill_uniform_refuses_what_it_cannot_fill(self, block):
+        with pytest.raises(ShapeError):
+            Rng(8).fill_uniform(np.empty((3, 4))[:, :2])
+        with pytest.raises(ShapeError):
+            Rng(8).fill_uniform(np.empty(8)[::2])
+        with pytest.raises(ShapeError):
+            Rng(8).fill_uniform(np.empty(4, dtype=np.float32))
+        with pytest.raises(ParameterError):
+            Rng(8).fill_uniform(np.empty(4), 1.0, 1.0)
+
     def test_integers_follow_the_uniforms(self, block):
         u = np.array(sl_uniforms(77, 0, 13))
         want = np.minimum((u * 7).astype(np.int64), 6)
@@ -323,6 +361,28 @@ class TestRngBlocks:
         used = 2 * ((n + 1) // 2)
         want = sl_box_muller(sl_uniforms(31, n, used), n)
         self.same_bits(rng.normal(n), want)
+
+
+class TestSplitOracle:
+    """A child's seed is SplitMix64's finalizer of seed + label * golden,
+    mod 2**64, bit for bit as the pure-Python-int oracle computes it."""
+
+    EDGES = st.sampled_from([0, 1, 2**63, 2**64 - 1, -1, -(2**63), 2**64, 2**70 + 5])
+    VALUES = st.one_of(EDGES, st.integers(-(2**80), 2**80))
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=VALUES, label=VALUES)
+    def test_child_seed_matches_the_oracle(self, seed, label):
+        want = sl_mix64(((seed & SL_MASK64) + (label & SL_MASK64) * SL_GOLDEN) & SL_MASK64)
+        child = Rng(seed).split(label)
+        assert int(child.seed) == want and child.counter == 0
+        assert child.uniform(2).tolist() == sl_uniforms(want, 0, 2)
+
+    def test_split_leaves_the_parent_alone(self):
+        rng = Rng(11)
+        rng.uniform(3)
+        rng.split(4)
+        assert rng.counter == 3 and int(rng.seed) == 11
 
 
 class TestFillNormalRows:

@@ -35,6 +35,14 @@ class TestConfusionMatrix:
             tally[t, p] += 1
         np.testing.assert_array_equal(cm, tally)
 
+    def test_non_whole_labels_are_refused(self):
+        # the int64 cast would count [0.5, 1.9, 2.2] as a perfect diagonal
+        with pytest.raises(ParameterError, match="whole numbers"):
+            confusion_matrix([0.5, 1.9, 2.2], [0, 1, 2], 3)
+        with pytest.raises(ParameterError, match="whole numbers"):
+            confusion_matrix([0, 1, 2], [0, 1, float("nan")], 3)
+        np.testing.assert_array_equal(confusion_matrix([0.0, 1.0, 2.0], [0, 1, 2.0], 3), np.eye(3, dtype=np.int64))
+
     def test_out_of_range_label(self):
         with pytest.raises(ParameterError):
             confusion_matrix([0, 5], [0, 1], 3)

@@ -1,6 +1,7 @@
 """Classifier, optimizer, and training-loop contracts."""
 
 import copy
+import hashlib
 import pickle
 import sys
 from pathlib import Path
@@ -131,6 +132,16 @@ class TestCrossEntropy:
             cross_entropy_batch(np.zeros((1, 3)), [3])
         with pytest.raises(ParameterError):
             cross_entropy_batch(np.zeros((2, 3)), np.array([0, 5]))
+
+    def test_non_whole_labels_are_refused(self):
+        # the int64 cast would read [2.9, 0.1] as [2, 0]
+        with pytest.raises(ParameterError, match="whole numbers"):
+            cross_entropy_batch(np.zeros((2, 3)), [2.9, 0.1])
+        with pytest.raises(ParameterError, match="whole numbers"):
+            cross_entropy_batch(np.zeros((1, 3)), np.array([np.inf]))
+        whole = cross_entropy_batch(np.eye(3)[:2], np.array([2.0, 0.0]))
+        ints = cross_entropy_batch(np.eye(3)[:2], np.array([2, 0]))
+        assert whole[0] == ints[0] and whole[1].tobytes() == ints[1].tobytes()
 
     def test_batch_matches_single_mean(self):
         rng = np.random.default_rng(5)
@@ -564,6 +575,71 @@ class TestStepCallBudget:
         steps = 200 // cfg.batch
         assert calls.count("forward_logits") == steps
         assert len(calls) <= self.PER_STEP * steps + self.PER_EPOCH, sorted(set(calls))
+
+
+class TestBuildStateCallBudget:
+    """A deterministic guard on the Python work of building a run's state.
+
+    Counts every Python-level call event (memfuse, numpy and the standard
+    library alike) with sys.setprofile over one build_state at the paper
+    shape (d = 8, k = 20, head 32); no timing, so it cannot flake.  The
+    table is laid out from shapes, each random stream is one draw into
+    the flat vector and a split mixes Python ints, which took the count
+    from 151 to 67 for `memory` and from 214 to 92 for `memory_single`.
+    """
+
+    BUDGET = {"memory": 67, "memory_single": 92}
+
+    @pytest.mark.parametrize("variant", sorted(BUDGET))
+    def test_paper_shape_build_stays_within_budget(self, variant):
+        cfg = tiny_config(variant=variant, slots=20, batch=2, head_hidden=32,
+                          read_bias_init=0.0, transform_gain=1.0)
+        build_state(cfg, 4, 4)  # first calls may fill caches
+        calls = []
+
+        def count(frame, event, arg):
+            if event == "call":
+                calls.append(frame.f_code.co_name)
+
+        sys.setprofile(count)
+        try:
+            build_state(cfg, 4, 4)
+        finally:
+            sys.setprofile(None)
+        assert "flatten" not in calls
+        assert len(calls) <= self.BUDGET[variant], sorted(set(calls))
+
+
+class TestPinnedState:
+    """sha256 of what build_state draws: the parameter vector, mem_seed,
+    every memory matrix and the dropout stream's first draw, as taken
+    before the parameters were drawn straight into the flat vector.
+    Laying the table out from shapes and drawing each stream with one
+    counter range must leave every bit as it was."""
+
+    PLAIN = dict(read_bias_init=0.0, transform_gain=1.0)
+
+    @pytest.mark.parametrize("overrides, digest", [
+        (dict(variant="naive", **PLAIN), "644d052cfcc22e09859107a82f02e5563b9915d66290dbaf23118aa7cc131f11"),
+        (dict(variant="memory", **PLAIN), "226e5c3afd23412f54cf205cb0ee0d90d4881aa206b2f7549e1e4a8b8292c7dd"),
+        # same layout and streams as memory
+        (dict(variant="memory_cross", **PLAIN), "226e5c3afd23412f54cf205cb0ee0d90d4881aa206b2f7549e1e4a8b8292c7dd"),
+        (dict(variant="memory_single", **PLAIN), "3d4fdd28e72f334490f55e6232039fc45cda0f52924a1df59652d48d3df378ee"),
+        (dict(variant="memory_resampled", out_dim=3, **PLAIN),
+         "d9a3020e99fe263d592097f6fdeaed45b96a9939d6197abb36976016d6bb5521"),
+        # encoders and the default warm start (read bias 32, transform gain 16)
+        (dict(variant="memory_single", encoder_hidden=3),
+         "db84ea969932f86c201b412d681ddc15eeb1ae8bb0f8149086477bebdacb69ea"),
+    ], ids=["naive", "memory", "memory_cross", "memory_single", "memory_resampled", "encoders_warm_start"])
+    def test_state_bits(self, overrides, digest):
+        cfg = ClassifierConfig(**{**dict(head_hidden=8, classes=3, slots=4, batch=4, seed=5), **overrides})
+        state = build_state(cfg, 5, 3)
+        h = hashlib.sha256(state.params.flat.tobytes())
+        h.update(state.mem_seed.to_bytes(8, "little"))
+        for mem in state.memories:
+            h.update(mem.matrix.tobytes())
+        h.update(state.drop_rng.uniform(cfg.batch * cfg.head_hidden).tobytes())
+        assert h.hexdigest() == digest
 
 
 def _patch_block(monkeypatch, block):
