@@ -354,8 +354,10 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    if args.seeds < 1:
-        raise ParameterError(f"--seeds must be >= 1, got {args.seeds}")
+    for flag in ("seeds", "slots", "batch"):
+        value = getattr(args, flag)
+        if value < 1:
+            raise ParameterError(f"--{flag} must be >= 1, got {value}")
     for flag in ("threshold", "step"):
         value = getattr(args, flag)
         if not (math.isfinite(value) and value > 0):

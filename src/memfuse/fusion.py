@@ -16,6 +16,12 @@ The backward pass returns exact vector-Jacobian products for all
 parameter blocks (fusion_backward) and both inputs
 (fusion_input_grads), treating the pre-step memory as a
 constant (no gradient flows across write steps).
+
+Products of the layer's own arrays, parameters and memory use
+ndarray.dot, the BLAS routine np.matmul calls (same bits) without its
+ufunc overhead; a product of the caller's array as given (a single-mode
+layer's input) keeps np.matmul, as ndarray.dot copies some strided
+layouts first and may then round differently.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import ParameterError, ShapeError
-from .kernels import Array, Rng, as_batch, batchwise_matmul, concat, relu, softmax, softmax_rows
+from .kernels import ONE, ZERO, Array, Rng, as_batch, batchwise_matmul, concat, relu, softmax, softmax_rows
 
 PARAM_FIELDS = ("w_read", "b_read", "w_comp", "b_comp", "w_scale")
 
@@ -85,7 +91,7 @@ def parse_variant(name: str, mode: int = 1, out_dim: int = 0) -> Variant:
     return Variant(kind, mode=mode, out_dim=out_dim)
 
 
-@dataclass
+@dataclass(slots=True)
 class MemoryState:
     """The slot matrix plus its write policy.
 
@@ -135,13 +141,14 @@ class FusionParams:
         return self.b_read.shape[0]
 
 
-@dataclass
+@dataclass(slots=True)
 class ForwardTrace:
     """Per-batch intermediates cached for the backward pass.
 
     All arrays have the batch index first.  query equals fused except for
     the cross-attention path; out_raw is the pre-projection output and is
-    None unless the variant resamples.
+    None unless the variant resamples.  keys to transformed are
+    _memory_chain's results, in its order.
     """
 
     variant: Variant
@@ -161,19 +168,20 @@ class ForwardTrace:
     out_raw: Optional[Array] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class FusionBackward:
     """Cotangents returned by fusion_backward.
 
     params and grad_proj are the parameter gradients.  grad_out (the
-    output's cotangent before any projection), grad_query and grad_mapped
-    are what fusion_input_grads needs to carry the chain into the inputs.
+    output's cotangent before any projection), grad_mlp_in (whose first
+    d columns are the query's cotangent) and grad_mapped are what
+    fusion_input_grads needs to carry the chain into the inputs.
     """
 
     params: FusionParams
     grad_proj: Optional[Array]
     grad_out: Array
-    grad_query: Array
+    grad_mlp_in: Array
     grad_mapped: Array
 
 
@@ -308,10 +316,11 @@ def write_memory(mem: MemoryState, batch_keys: Array, batch_values: Array) -> Me
     if not mem.writes_enabled:
         return mem
     # the sum over the batch divided by its size: the same bits as keys.mean(axis=0)
-    erase = np.add.reduce(keys, axis=0) / batch
-    add = keys.T @ values / batch
-    matrix = mem.matrix * (1.0 - erase)[:, None] + add
-    return MemoryState(matrix=matrix, writes_enabled=True)
+    keep = np.subtract(ONE, np.add.reduce(keys, axis=0) / batch)
+    matrix = keys.T.dot(values)
+    matrix /= batch
+    matrix += mem.matrix * keep[:, None]
+    return MemoryState(matrix, True)
 
 
 def naive_fusion(batch_m1, batch_m2) -> Array:
@@ -368,34 +377,35 @@ def _layer_inputs(params: FusionParams, mem: MemoryState, variant: Variant, batc
     """
     m1 = as_batch(batch_m1)
     m2 = as_batch(batch_m2)
-    if m1.shape[0] != m2.shape[0]:
-        raise ShapeError(
-            f"fusion_forward: batch sizes differ, {m1.shape[0]} vs {m2.shape[0]}"
-        )
-    if m1.shape[0] == 0:
+    rows = m1.shape[0]
+    if rows != m2.shape[0]:
+        raise ShapeError(f"fusion_forward: batch sizes differ, {rows} vs {m2.shape[0]}")
+    if rows == 0:
         raise ParameterError("fusion_forward: empty batch")
     s1, s2 = m1.shape[1], m2.shape[1]
     if s1 == 0 or s2 == 0:
         raise ShapeError("fusion_forward: empty mode features")
 
-    if variant.kind == NAIVE:
+    kind = variant.kind
+    if kind == NAIVE:
         return np.concatenate([m1, m2], axis=1), None, None, s1, s2
-    if variant.kind == MEMORY_SINGLE:
-        fused = m1 if variant.mode == 1 else m2
-        query = fused
+    if kind == MEMORY_SINGLE:
+        fused = query = m1 if variant.mode == 1 else m2
     else:
         fused = np.concatenate([m1, m2], axis=1)
-        query = np.concatenate([m2, m1], axis=1) if variant.kind == MEMORY_CROSS else fused
+        query = np.concatenate([m2, m1], axis=1) if kind == MEMORY_CROSS else fused
 
     d = fused.shape[1]
     if mem.matrix.shape[1] != d:
         raise ShapeError(f"fusion_forward: memory dim {mem.dim} vs input dim {d}")
     if params.b_read.shape[0] != d:
         raise ShapeError(f"fusion_forward: params dim {params.dim} vs input dim {d}")
-    return fused, query, matmul(fused, params.w_read) + params.b_read, s1, s2
+    mapped = matmul(fused, params.w_read)
+    mapped += params.b_read
+    return fused, query, mapped, s1, s2
 
 
-def _memory_chain(params: FusionParams, matrix: Array, mapped: Array, query: Array, matmul=np.matmul):
+def _memory_chain(params: FusionParams, matrix: Array, mapped: Array, query: Array, matmul=np.ndarray.dot):
     """Read, compose and transform: the steps that depend on the memory.
 
     Returns (keys, recalled, mlp_in, scores, attn, gated, pre_act,
@@ -406,15 +416,16 @@ def _memory_chain(params: FusionParams, matrix: Array, mapped: Array, query: Arr
     keys = softmax_rows(matmul(mapped, matrix.T))            # (B, k)
     recalled = matmul(keys, matrix)                          # (B, d)
     mlp_in = np.concatenate([query, recalled], axis=1)       # (B, 2d)
-    scores = matmul(mlp_in, params.w_comp) + params.b_comp   # (B, d)
+    scores = matmul(mlp_in, params.w_comp)                   # (B, d)
+    scores += params.b_comp
     attn = softmax_rows(scores)
     gated = attn * scores
     pre_act = gated * params.w_scale
-    transformed = np.maximum(pre_act, 0.0)
+    transformed = np.maximum(pre_act, ZERO)
     return keys, recalled, mlp_in, scores, attn, gated, pre_act, transformed
 
 
-def _layer_output(variant: Variant, fused: Array, transformed: Array, proj: Optional[Array], matmul=np.matmul):
+def _layer_output(variant: Variant, fused: Array, transformed: Array, proj: Optional[Array], matmul=np.ndarray.dot):
     """(out, out_raw): the residual sum fused + transformed, which the
     resampled variant projects through `proj` (keeping the sum as
     out_raw; None for the other variants)."""
@@ -446,29 +457,10 @@ def fusion_forward(
     fused, query, mapped, s1, s2 = _layer_inputs(params, mem, variant, batch_m1, batch_m2)
     if query is None:
         return fused, None, mem
-    keys, recalled, mlp_in, scores, attn, gated, pre_act, transformed = _memory_chain(
-        params, mem.matrix, mapped, query
-    )
-    out, out_raw = _layer_output(variant, fused, transformed, proj)
-    new_mem = write_memory(mem, keys, transformed)
-    trace = ForwardTrace(
-        variant=variant,
-        s1=s1,
-        s2=s2,
-        fused=fused,
-        query=query,
-        keys=keys,
-        recalled=recalled,
-        mlp_in=mlp_in,
-        scores=scores,
-        attn=attn,
-        gated=gated,
-        pre_act=pre_act,
-        transformed=transformed,
-        out=out,
-        out_raw=out_raw,
-    )
-    return out, trace, new_mem
+    chain = _memory_chain(params, mem.matrix, mapped, query)
+    out, out_raw = _layer_output(variant, fused, chain[-1], proj)
+    trace = ForwardTrace(variant, s1, s2, fused, query, *chain, out, out_raw)
+    return out, trace, write_memory(mem, chain[0], chain[-1])
 
 
 def fusion_rows(
@@ -508,9 +500,11 @@ def fusion_rows(
 
 
 def _softmax_vjp(soft: Array, grad: Array) -> Array:
-    # rows of soft are softmax outputs; standard Jacobian-transpose product
-    inner = (grad * soft).sum(axis=1, keepdims=True)
-    return soft * (grad - inner)
+    # rows of soft are softmax outputs; standard Jacobian-transpose product,
+    # made in place in grad (a temporary of the caller's)
+    grad -= np.add.reduce(grad * soft, axis=1, keepdims=True)
+    grad *= soft
+    return grad
 
 
 def fusion_backward(
@@ -547,37 +541,36 @@ def fusion_backward(
     if trace.variant.kind == MEMORY_RESAMPLED:
         if proj is None:
             raise ParameterError("resampled variant needs its projection matrix")
-        grad_proj = trace.out_raw.T @ grad_out
-        grad_out = grad_out @ proj.T
+        grad_proj = trace.out_raw.T.dot(grad_out)
+        grad_out = grad_out.dot(proj.T)
 
     # out = fused + transformed: both take grad_out unchanged
     # transformed = relu(gated * w_scale)
-    grad_pre = grad_out * (trace.pre_act > 0.0)
-    (grad_pre * trace.gated).sum(axis=0, out=out.w_scale)
-    grad_gated = grad_pre * params.w_scale
+    grad_pre = grad_out * (trace.pre_act > ZERO)
+    np.add.reduce(grad_pre * trace.gated, axis=0, out=out.w_scale)
+    grad_gated = grad_pre
+    grad_gated *= params.w_scale
 
     # gated = attn * scores, attn = softmax(scores)
-    grad_attn = grad_gated * trace.scores
-    grad_scores = grad_gated * trace.attn + _softmax_vjp(trace.attn, grad_attn)
+    grad_scores = _softmax_vjp(trace.attn, grad_gated * trace.scores)
+    grad_gated *= trace.attn  # the direct path through gated
+    grad_scores += grad_gated
 
     # scores = mlp_in @ w_comp + b_comp
-    np.matmul(trace.mlp_in.T, grad_scores, out=out.w_comp)
-    grad_scores.sum(axis=0, out=out.b_comp)
-    grad_mlp_in = grad_scores @ params.w_comp.T
-    d = trace.fused.shape[1]
-    grad_query = grad_mlp_in[:, :d]
-    grad_recalled = grad_mlp_in[:, d:]
+    trace.mlp_in.T.dot(grad_scores, out=out.w_comp)
+    np.add.reduce(grad_scores, axis=0, out=out.b_comp)
+    grad_mlp_in = grad_scores.dot(params.w_comp.T)
 
     # recalled = keys @ M, keys = softmax(mapped @ M^T); M constant
-    grad_keys = grad_recalled @ mem_prev.matrix.T
-    grad_scores_read = _softmax_vjp(trace.keys, grad_keys)
-    grad_mapped = grad_scores_read @ mem_prev.matrix
+    matrix = mem_prev.matrix
+    grad_keys = grad_mlp_in[:, trace.fused.shape[1] :].dot(matrix.T)
+    grad_mapped = _softmax_vjp(trace.keys, grad_keys).dot(matrix)
 
     # mapped = fused @ w_read + b_read
     np.matmul(trace.fused.T, grad_mapped, out=out.w_read)
-    grad_mapped.sum(axis=0, out=out.b_read)
+    np.add.reduce(grad_mapped, axis=0, out=out.b_read)
 
-    return FusionBackward(out, grad_proj, grad_out, grad_query, grad_mapped)
+    return FusionBackward(out, grad_proj, grad_out, grad_mlp_in, grad_mapped)
 
 
 def fusion_input_grads(params: FusionParams, trace: ForwardTrace, bwd: FusionBackward) -> tuple[Array, Array]:
@@ -588,8 +581,8 @@ def fusion_input_grads(params: FusionParams, trace: ForwardTrace, bwd: FusionBac
     """
     variant = trace.variant
     s1, s2 = trace.s1, trace.s2
-    grad_fused = bwd.grad_out + bwd.grad_mapped @ params.w_read.T
-    grad_query = bwd.grad_query
+    grad_fused = bwd.grad_out + bwd.grad_mapped.dot(params.w_read.T)
+    grad_query = bwd.grad_mlp_in[:, : grad_fused.shape[1]]
     if variant.kind == MEMORY_SINGLE:
         # the query is the fused input itself
         grad_single = grad_fused + grad_query

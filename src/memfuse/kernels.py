@@ -47,6 +47,11 @@ _BLOCK = 1 << 15
 _FLOAT64 = np.dtype(np.float64)
 _INT64 = np.dtype(np.int64)
 
+# Read-only 0-d operands for the step's constant scalars: numpy takes them
+# faster than Python floats (no weak-scalar promotion), with the same bits.
+ZERO, ONE = np.zeros(()), np.ones(())
+ZERO.flags.writeable = ONE.flags.writeable = False
+
 
 def as_vector(x) -> Array:
     """Coerce to a 1-D float64 array, copying only when needed."""
@@ -146,7 +151,8 @@ def softmax_rows(m) -> Array:
     if m.shape[1] == 0:
         raise ShapeError("softmax_rows: zero-width matrix")
     # the ufunc reductions are what m.max and e.sum call, minus a Python layer
-    e = np.exp(m - np.maximum.reduce(m, axis=1, keepdims=True))
+    e = m - np.maximum.reduce(m, axis=1, keepdims=True)
+    np.exp(e, out=e)
     e /= np.add.reduce(e, axis=1, keepdims=True)
     return e
 

@@ -9,7 +9,8 @@ memory variants own one slot matrix, the single-mode variant owns one
 independent layer (and memory) per mode and concatenates their outputs,
 and the naive variant owns nothing.  Training consumes the stream in
 order, full batches only; the memory persists across batches and, by
-default, across epochs.
+default, across epochs.  As in fusion.py, the head's products use
+ndarray.dot and the encoders' (the caller's arrays) np.matmul.
 """
 
 from __future__ import annotations
@@ -38,10 +39,11 @@ from .fusion import (
     init_memory,
     init_params,
     naive_backward,
+    naive_fusion,
     param_shapes,
     parse_variant,
 )
-from .kernels import Array, Rng, as_batch, as_labels, batchwise_matmul
+from .kernels import ONE, ZERO, Array, Rng, as_batch, as_labels, batchwise_matmul
 from .metrics import MetricsReport, report_from_labels
 
 _INT64 = np.dtype(np.int64)
@@ -80,8 +82,10 @@ class ClassifierConfig:
             raise ParameterError(f"lr must be >= 0, got {self.lr}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ParameterError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
-        if self.batch < 1 or self.epochs < 0 or self.slots < 1:
-            raise ParameterError("batch and slots must be >= 1, epochs >= 0")
+        for name, low in (("batch", 1), ("slots", 1), ("epochs", 0)):
+            value = getattr(self, name)
+            if value < low:
+                raise ParameterError(f"{name} must be >= {low}, got {value}")
         if self.head_hidden < 1:
             raise ParameterError(f"head_hidden must be >= 1, got {self.head_hidden}")
         if self.encoder_hidden < 0:
@@ -298,7 +302,7 @@ def _fresh_memories(slots: int, params: ModelParams, mem_seed: int, epoch: int =
 _EVAL_BLOCK = 256
 
 
-@dataclass
+@dataclass(slots=True)
 class BatchCache:
     enc1: Array
     enc2: Array
@@ -319,29 +323,33 @@ def encode(params: ModelParams, m1: Array, m2: Array, matmul=np.matmul):
     """Per-mode dense+ReLU encoders; identity when none are configured.
 
     Returns (enc1, enc2, pre1, pre2) with the pre-activations kept for
-    the backward pass (None under the identity encoder).  `matmul`
-    computes the products (evaluation passes a batchwise one).
+    the backward pass (None under the identity encoder).  The identity
+    hands the modes on as given: the fusion layers (or, with none,
+    naive_fusion) coerce and check them.  `matmul` computes the products
+    (evaluation passes a batchwise one).
     """
-    m1 = as_batch(m1)
-    m2 = as_batch(m2)
     if params.enc1_w is None:
         return m1, m2, None, None
+    m1 = as_batch(m1)
+    m2 = as_batch(m2)
     pre1 = matmul(m1, params.enc1_w) + params.enc1_b
     pre2 = matmul(m2, params.enc2_w) + params.enc2_b
     return np.maximum(pre1, 0.0), np.maximum(pre2, 0.0), pre1, pre2
 
 
-def head_forward(params: ModelParams, fused: Array, drop_mask: Optional[Array] = None, matmul=np.matmul):
+def head_forward(params: ModelParams, fused: Array, drop_mask: Optional[Array] = None, matmul=np.ndarray.dot):
     """Hidden ReLU layer (with optional inverted-dropout mask) to logits.
 
     Returns (logits, hid_pre, hid, hid_dropped).  `matmul` computes the
     products, as in encode.
     """
     fused = as_batch(fused)
-    hid_pre = matmul(fused, params.head1_w) + params.head1_b
-    hid = np.maximum(hid_pre, 0.0)
+    hid_pre = matmul(fused, params.head1_w)
+    hid_pre += params.head1_b
+    hid = np.maximum(hid_pre, ZERO)
     hid_dropped = hid if drop_mask is None else hid * drop_mask
-    logits = matmul(hid_dropped, params.head2_w) + params.head2_b
+    logits = matmul(hid_dropped, params.head2_w)
+    logits += params.head2_b
     return logits, hid_pre, hid, hid_dropped
 
 
@@ -350,7 +358,7 @@ def _head_input(outs: List[Array], enc1: Array, enc2: Array) -> Array:
     naive variant) the plain concatenation of the encoded modes."""
     if len(outs) == 1:
         return outs[0]  # concatenating one array would only copy it
-    return np.concatenate(outs or [enc1, enc2], axis=1)
+    return np.concatenate(outs, axis=1) if outs else naive_fusion(enc1, enc2)
 
 
 def forward_logits(
@@ -363,35 +371,17 @@ def forward_logits(
 ) -> Tuple[Array, BatchCache]:
     """Pure forward pass over one batch; never mutates the given memories."""
     enc1, enc2, pre1, pre2 = encode(params, m1, m2)
-
-    outs: List[Array] = []
-    traces: List[ForwardTrace] = []
-    new_memories: List[MemoryState] = []
+    outs, traces, new_memories = [], [], []
     variants = _layer_variants(config.variant, config.out_dim)
     for layer, mem, variant in zip(params.fusion_layers, memories, variants, strict=True):
-        out, trace, new_mem = fusion_forward(layer, mem, variant, enc1, enc2, proj=params.proj)
+        out, trace, new_mem = fusion_forward(layer, mem, variant, enc1, enc2, params.proj)
         outs.append(out)
         traces.append(trace)
         new_memories.append(new_mem)
     fused_out = _head_input(outs, enc1, enc2)
-
     logits, hid_pre, hid, hid_dropped = head_forward(params, fused_out, drop_mask)
-
-    cache = BatchCache(
-        enc1=enc1,
-        enc2=enc2,
-        pre1=pre1,
-        pre2=pre2,
-        traces=traces,
-        mem_prev=list(memories),
-        new_memories=new_memories,
-        fused_out=fused_out,
-        hid_pre=hid_pre,
-        hid=hid,
-        drop_mask=drop_mask,
-        hid_dropped=hid_dropped,
-        logits=logits,
-    )
+    cache = BatchCache(enc1, enc2, pre1, pre2, traces, list(memories), new_memories,
+                       fused_out, hid_pre, hid, drop_mask, hid_dropped, logits)
     return logits, cache
 
 
@@ -404,18 +394,21 @@ def cross_entropy_batch(logits: Array, labels: Array) -> Tuple[float, Array]:
     batch, classes = logits.shape
     if labels.shape != (batch,):
         raise ShapeError(f"cross_entropy_batch: labels {labels.shape} vs batch {batch}")
-    # int64 labels seen as uint64: a negative one is at least 2**63, so one max checks both ends
-    if labels.size and labels.view(np.uint64).max() >= classes:
-        raise ParameterError("cross_entropy_batch: label out of range")
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1))
-    rows = np.arange(batch)
+    # each row's label entry as a flat index, which refuses a label outside
+    # [0, classes); take / put through it cost less than rows-and-labels indexing
+    try:
+        picked = np.ravel_multi_index((np.arange(batch), labels), (batch, classes))
+    except ValueError:
+        raise ParameterError("cross_entropy_batch: label out of range") from None
+    # the ufunc reductions are what .max and .sum call, minus numpy's Python layer
+    shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
+    log_z = np.log(np.add.reduce(np.exp(shifted), axis=1))
     # the sum divided by the batch size: the same bits as np.mean
-    loss = float((log_z - shifted[rows, labels]).sum() / batch)
-    probs = np.exp(shifted - log_z[:, None])
-    grad = probs
-    grad[rows, labels] -= 1.0
-    return loss, grad / batch
+    loss = float(np.add.reduce(log_z - shifted.take(picked)) / batch)
+    grad = np.exp(shifted - log_z[:, None])
+    grad.put(picked, grad.take(picked) - ONE)
+    grad /= batch
+    return loss, grad
 
 
 def backward_batch(
@@ -428,24 +421,26 @@ def backward_batch(
     grads: ModelParams,
 ) -> ModelParams:
     """Gradients of the batch loss, written into `grads` (laid out like params)."""
-    np.matmul(cache.hid_dropped.T, grad_logits, out=grads.head2_w)
-    grad_logits.sum(axis=0, out=grads.head2_b)
-    grad_hid_dropped = grad_logits @ params.head2_w.T
-    grad_hid = grad_hid_dropped if cache.drop_mask is None else grad_hid_dropped * cache.drop_mask
-    grad_hid_pre = grad_hid * (cache.hid_pre > 0.0)
-    np.matmul(cache.fused_out.T, grad_hid_pre, out=grads.head1_w)
-    grad_hid_pre.sum(axis=0, out=grads.head1_b)
-    grad_fused = grad_hid_pre @ params.head1_w.T
+    cache.hid_dropped.T.dot(grad_logits, out=grads.head2_w)
+    np.add.reduce(grad_logits, axis=0, out=grads.head2_b)
+    # the hidden layer's cotangent, masked in place (the same bits as a product into a new array)
+    grad_hid = grad_logits.dot(params.head2_w.T)
+    if cache.drop_mask is not None:
+        grad_hid *= cache.drop_mask
+    grad_hid *= cache.hid_pre > ZERO
+    cache.fused_out.T.dot(grad_hid, out=grads.head1_w)
+    np.add.reduce(grad_hid, axis=0, out=grads.head1_b)
+    grad_fused = grad_hid.dot(params.head1_w.T)
 
     # the input gradients only matter when there are encoders to train
     encoders = params.enc1_w is not None
+    grads_in = []
     # each layer reads its own columns of the fused output and adds to both inputs
-    grads_in: List[Tuple[Array, Array]] = []
     start = 0
     for layer, out, trace, mem in zip(params.fusion_layers, grads.fusion_layers, cache.traces, cache.mem_prev):
-        width = trace.out.shape[1]
-        bwd = fusion_backward(layer, trace, mem, grad_fused[:, start : start + width], proj=params.proj, out=out)
-        start += width
+        stop = start + trace.out.shape[1]
+        bwd = fusion_backward(layer, trace, mem, grad_fused[:, start:stop], params.proj, out)
+        start = stop
         if bwd.grad_proj is not None:
             grads.proj[...] = bwd.grad_proj
         if encoders:
@@ -457,10 +452,10 @@ def backward_batch(
         grad_enc1, grad_enc2 = (functools.reduce(np.add, g) for g in zip(*grads_in))
         grad_pre1 = grad_enc1 * (cache.pre1 > 0.0)
         np.matmul(np.asarray(m1, dtype=np.float64).T, grad_pre1, out=grads.enc1_w)
-        grad_pre1.sum(axis=0, out=grads.enc1_b)
+        np.add.reduce(grad_pre1, axis=0, out=grads.enc1_b)
         grad_pre2 = grad_enc2 * (cache.pre2 > 0.0)
         np.matmul(np.asarray(m2, dtype=np.float64).T, grad_pre2, out=grads.enc2_w)
-        grad_pre2.sum(axis=0, out=grads.enc2_b)
+        np.add.reduce(grad_pre2, axis=0, out=grads.enc2_b)
 
     return grads
 
@@ -500,12 +495,13 @@ def adam_step(
     few whole-vector operations on `grads.flat`, done in place through
     two temporaries.
     """
-    if grads.table is not state.params.table and grads.table != state.params.table:
+    params = state.params
+    if grads.table is not params.table and grads.table != params.table:
         raise ShapeError("adam_step: gradients are not laid out like the parameters")
-    lr = state.config.lr if lr is None else lr
+    if lr is None:
+        lr = state.config.lr
     g = grads.flat
-    state.step += 1
-    t = state.step
+    state.step = t = state.step + 1
     m, v = state.m_flat, state.v_flat
     m *= beta1
     tmp = np.multiply(1.0 - beta1, g)
@@ -520,7 +516,7 @@ def adam_step(
     np.sqrt(denom, out=denom)
     denom += eps
     step /= denom
-    state.params.flat -= step
+    params.flat -= step
     return state
 
 
@@ -566,19 +562,21 @@ def train_epoch(state: TrainState, dataset) -> Tuple[TrainState, float]:
             f"train_epoch: dataset of {n} smaller than one batch of {cfg.batch}"
         )
 
+    batch, rate = cfg.batch, cfg.dropout_rate
+    params, grads = state.params, state.grads
     total = 0.0
-    for b in range(n_batches):
-        sl = slice(b * cfg.batch, (b + 1) * cfg.batch)
-        m1, m2, y = m1_all[sl], m2_all[sl], y_all[sl]
+    for start in range(0, n_batches * batch, batch):
+        stop = start + batch
+        m1, m2 = m1_all[start:stop], m2_all[start:stop]
         drop_mask = None
-        if cfg.dropout_rate > 0.0:
-            keep = state.drop_rng.fill_uniform(np.empty((cfg.batch, cfg.head_hidden))) >= cfg.dropout_rate
-            drop_mask = keep / (1.0 - cfg.dropout_rate)
-        logits, cache = forward_logits(cfg, state.params, state.memories, m1, m2, drop_mask)
-        loss, grad_logits = cross_entropy_batch(logits, y)
+        if rate > 0.0:
+            keep = state.drop_rng.fill_uniform(np.empty((batch, cfg.head_hidden))) >= rate
+            drop_mask = keep / (1.0 - rate)
+        logits, cache = forward_logits(cfg, params, state.memories, m1, m2, drop_mask)
+        loss, grad_logits = cross_entropy_batch(logits, y_all[start:stop])
         if not math.isfinite(loss):
-            raise NumericError(f"train_epoch: non-finite loss at batch {b}")
-        adam_step(state, backward_batch(cfg, state.params, cache, grad_logits, m1, m2, state.grads))
+            raise NumericError(f"train_epoch: non-finite loss at batch {start // batch}")
+        adam_step(state, backward_batch(cfg, params, cache, grad_logits, m1, m2, grads))
         state.memories = cache.new_memories
         total += loss
     return state, total / n_batches

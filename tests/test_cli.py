@@ -505,6 +505,8 @@ class TestGradcheckCommand:
         ("--seeds", "0"), ("--seeds", "-1"),
         ("--threshold", "inf"), ("--threshold", "0"), ("--threshold", "-1"), ("--threshold", "nan"),
         ("--step", "inf"), ("--step", "nan"), ("--step", "0"), ("--step", "-1e-6"),
+        # both used to exit with "gradcheck dims must be >= 1", naming neither flag
+        ("--slots", "0"), ("--slots", "-2"), ("--batch", "0"), ("--batch", "-1"),
     ])
     def test_bad_flag_value_exit_2_names_it(self, capsys, flag, value):
         assert main(["gradcheck", flag, value]) == 2
@@ -533,6 +535,8 @@ class TestGradcheckCommand:
 class TestClassifierFieldChecks:
     @pytest.mark.parametrize("field,value", [
         ("head_hidden", 0), ("head_hidden", -2), ("encoder_hidden", -3), ("out_dim", -1),
+        # these three used to share one message naming no value
+        ("batch", 0), ("slots", 0), ("epochs", -1),
     ])
     def test_out_of_range_exit_2_names_the_field(self, tmp_path, capsys, field, value):
         doc = tiny_experiment(tmp_path / "run")
@@ -540,7 +544,7 @@ class TestClassifierFieldChecks:
         cfg = write_config(tmp_path, doc)
         assert main(["train", "--config", cfg]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and field in err
+        assert err.startswith("error: ") and field in err and f"got {value}" in err
         assert not (tmp_path / "run").exists()
 
 

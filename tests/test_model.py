@@ -1,7 +1,9 @@
 """Classifier, optimizer, and training-loop contracts."""
 
+import collections
 import copy
 import hashlib
+import importlib
 import pickle
 import sys
 from pathlib import Path
@@ -548,11 +550,11 @@ class TestStepCallBudget:
     # per batch: forward_logits, encode, fusion_forward, _layer_inputs,
     # _memory_chain, softmax_rows x2, _layer_output, write_memory,
     # _head_input, head_forward, cross_entropy_batch, backward_batch,
-    # fusion_backward, _softmax_vjp x2, adam_step, and nine as_batch
-    # input checks; the layer variants come from the cached table and
-    # softmax_rows checks a float64 matrix inline, so layer_variants and
-    # as_matrix are gone
-    PER_STEP = 26
+    # fusion_backward, _softmax_vjp x2, adam_step, and seven as_batch
+    # input checks; the layer variants come from the cached table,
+    # softmax_rows checks a float64 matrix inline, and the identity
+    # encoder leaves the modes to the layers' own checks
+    PER_STEP = 24
     PER_EPOCH = 2  # train_epoch itself and _as_arrays
 
     def test_paper_shape_epoch_stays_within_budget(self):
@@ -575,6 +577,50 @@ class TestStepCallBudget:
         steps = 200 // cfg.batch
         assert calls.count("forward_logits") == steps
         assert len(calls) <= self.PER_STEP * steps + self.PER_EPOCH, sorted(set(calls))
+
+
+class TestTracedCallTree:
+    """Each training step calls every traced layer once, through its module
+    attribute (softmax_rows twice, once per softmax of the layer).
+
+    The benchmark's traced run swaps these names, in every memfuse module
+    that refers to them, for timing wrappers, and aborts when one of them
+    sees no call; so a step that bound one of them early (as a default
+    argument or a closure) would break it.  This swaps them the same way
+    for counting wrappers over a short paper-shape epoch.
+    """
+
+    PER_STEP = {
+        ("memfuse.model", "forward_logits"): 1,
+        ("memfuse.fusion", "fusion_forward"): 1,
+        ("memfuse.kernels", "softmax_rows"): 2,
+        ("memfuse.fusion", "write_memory"): 1,
+        ("memfuse.model", "cross_entropy_batch"): 1,
+        ("memfuse.model", "backward_batch"): 1,
+        ("memfuse.fusion", "fusion_backward"): 1,
+        ("memfuse.model", "adam_step"): 1,
+    }
+
+    def test_every_traced_name_is_called_each_step(self, monkeypatch):
+        counts = collections.Counter()
+        for module, attr in self.PER_STEP:
+            orig = getattr(importlib.import_module(module), attr)
+
+            def counting(*args, _orig=orig, _attr=attr, **kwargs):
+                counts[_attr] += 1
+                return _orig(*args, **kwargs)
+
+            for name, mod in list(sys.modules.items()):
+                if name == "memfuse" or name.startswith("memfuse."):
+                    for key, val in list(vars(mod).items()):
+                        if val is orig:
+                            monkeypatch.setattr(mod, key, counting)
+        cfg = tiny_config(variant="memory", slots=20, batch=2, head_hidden=32,
+                          read_bias_init=0.0, transform_gain=1.0)
+        state = build_state(cfg, 4, 4)
+        memfuse.model.train_epoch(state, tiny_data(n=40))
+        steps = 40 // cfg.batch
+        assert dict(counts) == {attr: n * steps for (_, attr), n in self.PER_STEP.items()}
 
 
 class TestBuildStateCallBudget:
@@ -640,6 +686,58 @@ class TestPinnedState:
             h.update(mem.matrix.tobytes())
         h.update(state.drop_rng.uniform(cfg.batch * cfg.head_hidden).tobytes())
         assert h.hexdigest() == digest
+
+
+class TestPinnedTraining:
+    """sha256 of what two epochs of training leave behind: the parameter
+    vector, Adam's two moments, every memory matrix and the epoch losses,
+    on a 120-row paper-shape stream (d = 8, batch 2, k = 20, head 32).
+    The digests were taken before the training step lost its per-step
+    glue, on numpy 2.4.6 with OpenBLAS 0.3.31 (x86-64); another BLAS
+    build may change the last bits and so the digests.  A change to the
+    step must leave every bit as it was."""
+
+    PLAIN = dict(read_bias_init=0.0, transform_gain=1.0)
+
+    @pytest.mark.parametrize("overrides, digest", [
+        (dict(variant="naive", **PLAIN), "901c7e67b141a372161d08558d942c8d0644d6a358ea326229d1264e613bffe5"),
+        (dict(variant="memory", **PLAIN), "d959de4cdd99710a99c1a514f398dfb00d43e23b01cdbdac1d0161074cfcee41"),
+        (dict(variant="memory_cross", **PLAIN), "bf72e7c8e80b01c36dda9f3462fe081567d12ff42284c227d51696cdbea80165"),
+        (dict(variant="memory_single", **PLAIN), "fa26c0b1c2d6f4652be90d5bd1232533cd05ae727e2581bda4147167f0fcb42f"),
+        (dict(variant="memory_resampled", out_dim=6, **PLAIN), "a4924fbd1e9e6303ffd93cb069f89a7328dcb001f9f529b107d8bdcf2bcf3132"),
+        # encoders, dropout, a fresh memory each epoch and the default warm start
+        (dict(variant="memory", encoder_hidden=6, dropout_rate=0.2, reset_memory_each_epoch=True), "503b3ad54707db29ba195d35d9e7c8fca14dc7099c3d5de1770f3c138fa73047"),
+    ], ids=["naive", "memory", "memory_cross", "memory_single", "memory_resampled", "encoders_dropout_reset"])
+    def test_training_bits(self, overrides, digest):
+        assert self._digest(overrides, tiny_data(n=120, seed=9)) == digest
+
+    @pytest.mark.parametrize("overrides, s1, s2, digest", [
+        (dict(variant="memory_single", batch=16, **PLAIN), 3, 4,
+         "20f5a80e78e6934772e6eb1c39c8309c3b2e7fb2d701aaae1dff04e42ea2c4bf"),
+        (dict(variant="memory", encoder_hidden=3, batch=16, **PLAIN), 5, 3,
+         "64c607de026de6ac084d5168aabe152913d9791aed3e2cfa43b2ca8807087ddd"),
+    ], ids=["memory_single", "encoders"])
+    def test_training_bits_of_column_views(self, overrides, s1, s2, digest):
+        # the modes as column views of one array, which the single-mode layers
+        # and the encoders take as given: products whose operand is such a
+        # view (or its transpose) must keep np.matmul's bits
+        m1, m2, y = tiny_data(n=120, seed=9, s1=s1, s2=s2)
+        both = np.concatenate([m2, np.ones((120, 3)), m1], axis=1)
+        assert self._digest(overrides, (both[:, s2 + 3 :], both[:, :s2], y), s1, s2) == digest
+
+    @staticmethod
+    def _digest(overrides, data, s1=4, s2=4):
+        cfg = ClassifierConfig(**{**dict(head_hidden=32, classes=3, slots=20, batch=2, epochs=2,
+                                         lr=2e-3, seed=4), **overrides})
+        state = build_state(cfg, s1, s2)
+        curves = fit(state, data)
+        h = hashlib.sha256(state.params.flat.tobytes())
+        h.update(state.m_flat.tobytes())
+        h.update(state.v_flat.tobytes())
+        for mem in state.memories:
+            h.update(mem.matrix.tobytes())
+        h.update(np.array([row["train_loss"] for row in curves]).tobytes())
+        return h.hexdigest()
 
 
 def _patch_block(monkeypatch, block):
