@@ -13,9 +13,6 @@ from .fusion import (
     FusionParams,
     MemoryState,
     Variant,
-    attention_keys,
-    compose,
-    fuse_output,
     fusion_backward,
     fusion_forward,
     fusion_input_grads,
@@ -26,13 +23,9 @@ from .fusion import (
     param_count_actual,
     param_count_formula,
     parse_variant,
-    read_memory,
-    resample_output,
-    swap_concat,
-    transform,
     write_memory,
 )
-from .kernels import Rng, concat, hadamard, matmul, outer, relu, softmax
+from .kernels import Rng
 from .metrics import MetricsReport, compute_report, confusion_matrix
 from .model import (
     ClassifierConfig,

@@ -7,11 +7,11 @@ result is transformed and written back (erase-then-add), and the layer
 output is the residual sum of input and transformed vector, so the
 output keeps the plain-concatenation shape.
 
-Forward passes consume whole batches: every example reads the same
-pre-step memory, and a single mean-aggregated write advances the state.
-fusion_forward runs one batch and keeps its trace for training;
-fusion_rows runs many batches for evaluation, looping only over the
-memory's read -> compose -> transform -> write chain.
+Each equation has one implementation, over whole batches: every example
+reads the same pre-step memory, and one mean-aggregated write advances
+the state.  fusion_forward runs one batch and keeps its trace for
+training; fusion_rows runs many batches for evaluation, looping only
+over the memory's read -> compose -> transform -> write chain.
 The backward pass returns exact vector-Jacobian products for all
 parameter blocks (fusion_backward) and both inputs
 (fusion_input_grads), treating the pre-step memory as a
@@ -34,7 +34,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import ParameterError, ShapeError
-from .kernels import ONE, ZERO, Array, Rng, as_batch, batchwise_matmul, concat, relu, softmax, softmax_rows
+from .kernels import ONE, ZERO, Array, Rng, as_batch, batchwise_matmul, softmax_rows
 
 PARAM_FIELDS = ("w_read", "b_read", "w_comp", "b_comp", "w_scale")
 
@@ -72,10 +72,6 @@ class Variant:
         if self.kind == MEMORY_RESAMPLED and self.out_dim < 1:
             raise ParameterError("resampled variant needs out_dim >= 1")
 
-    @property
-    def uses_memory(self) -> bool:
-        return self.kind != NAIVE
-
     def input_dim(self, s1: int, s2: int) -> int:
         """Width of the layer's fused input and memory rows, given mode widths."""
         if self.kind == MEMORY_SINGLE:
@@ -101,10 +97,6 @@ class MemoryState:
 
     matrix: Array
     writes_enabled: bool = True
-
-    @property
-    def slots(self) -> int:
-        return self.matrix.shape[0]
 
     @property
     def dim(self) -> int:
@@ -235,64 +227,6 @@ def init_memory(rng: Rng, slots: int, dim: int) -> MemoryState:
     return MemoryState(matrix=matrix, writes_enabled=True)
 
 
-def attention_keys(params: FusionParams, fused: Array, mem: MemoryState) -> Array:
-    """Softmax distribution over slots for one fused input vector.
-
-    Slot j scores the inner product of the mapped input (w_read^T x +
-    b_read) with row j of the memory.
-    """
-    fused = np.asarray(fused, dtype=np.float64)
-    if fused.shape != (mem.dim,):
-        raise ShapeError(f"attention_keys: input {fused.shape} vs memory dim {mem.dim}")
-    mapped = fused @ params.w_read + params.b_read
-    return softmax(mem.matrix @ mapped)
-
-
-def read_memory(keys: Array, mem: MemoryState) -> Array:
-    """Convex combination of slots: sum_j keys[j] * M[j]."""
-    keys = np.asarray(keys, dtype=np.float64)
-    if keys.shape != (mem.slots,):
-        raise ShapeError(f"read_memory: keys {keys.shape} vs {mem.slots} slots")
-    return keys @ mem.matrix
-
-
-def compose(params: FusionParams, query: Array, recalled: Array):
-    """Composer MLP with self-attention gating.
-
-    Returns (scores, attn, gated): scores = w_comp^T [query, recalled] +
-    b_comp, attn = softmax(scores), gated = attn * scores.
-    """
-    query = np.asarray(query, dtype=np.float64)
-    recalled = np.asarray(recalled, dtype=np.float64)
-    d = params.dim
-    if query.shape != (d,) or recalled.shape != (d,):
-        raise ShapeError(
-            f"compose: query {query.shape} / recalled {recalled.shape} vs dim {d}"
-        )
-    scores = np.concatenate([query, recalled]) @ params.w_comp + params.b_comp
-    attn = softmax(scores)
-    return scores, attn, attn * scores
-
-
-def transform(params: FusionParams, gated: Array) -> Array:
-    """Map the composition into the stored-feature space: relu(gated * w)."""
-    gated = np.asarray(gated, dtype=np.float64)
-    if gated.shape != (params.dim,):
-        raise ShapeError(f"transform: input {gated.shape} vs dim {params.dim}")
-    return relu(gated * params.w_scale)
-
-
-def fuse_output(fused: Array, transformed: Array) -> Array:
-    """Residual output: elementwise sum, keeping the concatenation shape."""
-    fused = np.asarray(fused, dtype=np.float64)
-    transformed = np.asarray(transformed, dtype=np.float64)
-    if fused.shape != transformed.shape:
-        raise ShapeError(
-            f"fuse_output: shapes differ, {fused.shape} vs {transformed.shape}"
-        )
-    return fused + transformed
-
-
 def write_memory(mem: MemoryState, batch_keys: Array, batch_values: Array) -> MemoryState:
     """Erase-then-add update, aggregated over the batch by the mean.
 
@@ -334,20 +268,6 @@ def naive_fusion(batch_m1, batch_m2) -> Array:
     if m1.shape[1] == 0 or m2.shape[1] == 0:
         raise ShapeError("naive_fusion: empty mode features")
     return np.concatenate([m1, m2], axis=1)
-
-
-def swap_concat(m1, m2) -> Array:
-    """Order-swapped concatenation: m2's entries first."""
-    return concat(m2, m1)
-
-
-def resample_output(out: Array, proj: Array) -> Array:
-    """Linear projection of the layer output to a different width."""
-    out = np.asarray(out, dtype=np.float64)
-    proj = np.asarray(proj, dtype=np.float64)
-    if proj.ndim != 2 or out.shape[-1] != proj.shape[0]:
-        raise ShapeError(f"resample_output: out {out.shape} vs proj {proj.shape}")
-    return out @ proj
 
 
 def param_count_formula(s1: int, s2: int, batch: int) -> int:

@@ -1,10 +1,10 @@
-"""Dense float64 kernels and a deterministic, counter-based random generator.
+"""Batch kernels and a deterministic, counter-based random generator.
 
-All numeric data in this package is carried by plain numpy arrays:
-vectors are 1-D float64, matrices are 2-D row-major float64.  The
-functions here add the shape checking the rest of the package relies on
-and raise :class:`ShapeError` / :class:`ParameterError` instead of
-letting numpy broadcast its way into silent nonsense.
+All numeric data in this package is carried by plain numpy arrays, and
+batches are 2-D row-major float64 with one row per example.  The batch
+helpers here (input and label coercion, row softmax, batchwise products)
+raise :class:`ShapeError` / :class:`ParameterError` instead of letting
+numpy broadcast its way into silent nonsense.
 
 The generator is SplitMix64: draw ``i`` of a stream seeded with ``s`` is
 ``mix64(s + (i + 1) * GOLDEN)`` where ``mix64`` is the standard 64-bit
@@ -53,31 +53,19 @@ ZERO, ONE = np.zeros(()), np.ones(())
 ZERO.flags.writeable = ONE.flags.writeable = False
 
 
-def as_vector(x) -> Array:
-    """Coerce to a 1-D float64 array, copying only when needed."""
-    v = np.asarray(x, dtype=np.float64)
-    if v.ndim != 1:
-        raise ShapeError(f"expected a vector, got ndim={v.ndim}")
-    return v
-
-
-def as_matrix(x) -> Array:
-    """Coerce to a 2-D float64 array."""
-    m = np.asarray(x, dtype=np.float64)
-    if m.ndim != 2:
-        raise ShapeError(f"expected a matrix, got ndim={m.ndim}")
-    return m
-
-
 def as_batch(x) -> Array:
     """Coerce to a 2-D float64 array of rows (a vector becomes one row).
 
     A 2-D float64 ndarray comes back as the same object with no numpy
-    call, which keeps per-step input checks cheap.
+    call, which keeps per-step input checks cheap.  A higher rank raises
+    ShapeError.
     """
     if type(x) is np.ndarray and x.dtype is _FLOAT64 and x.ndim == 2:
         return x
-    return np.atleast_2d(np.asarray(x, dtype=np.float64))
+    batch = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    if batch.ndim > 2:
+        raise ShapeError(f"expected rows of features, got ndim={batch.ndim}")
+    return batch
 
 
 def as_labels(labels, caller: str) -> Array:
@@ -97,15 +85,6 @@ def as_labels(labels, caller: str) -> Array:
         if not whole:
             raise ParameterError(f"{caller}: labels must be whole numbers")
     return labels.astype(np.int64, copy=False)
-
-
-def matmul(a, b) -> Array:
-    """Standard matrix product with an explicit inner-dimension check."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner dims differ, {a.shape} x {b.shape}")
-    return a @ b
 
 
 def batchwise_matmul(x: Array, w: Array, batch: int) -> Array:
@@ -130,24 +109,13 @@ def batchwise_matmul(x: Array, w: Array, batch: int) -> Array:
     return out
 
 
-def softmax(v) -> Array:
-    """Numerically stable softmax of a vector.
-
-    The max is subtracted before exponentiation so arbitrarily large
-    scores cannot overflow; the output is positive and sums to 1.
-    """
-    v = as_vector(v)
-    if v.size == 0:
-        raise ShapeError("softmax: empty vector")
-    shifted = v - v.max()
-    e = np.exp(shifted)
-    return e / e.sum()
-
-
 def softmax_rows(m) -> Array:
-    """Row-wise stable softmax of a 2-D array."""
+    """Row-wise stable softmax of a 2-D array: each row's max is
+    subtracted first, so large scores cannot overflow."""
     if not (type(m) is np.ndarray and m.dtype is _FLOAT64 and m.ndim == 2):
-        m = as_matrix(m)
+        m = np.asarray(m, dtype=np.float64)
+        if m.ndim != 2:
+            raise ShapeError(f"softmax_rows: expected a matrix, got ndim={m.ndim}")
     if m.shape[1] == 0:
         raise ShapeError("softmax_rows: zero-width matrix")
     # the ufunc reductions are what m.max and e.sum call, minus a Python layer
@@ -155,34 +123,6 @@ def softmax_rows(m) -> Array:
     np.exp(e, out=e)
     e /= np.add.reduce(e, axis=1, keepdims=True)
     return e
-
-
-def relu(v) -> Array:
-    """Elementwise max(0, v)."""
-    return np.maximum(np.asarray(v, dtype=np.float64), 0.0)
-
-
-def outer(u, v) -> Array:
-    """Outer product: result[i, j] = u[i] * v[j]."""
-    return np.outer(as_vector(u), as_vector(v))
-
-
-def hadamard(u, v) -> Array:
-    """Elementwise product of two equal-length vectors."""
-    u = as_vector(u)
-    v = as_vector(v)
-    if u.shape != v.shape:
-        raise ShapeError(f"hadamard: lengths differ, {u.size} vs {v.size}")
-    return u * v
-
-
-def concat(u, v) -> Array:
-    """Concatenate two nonempty vectors, u's entries first."""
-    u = as_vector(u)
-    v = as_vector(v)
-    if u.size == 0 or v.size == 0:
-        raise ShapeError("concat: operands must be nonempty")
-    return np.concatenate([u, v])
 
 
 def _mix64(z: Array) -> Array:

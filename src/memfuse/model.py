@@ -392,6 +392,8 @@ def cross_entropy_batch(logits: Array, labels: Array) -> Tuple[float, Array]:
     if not (type(labels) is np.ndarray and labels.dtype is _INT64):
         labels = as_labels(labels, "cross_entropy_batch")
     batch, classes = logits.shape
+    if batch == 0:
+        raise ParameterError("cross_entropy_batch: empty batch")
     if labels.shape != (batch,):
         raise ShapeError(f"cross_entropy_batch: labels {labels.shape} vs batch {batch}")
     # each row's label entry as a flat index, which refuses a label outside

@@ -1,4 +1,7 @@
-"""Unit contracts for the fusion layer ops and variants."""
+"""Unit contracts for the fusion layer and its variants.
+
+The layer's equations have one implementation, the batched path, so each
+equation is checked on fusion_forward's trace."""
 
 import numpy as np
 import pytest
@@ -13,9 +16,6 @@ from memfuse.fusion import (
     FusionParams,
     MemoryState,
     Variant,
-    attention_keys,
-    compose,
-    fuse_output,
     fusion_backward,
     fusion_forward,
     fusion_input_grads,
@@ -26,13 +26,10 @@ from memfuse.fusion import (
     param_count_actual,
     param_count_formula,
     parse_variant,
-    read_memory,
-    resample_output,
-    swap_concat,
-    transform,
     write_memory,
 )
 from memfuse.kernels import Rng
+from oracle import sl_softmax
 
 
 def zero_params(d):
@@ -47,6 +44,11 @@ def zero_params(d):
 
 def random_params(d, seed):
     return init_params(Rng(seed), d)
+
+
+def forward(params, matrix, m1, m2):
+    """The memory variant's fusion_forward on a memory holding `matrix`."""
+    return fusion_forward(params, MemoryState(np.asarray(matrix, dtype=np.float64)), Variant(), m1, m2)
 
 
 class TestVariant:
@@ -86,110 +88,133 @@ class TestMemoryInit:
 
 
 class TestReadPath:
+    """The read half of fusion_forward's trace: keys and recalled."""
+
     def test_identical_rows_give_uniform_keys(self):
         d, k = 4, 5
-        params = random_params(d, 1)
-        mem = MemoryState(np.tile(np.linspace(1, 2, d), (k, 1)))
-        keys = attention_keys(params, np.ones(d), mem)
-        np.testing.assert_allclose(keys, np.full(k, 1 / k), atol=1e-12)
+        rng = np.random.default_rng(1)
+        matrix = np.tile(np.linspace(1, 2, d), (k, 1))
+        _, trace, _ = forward(random_params(d, 1), matrix, rng.standard_normal((3, 1)), rng.standard_normal((3, 3)))
+        np.testing.assert_allclose(trace.keys, np.full((3, k), 1 / k), atol=1e-12)
 
     def test_single_slot(self):
-        params = random_params(3, 2)
-        mem = MemoryState(np.random.default_rng(0).standard_normal((1, 3)))
-        np.testing.assert_array_equal(attention_keys(params, np.ones(3), mem), [1.0])
+        matrix = np.random.default_rng(0).standard_normal((1, 3))
+        _, trace, _ = forward(random_params(3, 2), matrix, np.ones((2, 1)), np.ones((2, 2)))
+        np.testing.assert_array_equal(trace.keys, [[1.0], [1.0]])
 
     def test_hand_scores_match_exp_normalize(self):
-        d = 2
-        params = zero_params(d)
-        params.w_read[:] = np.eye(d)
-        mem = MemoryState(np.array([[10.0, 0.0], [0.0, 10.0], [-10.0, 0.0]]))
-        keys = attention_keys(params, np.array([1.0, 0.0]), mem)
-        scores = np.array([10.0, 0.0, -10.0])
-        expected = np.exp(scores - scores.max())
-        expected /= expected.sum()
-        np.testing.assert_allclose(keys, expected, atol=1e-14)
+        params = zero_params(2)
+        params.w_read[:] = np.eye(2)
+        matrix = [[10.0, 0.0], [0.0, 10.0], [-10.0, 0.0]]
+        _, trace, _ = forward(params, matrix, [[1.0]], [[0.0]])
+        np.testing.assert_allclose(trace.keys, [sl_softmax([10.0, 0.0, -10.0])], atol=1e-14)
 
     def test_dim_mismatch(self):
-        params = random_params(3, 3)
-        mem = MemoryState(np.zeros((2, 3)))
         with pytest.raises(ShapeError):
-            attention_keys(params, np.ones(4), mem)
+            forward(random_params(3, 3), np.zeros((2, 3)), np.ones((1, 2)), np.ones((1, 2)))
 
     def test_read_one_hot_and_uniform(self):
-        mem = MemoryState(np.arange(12.0).reshape(4, 3))
-        one_hot = np.array([0.0, 0.0, 1.0, 0.0])
-        np.testing.assert_array_equal(read_memory(one_hot, mem), mem.matrix[2])
-        uniform = np.full(4, 0.25)
-        np.testing.assert_allclose(read_memory(uniform, mem), mem.matrix.mean(axis=0), atol=1e-14)
+        matrix = np.arange(12.0).reshape(4, 3)
+        params = zero_params(3)
+        params.b_read[:] = [1000.0, 0.0, 0.0]  # slot scores 0, 3000, 6000, 9000
+        _, trace, _ = forward(params, matrix, [[1.0]], [[1.0, 1.0]])
+        np.testing.assert_array_equal(trace.keys, [[0.0, 0.0, 0.0, 1.0]])
+        np.testing.assert_array_equal(trace.recalled, matrix[3:])
+        params.b_read[:] = 0.0  # every slot scores 0
+        _, trace, _ = forward(params, matrix, [[1.0]], [[1.0, 1.0]])
+        np.testing.assert_array_equal(trace.keys, np.full((1, 4), 0.25))
+        np.testing.assert_allclose(trace.recalled, [matrix.mean(axis=0)], atol=1e-14)
 
     def test_read_weighted_sum_oracle(self):
         rng = np.random.default_rng(9)
-        mem = MemoryState(rng.standard_normal((3, 2)))
-        z = rng.random(3)
-        z /= z.sum()
-        expected = np.zeros(2)
-        for j in range(3):
-            for i in range(2):
-                expected[i] += z[j] * mem.matrix[j, i]
-        assert np.max(np.abs(read_memory(z, mem) - expected)) < 1e-14
+        matrix = rng.standard_normal((3, 2))
+        _, trace, _ = forward(random_params(2, 9), matrix, rng.standard_normal((4, 1)), rng.standard_normal((4, 1)))
+        for b in range(4):
+            expected = np.zeros(2)
+            for j in range(3):
+                for i in range(2):
+                    expected[i] += trace.keys[b, j] * matrix[j, i]
+            assert np.max(np.abs(trace.recalled[b] - expected)) < 1e-14
 
     def test_read_length_mismatch(self):
+        # keys of another length than the slot count, where the layer takes them in
         mem = MemoryState(np.zeros((3, 2)))
         with pytest.raises(ShapeError):
-            read_memory(np.ones(4) / 4, mem)
+            write_memory(mem, np.ones((1, 4)) / 4, np.zeros((1, 2)))
 
 
 class TestCompose:
+    """The composer's trace: scores, attn and gated."""
+
     def test_zero_weights(self):
         d = 3
-        scores, attn, gated = compose(zero_params(d), np.ones(d), np.ones(d))
-        np.testing.assert_array_equal(scores, np.zeros(d))
-        np.testing.assert_allclose(attn, np.full(d, 1 / d), atol=1e-15)
-        np.testing.assert_array_equal(gated, np.zeros(d))
+        _, trace, _ = forward(zero_params(d), np.ones((2, d)), np.ones((1, 1)), np.ones((1, 2)))
+        np.testing.assert_array_equal(trace.scores, np.zeros((1, d)))
+        np.testing.assert_allclose(trace.attn, np.full((1, d), 1 / d), atol=1e-15)
+        np.testing.assert_array_equal(trace.gated, np.zeros((1, d)))
 
     def test_symmetric_scores(self):
         # force scores [1, 1] via the bias
-        d = 2
-        params = zero_params(d)
+        params = zero_params(2)
         params.b_comp[:] = 1.0
-        scores, attn, gated = compose(params, np.zeros(d), np.zeros(d))
-        np.testing.assert_allclose(attn, [0.5, 0.5], atol=1e-15)
-        np.testing.assert_allclose(gated, [0.5, 0.5], atol=1e-15)
+        _, trace, _ = forward(params, np.ones((2, 2)), [[0.0]], [[0.0]])
+        np.testing.assert_allclose(trace.attn, [[0.5, 0.5]], atol=1e-15)
+        np.testing.assert_allclose(trace.gated, [[0.5, 0.5]], atol=1e-15)
 
     def test_step_by_step_oracle(self):
         d = 3
         params = random_params(d, 11)
         rng = np.random.default_rng(12)
-        q, m = rng.standard_normal(d), rng.standard_normal(d)
-        scores, attn, gated = compose(params, q, m)
-        pre = np.concatenate([q, m])
-        expected_scores = pre @ params.w_comp + params.b_comp
-        e = np.exp(expected_scores)
-        expected_attn = e / e.sum()
-        np.testing.assert_allclose(scores, expected_scores, atol=1e-13)
-        np.testing.assert_allclose(attn, expected_attn, atol=1e-13)
-        np.testing.assert_allclose(gated, expected_attn * expected_scores, atol=1e-13)
+        _, trace, _ = forward(params, rng.standard_normal((4, d)), rng.standard_normal((2, 1)), rng.standard_normal((2, 2)))
+        for b in range(2):
+            pre = np.concatenate([trace.query[b], trace.recalled[b]])
+            np.testing.assert_array_equal(trace.mlp_in[b], pre)
+            expected_scores = pre @ params.w_comp + params.b_comp
+            expected_attn = np.array(sl_softmax(expected_scores))
+            np.testing.assert_allclose(trace.scores[b], expected_scores, atol=1e-13)
+            np.testing.assert_allclose(trace.attn[b], expected_attn, atol=1e-13)
+            np.testing.assert_allclose(trace.gated[b], expected_attn * expected_scores, atol=1e-13)
 
     def test_dim_mismatch(self):
+        # a 3-wide layer on a 4-wide input and memory
         with pytest.raises(ShapeError):
-            compose(zero_params(3), np.ones(3), np.ones(4))
+            forward(zero_params(3), np.ones((2, 4)), np.ones((1, 1)), np.ones((1, 3)))
+
+
+def hand_gate(w_scale):
+    """A two-wide zero-weight layer whose composer bias makes scores
+    [1, -1], so gated is [attn0, -attn1]; transformed scales it by
+    `w_scale` and keeps only the first entry.  Returns (params, attn)."""
+    params = zero_params(2)
+    params.b_comp[:] = [1.0, -1.0]
+    params.w_scale[:] = w_scale
+    return params, sl_softmax([1.0, -1.0])
 
 
 class TestTransform:
+    """transformed = relu(gated * w_scale) on the trace."""
+
     def test_hand_case(self):
-        params = zero_params(2)
-        params.w_scale[:] = 2.0
-        np.testing.assert_array_equal(transform(params, np.array([1.0, -1.0])), [2.0, 0.0])
+        params, attn = hand_gate(2.0)
+        _, trace, _ = forward(params, np.ones((2, 2)), [[0.5]], [[0.5]])
+        np.testing.assert_allclose(trace.transformed, [[2.0 * attn[0], 0.0]], atol=1e-15)
+        assert trace.transformed[0, 1] == 0.0
 
     def test_zero_input(self):
-        params = random_params(4, 5)
-        np.testing.assert_array_equal(transform(params, np.zeros(4)), np.zeros(4))
+        params = zero_params(4)
+        params.w_scale[:] = random_params(4, 5).w_scale
+        rng = np.random.default_rng(5)
+        _, trace, _ = forward(params, rng.standard_normal((3, 4)), rng.standard_normal((2, 2)), rng.standard_normal((2, 2)))
+        np.testing.assert_array_equal(trace.gated, np.zeros((2, 4)))
+        np.testing.assert_array_equal(trace.transformed, np.zeros((2, 4)))
 
     def test_elementwise_oracle(self):
         params = random_params(6, 6)
-        c = np.random.default_rng(7).standard_normal(6)
-        expected = np.array([max(0.0, c[i] * params.w_scale[i]) for i in range(6)])
-        np.testing.assert_array_equal(transform(params, c), expected)
+        rng = np.random.default_rng(7)
+        _, trace, _ = forward(params, rng.standard_normal((3, 6)), rng.standard_normal((4, 2)), rng.standard_normal((4, 4)))
+        expected = [[max(0.0, trace.gated[b, i] * params.w_scale[i]) for i in range(6)] for b in range(4)]
+        np.testing.assert_array_equal(trace.transformed, expected)
+        assert (trace.transformed == 0.0).any() and (trace.transformed > 0.0).any()
 
 
 class TestWrite:
@@ -237,22 +262,21 @@ class TestWrite:
 
 
 class TestFuseOutput:
+    """out = fused + transformed, the residual sum."""
+
     def test_memory_silent(self):
-        x = np.array([1.5, -2.0])
-        np.testing.assert_array_equal(fuse_output(x, np.zeros(2)), x)
+        rng = np.random.default_rng(61)
+        params = random_params(5, 61)
+        params.w_scale[:] = 0.0
+        m1, m2 = rng.standard_normal((3, 2)), rng.standard_normal((3, 3))
+        out, _, _ = forward(params, rng.standard_normal((4, 5)), m1, m2)
+        np.testing.assert_array_equal(out, np.concatenate([m1, m2], axis=1))
 
     def test_hand_sum(self):
-        np.testing.assert_array_equal(
-            fuse_output(np.array([1.0, 2.0]), np.array([3.0, 4.0])), [4.0, 6.0]
-        )
-
-    def test_benchmark_width(self):
-        out = fuse_output(np.zeros(6848), np.zeros(6848))
-        assert out.shape == (6848,)
-
-    def test_mismatch(self):
-        with pytest.raises(ShapeError):
-            fuse_output(np.zeros(3), np.zeros(4))
+        params, attn = hand_gate(2.0)
+        out, trace, _ = forward(params, np.ones((2, 2)), [[1.0]], [[2.0]])
+        np.testing.assert_array_equal(out, [[1.0 + trace.transformed[0, 0], 2.0]])
+        np.testing.assert_allclose(out, [[1.0 + 2.0 * attn[0], 2.0]], atol=1e-15)
 
 
 class TestNaiveAndSwap:
@@ -271,38 +295,62 @@ class TestNaiveAndSwap:
         np.testing.assert_array_equal(g2, g[:, 2:])
 
     def test_swap_concat(self):
-        np.testing.assert_array_equal(swap_concat([1.0], [2.0, 3.0]), [2.0, 3.0, 1.0])
-        u, v = np.array([1.0, 2.0]), np.array([3.0, 4.0])
-        np.testing.assert_array_equal(swap_concat(u, v), np.concatenate([v, u]))
+        """The memory_cross query is [m2, m1], and it heads the composer input."""
+        params, mem = random_params(3, 1), init_memory(Rng(2), 2, 3)
+        _, trace, _ = fusion_forward(params, mem, Variant(MEMORY_CROSS), [[1.0]], [[2.0, 3.0]])
+        np.testing.assert_array_equal(trace.query, [[2.0, 3.0, 1.0]])
+        np.testing.assert_array_equal(trace.fused, [[1.0, 2.0, 3.0]])
+        np.testing.assert_array_equal(trace.mlp_in[:, :3], trace.query)
+        rng = np.random.default_rng(3)
+        m1, m2 = rng.standard_normal((4, 2)), rng.standard_normal((4, 1))
+        _, trace, _ = fusion_forward(params, mem, Variant(MEMORY_CROSS), m1, m2)
+        np.testing.assert_array_equal(trace.query, np.concatenate([m2, m1], axis=1))
 
     def test_double_swap_restores_order(self):
-        u, v = np.array([1.0, 2.0]), np.array([3.0, 4.0])
-        once = swap_concat(u, v)
-        twice = swap_concat(once[: v.size], once[v.size :])
-        np.testing.assert_array_equal(twice, np.concatenate([u, v]))
+        """Cross attention on swapped modes queries with [m1, m2], as the plain layer does."""
+        rng = np.random.default_rng(4)
+        m1, m2 = rng.standard_normal((2, 2)), rng.standard_normal((2, 3))
+        params, mem = random_params(5, 4), init_memory(Rng(5), 3, 5)
+        _, swapped, _ = fusion_forward(params, mem, Variant(MEMORY_CROSS), m2, m1)
+        _, plain, _ = fusion_forward(params, mem, Variant(), m1, m2)
+        np.testing.assert_array_equal(swapped.query, plain.query)
+        np.testing.assert_array_equal(swapped.query, np.concatenate([m1, m2], axis=1))
 
 
 class TestResample:
+    """The memory_resampled output: out = out_raw @ proj."""
+
+    @staticmethod
+    def resampled(proj, seed=31):
+        rng = np.random.default_rng(seed)
+        d = proj.shape[0]
+        params, mem = random_params(d, seed), init_memory(Rng(seed), 3, d)
+        variant = Variant(MEMORY_RESAMPLED, out_dim=proj.shape[1])
+        m1, m2 = rng.standard_normal((2, 1)), rng.standard_normal((2, d - 1))
+        out, trace, _ = fusion_forward(params, mem, variant, m1, m2, proj=proj)
+        return out, trace
+
     def test_identity_projection(self):
-        o = np.arange(4.0)
-        np.testing.assert_array_equal(resample_output(o, np.eye(4)), o)
+        out, trace = self.resampled(np.eye(4))
+        np.testing.assert_array_equal(out, trace.out_raw)
 
     def test_swept_dims_accepted(self):
-        o = np.zeros(8)
         for d_out in (512, 1024, 2048, 4096, 8192):
-            out = resample_output(o, np.zeros((8, d_out)))
-            assert out.shape == (d_out,)
+            out, trace = self.resampled(np.zeros((8, d_out)))
+            assert out.shape == (2, d_out) and trace.out_raw.shape == (2, 8)
 
     def test_matvec_oracle(self):
-        rng = np.random.default_rng(31)
-        o = rng.standard_normal(5)
-        proj = rng.standard_normal((5, 3))
-        expected = np.array([sum(o[i] * proj[i, j] for i in range(5)) for j in range(3)])
-        np.testing.assert_allclose(resample_output(o, proj), expected, atol=1e-13)
+        proj = np.random.default_rng(32).standard_normal((5, 3))
+        out, trace = self.resampled(proj)
+        o = trace.out_raw
+        expected = [[sum(o[b, i] * proj[i, j] for i in range(5)) for j in range(3)] for b in range(2)]
+        np.testing.assert_allclose(out, expected, atol=1e-13)
 
     def test_mismatch(self):
+        params, mem = random_params(4, 1), init_memory(Rng(1), 3, 4)
         with pytest.raises(ShapeError):
-            resample_output(np.zeros(4), np.zeros((5, 2)))
+            fusion_forward(params, mem, Variant(MEMORY_RESAMPLED, out_dim=2), np.ones((2, 2)),
+                           np.ones((2, 2)), proj=np.zeros((5, 2)))
 
 
 class TestParamCounts:

@@ -1,4 +1,6 @@
-"""Kernel-level contracts: dense ops and the deterministic generator."""
+"""Kernel-level contracts: the batch kernels, the deterministic generator,
+and the layer's elementwise steps and products, checked on the batched
+path the program runs."""
 
 import concurrent.futures
 import math
@@ -11,19 +13,24 @@ from hypothesis import strategies as st
 
 from memfuse import kernels
 from memfuse.errors import ParameterError, ShapeError
-from memfuse.kernels import (
-    Rng,
-    as_batch,
-    batchwise_matmul,
-    concat,
-    hadamard,
-    matmul,
-    outer,
-    relu,
-    softmax,
-    softmax_rows,
+from memfuse.fusion import (
+    MEMORY,
+    MEMORY_CROSS,
+    MEMORY_RESAMPLED,
+    MEMORY_SINGLE,
+    NAIVE,
+    MemoryState,
+    Variant,
+    fusion_forward,
+    fusion_rows,
+    init_memory,
+    init_params,
+    naive_fusion,
+    write_memory,
 )
-from oracle import SL_GOLDEN, SL_MASK64, sl_box_muller, sl_mix64, sl_uniforms
+from memfuse.kernels import Rng, as_batch, batchwise_matmul, softmax_rows
+from memfuse.model import ClassifierConfig, build_state, cross_entropy_batch, head_forward
+from oracle import SL_GOLDEN, SL_MASK64, sl_box_muller, sl_mix64, sl_softmax, sl_uniforms
 
 
 def brute_matmul(a, b):
@@ -69,132 +76,174 @@ class TestAsBatch:
         assert as_batch(np.arange(3.0)).shape == (1, 3)
         assert as_batch(7).shape == (1, 1)
 
-    def test_higher_rank_is_left_to_the_caller(self):
-        # as today: atleast_2d keeps a 3-D array 3-D, and the callers' shape checks reject it
-        assert as_batch(np.zeros((2, 3, 4))).shape == (2, 3, 4)
+    def test_higher_rank_is_refused(self):
+        """as_batch refuses a rank above 2, so every entry point that
+        coerces through it does too, whatever the path behind it."""
+        cube = np.zeros((2, 3, 3))
+        with pytest.raises(ShapeError):
+            as_batch(cube)
+        for kind in (NAIVE, MEMORY, MEMORY_CROSS, MEMORY_SINGLE, MEMORY_RESAMPLED):
+            d = 3 if kind == MEMORY_SINGLE else 6
+            params, mem = init_params(Rng(1), d), init_memory(Rng(2), 4, d)
+            with pytest.raises(ShapeError):
+                fusion_forward(params, mem, Variant(kind, out_dim=3), cube, cube, proj=np.zeros((d, 3)))
+        with pytest.raises(ShapeError):
+            naive_fusion(np.zeros((2, 3, 4)), np.zeros((2, 3, 4)))
+        with pytest.raises(ShapeError):
+            write_memory(init_memory(Rng(3), 3, 3), cube, cube)
+        state = build_state(ClassifierConfig(variant="naive", head_hidden=4, classes=3, dropout_rate=0.0), 3, 3)
+        with pytest.raises(ShapeError):
+            head_forward(state.params, np.zeros((2, 3, 6)))
+        with pytest.raises(ShapeError):
+            cross_entropy_batch(cube, np.zeros(2, dtype=np.int64))
 
 
 class TestMatmul:
+    """The products of evaluation's row-block path (batchwise_matmul)."""
+
     def test_identity(self):
         a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_array_equal(matmul(np.eye(2), a), a)
+        np.testing.assert_array_equal(batchwise_matmul(np.eye(2), a, 1), a)
+        np.testing.assert_array_equal(batchwise_matmul(a, np.eye(2), 1), a)
 
     def test_hand_product(self):
-        out = matmul(np.array([[1.0, 2.0]]), np.array([[3.0], [4.0]]))
+        out = batchwise_matmul(np.array([[1.0, 2.0]]), np.array([[3.0], [4.0]]), 1)
         np.testing.assert_array_equal(out, [[11.0]])
 
     def test_against_triple_loop(self):
         rng = np.random.default_rng(5)
         a = rng.standard_normal((5, 7))
         b = rng.standard_normal((7, 3))
-        assert np.max(np.abs(matmul(a, b) - brute_matmul(a, b))) < 1e-12
+        assert np.max(np.abs(batchwise_matmul(a, b, 2) - brute_matmul(a, b))) < 1e-12
 
     def test_dimension_mismatch(self):
+        # the row-block layer checks widths before its first product
+        params, mem = init_params(Rng(1), 4), init_memory(Rng(1), 3, 5)
         with pytest.raises(ShapeError):
-            matmul(np.ones((2, 3)), np.ones((2, 3)))
-
-    def test_associativity(self):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            a = rng.standard_normal((4, 6))
-            b = rng.standard_normal((6, 5))
-            c = rng.standard_normal((5, 3))
-            left = matmul(matmul(a, b), c)
-            right = matmul(a, matmul(b, c))
-            scale = np.max(np.abs(left)) + 1e-300
-            assert np.max(np.abs(left - right)) / scale < 1e-9
+            fusion_rows(params, mem, Variant(), np.ones((4, 2)), np.ones((4, 3)), batch=2)
 
 
 class TestSoftmax:
+    """softmax_rows, the layer's one softmax (keys and composer gate)."""
+
     def test_uniform_on_constant(self):
-        np.testing.assert_allclose(softmax([0.0, 0.0, 0.0]), [1 / 3] * 3, atol=1e-15)
+        np.testing.assert_allclose(softmax_rows([[0.0, 0.0, 0.0]]), [[1 / 3] * 3], atol=1e-15)
 
     def test_stabilized_against_overflow(self):
-        out = softmax([1000.0, 0.0])
+        out = softmax_rows(np.array([[1000.0, 0.0], [0.0, -1000.0]]))
         assert np.all(np.isfinite(out))
-        assert out[0] > 1.0 - 1e-12
-        assert out[1] < 1e-12
+        assert out[0, 0] > 1.0 - 1e-12 and out[1, 0] > 1.0 - 1e-12
+        assert out[0, 1] < 1e-12 and out[1, 1] < 1e-12
 
     def test_matches_plain_exp_normalize(self):
-        v = np.array([1.0, 2.0, 3.0])
-        plain = np.exp(v) / np.exp(v).sum()
-        np.testing.assert_allclose(softmax(v), plain, atol=1e-14)
+        np.testing.assert_allclose(softmax_rows([[1.0, 2.0, 3.0]]), [sl_softmax([1.0, 2.0, 3.0])], atol=1e-14)
 
     def test_empty_rejected(self):
         with pytest.raises(ShapeError):
-            softmax(np.array([]))
+            softmax_rows(np.zeros((2, 0)))
+        for not_a_matrix in (np.zeros(3), [1.0, 2.0], np.zeros((2, 2, 2))):
+            with pytest.raises(ShapeError):
+                softmax_rows(not_a_matrix)
 
     def test_sum_and_shift_invariance(self):
         rng = np.random.default_rng(3)
         for n in (1, 2, 17, 1000, 10_000):
-            v = rng.standard_normal(n) * 5
-            out = softmax(v)
-            assert abs(out.sum() - 1.0) < 1e-12
+            m = rng.standard_normal((3, n)) * 5
+            out = softmax_rows(m)
+            assert np.max(np.abs(out.sum(axis=1) - 1.0)) < 1e-12
             assert np.all(out >= 0)
-            shifted = softmax(v + 123.456)
+            shifted = softmax_rows(m + np.array([[123.456], [-50.0], [0.5]]))
             assert np.max(np.abs(out - shifted)) < 1e-12
 
     def test_rows_variant_matches_vector(self):
-        rng = np.random.default_rng(4)
-        m = rng.standard_normal((6, 9))
+        """Each row is the oracle's softmax of that row alone."""
+        m = np.random.default_rng(4).standard_normal((6, 9))
         rows = softmax_rows(m)
         for i in range(6):
-            np.testing.assert_allclose(rows[i], softmax(m[i]), atol=1e-15)
+            np.testing.assert_allclose(rows[i], sl_softmax(m[i]), atol=1e-15)
+
+
+def layer_trace(seed=6, d=6, batch=5):
+    """fusion_forward's trace of a random memory layer."""
+    rng = np.random.default_rng(seed)
+    params, mem = init_params(Rng(seed), d), init_memory(Rng(seed + 1), 4, d)
+    m1, m2 = rng.standard_normal((batch, 2)), rng.standard_normal((batch, d - 2))
+    return params, fusion_forward(params, mem, Variant(), m1, m2)[1]
 
 
 class TestElementwise:
+    """The layer's ReLU, elementwise products and write."""
+
     def test_relu_hand_cases(self):
-        np.testing.assert_array_equal(relu(np.array([1.0, -1.0, 0.0])), [1.0, 0.0, 0.0])
-        np.testing.assert_array_equal(relu(np.array([-5.0, -0.1])), [0.0, 0.0])
+        # zero weights and composer bias [1, -1, 0]: pre_act is [+, -, 0]
+        params = init_params(Rng(1), 3)
+        for block in (params.w_read, params.b_read, params.w_comp):
+            block[:] = 0.0
+        params.b_comp[:] = [1.0, -1.0, 0.0]
+        params.w_scale[:] = 1.0
+        _, trace, _ = fusion_forward(params, init_memory(Rng(2), 2, 3), Variant(), [[1.0]], [[1.0, 1.0]])
+        assert trace.pre_act[0, 0] > 0 > trace.pre_act[0, 1] and trace.pre_act[0, 2] == 0.0
+        np.testing.assert_array_equal(trace.transformed, [[trace.pre_act[0, 0], 0.0, 0.0]])
 
     def test_relu_elementwise_oracle(self):
-        rng = np.random.default_rng(6)
-        v = rng.standard_normal(100)
-        expected = np.array([x if x > 0 else 0.0 for x in v])
-        np.testing.assert_array_equal(relu(v), expected)
+        _, trace = layer_trace()
+        expected = [[x if x > 0 else 0.0 for x in row] for row in trace.pre_act]
+        np.testing.assert_array_equal(trace.transformed, expected)
+        assert (trace.pre_act < 0).any() and (trace.pre_act > 0).any()
 
     def test_outer_hand_cases(self):
-        np.testing.assert_array_equal(
-            outer(np.array([1.0, 0.0]), np.array([2.0, 3.0])), [[2.0, 3.0], [0.0, 0.0]]
-        )
-        e1 = np.array([1.0, 0.0, 0.0])
-        out = outer(e1, e1)
-        assert out[0, 0] == 1.0 and out.sum() == 1.0
+        # one example written into a zero memory adds the outer product keys x values
+        new = write_memory(MemoryState(np.zeros((2, 2))), [[1.0, 0.0]], [[2.0, 3.0]])
+        np.testing.assert_array_equal(new.matrix, [[2.0, 3.0], [0.0, 0.0]])
+        new = write_memory(MemoryState(np.zeros((3, 3))), [[1.0, 0.0, 0.0]], [[1.0, 0.0, 0.0]])
+        assert new.matrix[0, 0] == 1.0 and new.matrix.sum() == 1.0
 
     def test_outer_double_loop_oracle(self):
         rng = np.random.default_rng(7)
-        u, v = rng.standard_normal(3), rng.standard_normal(4)
-        out = outer(u, v)
+        z, h = rng.random((1, 3)), rng.standard_normal((1, 4))
+        z /= z.sum()
+        new = write_memory(MemoryState(np.zeros((3, 4))), z, h)
         for i in range(3):
-            np.testing.assert_allclose(out[i], u[i] * v, atol=0)
             for j in range(4):
-                assert out[i, j] == u[i] * v[j]
+                assert new.matrix[i, j] == z[0, i] * h[0, j]
 
     def test_hadamard(self):
-        np.testing.assert_array_equal(hadamard([1.0, 2.0], [3.0, 4.0]), [3.0, 8.0])
-        v = np.random.default_rng(8).standard_normal(9)
-        np.testing.assert_array_equal(hadamard(v, np.ones(9)), v)
-        u, w = np.arange(5.0), np.linspace(-1, 1, 5)
-        np.testing.assert_array_equal(hadamard(u, w), [a * b for a, b in zip(u, w)])
-        with pytest.raises(ShapeError):
-            hadamard(np.ones(3), np.ones(4))
+        params, trace = layer_trace(seed=8)
+        for b, i in np.ndindex(trace.gated.shape):
+            assert trace.gated[b, i] == trace.attn[b, i] * trace.scores[b, i]
+            assert trace.pre_act[b, i] == trace.gated[b, i] * params.w_scale[i]
 
 
 class TestConcat:
+    """The layer's fused input is [m1, m2], the naive output likewise."""
+
     def test_hand_case(self):
-        np.testing.assert_array_equal(concat([2.0, 3.0], [5.0]), [2.0, 3.0, 5.0])
+        params, mem = init_params(Rng(1), 3), init_memory(Rng(2), 2, 3)
+        _, trace, _ = fusion_forward(params, mem, Variant(), [[2.0, 3.0]], [[5.0]])
+        np.testing.assert_array_equal(trace.fused, [[2.0, 3.0, 5.0]])
+        np.testing.assert_array_equal(trace.mlp_in, np.concatenate([trace.query, trace.recalled], axis=1))
 
     def test_order_sensitivity(self):
-        u, v = np.array([1.0, 2.0]), np.array([3.0, 4.0])
-        assert not np.array_equal(concat(u, v), concat(v, u))
+        rng = np.random.default_rng(2)
+        m1, m2 = rng.standard_normal((2, 2)), rng.standard_normal((2, 2))
+        params, mem = init_params(Rng(3), 4), init_memory(Rng(4), 3, 4)
+        _, plain, _ = fusion_forward(params, mem, Variant(), m1, m2)
+        _, cross, _ = fusion_forward(params, mem, Variant(MEMORY_CROSS), m1, m2)
+        assert not np.array_equal(plain.query, cross.query)
+        assert not np.array_equal(plain.scores, cross.scores)
 
     def test_benchmark_dims(self):
-        out = concat(np.zeros(2048), np.zeros(4800))
-        assert out.shape == (6848,)
+        params, mem = init_params(Rng(1), 2), init_memory(Rng(1), 2, 2)
+        out, trace, same = fusion_forward(params, mem, Variant(NAIVE), np.zeros((2, 2048)), np.zeros((2, 4800)))
+        assert out.shape == (2, 6848) and trace is None and same is mem
 
     def test_empty_rejected(self):
+        params, mem = init_params(Rng(1), 2), init_memory(Rng(1), 2, 2)
+        for kind in (NAIVE, MEMORY):
+            with pytest.raises(ShapeError):
+                fusion_forward(params, mem, Variant(kind), np.zeros((2, 0)), np.ones((2, 2)))
         with pytest.raises(ShapeError):
-            concat(np.array([]), np.ones(2))
+            naive_fusion(np.zeros((2, 0)), np.ones((2, 2)))
 
 
 class TestRng:

@@ -6,6 +6,7 @@ import hashlib
 import importlib
 import pickle
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -144,6 +145,14 @@ class TestCrossEntropy:
         whole = cross_entropy_batch(np.eye(3)[:2], np.array([2.0, 0.0]))
         ints = cross_entropy_batch(np.eye(3)[:2], np.array([2, 0]))
         assert whole[0] == ints[0] and whole[1].tobytes() == ints[1].tobytes()
+
+    def test_empty_batch_is_refused_without_a_warning(self):
+        # the mean over no rows would be a NaN loss with a divide warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for labels in (np.zeros(0, dtype=np.int64), []):
+                with pytest.raises(ParameterError, match="empty batch"):
+                    cross_entropy_batch(np.zeros((0, 3)), labels)
 
     def test_batch_matches_single_mean(self):
         rng = np.random.default_rng(5)
