@@ -35,7 +35,6 @@ from .model import (
     build_state,
     evaluate,
     fit,
-    flatten,
     head_input_dim,
     table_views,
 )
@@ -185,12 +184,10 @@ def restore_state(state: TrainState, arrays: dict) -> TrainState:
     extra = sorted(set(arrays) - set(wanted))
     if extra:
         raise ParameterError(f"checkpoint entry {extra[0]!r} does not belong to this config")
-    table = state.params.table
-    state.params.flat[...] = flatten(table, arrays, "param.")
-    state.m_flat[...] = flatten(table, arrays, "adam_m.")
-    state.v_flat[...] = flatten(table, arrays, "adam_v.")
+    # the parameter, moment and memory entries are views of the state's arrays
+    for name, view in wanted.items():
+        view[...] = arrays[name]
     for i, mem in enumerate(state.memories):
-        mem.matrix[...] = arrays[f"memory{i}.matrix"]
         mem.writes_enabled = bool(arrays[f"memory{i}.writes"][0])
     state.step = int(arrays["step"][0])
     state.mem_seed = int(arrays["mem_seed.lo"][0]) | (int(arrays["mem_seed.hi"][0]) << 32)
@@ -249,9 +246,9 @@ def metrics_doc(exp: ExperimentConfig, seed: int, report, curves) -> dict:
 def cmd_train(args) -> int:
     exp = load_experiment(args.config, vars(args))
     out = Path(exp.out_dir)
+    out.mkdir(parents=True, exist_ok=True)  # a bad --out fails before the run
     seed = exp.seeds[0]
     state, curves, report = run_single(exp, seed)
-    out.mkdir(parents=True, exist_ok=True)
     save_arrays(out / "checkpoint.bin", state_to_arrays(state))
     (out / "curves.csv").write_text(curves_to_csv(curves))
     (out / "confusion.csv").write_text(confusion_to_csv(report.confusion))
@@ -282,6 +279,7 @@ def cmd_evaluate(args) -> int:
 def cmd_ablate(args) -> int:
     exp = load_experiment(args.config, vars(args))
     out = Path(exp.out_dir)
+    out.mkdir(parents=True, exist_ok=True)  # a bad --out fails before the sweep
     # every cell trains on the same task, so the dataset is built once
     splits = stacked_splits(exp)
 
@@ -483,7 +481,7 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as exc:
         print(f"error: invalid JSON config: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ParameterError, ShapeError) as exc:
+    except (ParameterError, ShapeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NumericError as exc:

@@ -36,8 +36,6 @@ import numpy as np
 from .errors import ParameterError, ShapeError
 from .kernels import ONE, ZERO, Array, Rng, as_batch, batchwise_matmul, softmax_rows
 
-PARAM_FIELDS = ("w_read", "b_read", "w_comp", "b_comp", "w_scale")
-
 # Slot count that carried the best benchmark accuracy; the configs here
 # default to it unless the caller sweeps.
 DEFAULT_SLOTS = 30
@@ -66,7 +64,7 @@ class Variant:
 
     def __post_init__(self):
         if self.kind not in _KINDS:
-            raise ParameterError(f"unknown variant kind {self.kind!r}")
+            raise ParameterError(f"unknown variant {self.kind!r}; expected one of {_KINDS}")
         if self.kind == MEMORY_SINGLE and self.mode not in (1, 2):
             raise ParameterError(f"single-mode index must be 1 or 2, got {self.mode}")
         if self.kind == MEMORY_RESAMPLED and self.out_dim < 1:
@@ -81,10 +79,7 @@ class Variant:
 
 def parse_variant(name: str, mode: int = 1, out_dim: int = 0) -> Variant:
     """Build a Variant from its CLI spelling (hyphens or underscores)."""
-    kind = name.strip().lower().replace("-", "_")
-    if kind not in _KINDS:
-        raise ParameterError(f"unknown variant {name!r}; expected one of {_KINDS}")
-    return Variant(kind, mode=mode, out_dim=out_dim)
+    return Variant(name.strip().lower().replace("-", "_"), mode=mode, out_dim=out_dim)
 
 
 @dataclass(slots=True)
@@ -285,15 +280,15 @@ def param_count_formula(s1: int, s2: int, batch: int) -> int:
 
 def param_count_actual(params: FusionParams) -> int:
     """Number of learnable scalars: 3d^2 + 3d.  Memory slots excluded."""
-    return sum(getattr(params, f).size for f in PARAM_FIELDS)
+    return sum(block.size for block in vars(params).values())
 
 
 def _layer_inputs(params: FusionParams, mem: MemoryState, variant: Variant, batch_m1, batch_m2, matmul=np.matmul):
     """(fused, query, mapped, s1, s2) for rows of the two modes, shapes
     checked; mapped = fused @ w_read + b_read, the product by `matmul`.
 
-    For the naive variant the fused rows are the output, and query and
-    mapped are None.
+    The naive variant has no layer: it is naive_fusion / naive_backward
+    alone, and is refused here once the shapes are checked.
     """
     m1 = as_batch(batch_m1)
     m2 = as_batch(batch_m2)
@@ -308,7 +303,7 @@ def _layer_inputs(params: FusionParams, mem: MemoryState, variant: Variant, batc
 
     kind = variant.kind
     if kind == NAIVE:
-        return np.concatenate([m1, m2], axis=1), None, None, s1, s2
+        raise ParameterError("the naive variant has no fusion layer; use naive_fusion")
     if kind == MEMORY_SINGLE:
         fused = query = m1 if variant.mode == 1 else m2
     else:
@@ -372,11 +367,9 @@ def fusion_forward(
     Returns (outputs, trace, new_memory).  Inputs may be lists of vectors
     or (B, s) arrays.  Every example reads the same pre-step memory; one
     aggregated write produces the returned state.  The naive variant has
-    no trace or memory and returns (outputs, None, mem).
+    no layer (see naive_fusion) and raises ParameterError.
     """
     fused, query, mapped, s1, s2 = _layer_inputs(params, mem, variant, batch_m1, batch_m2)
-    if query is None:
-        return fused, None, mem
     chain = _memory_chain(params, mem.matrix, mapped, query)
     out, out_raw = _layer_output(variant, fused, chain[-1], proj)
     trace = ForwardTrace(variant, s1, s2, fused, query, *chain, out, out_raw)
@@ -404,8 +397,6 @@ def fusion_rows(
     """
     matmul = functools.partial(batchwise_matmul, batch=batch)
     fused, query, mapped, _, _ = _layer_inputs(params, mem, variant, m1, m2, matmul)
-    if query is None:
-        return fused, mem
     if mem.writes_enabled:
         written = []
         for start in range(0, fused.shape[0], batch):

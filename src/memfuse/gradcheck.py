@@ -1,10 +1,12 @@
 """Finite-difference verification of the analytic gradients.
 
 central_diff is the independent oracle: it never calls any backward
-code, only repeated forward evaluations.  check_layer builds a random
-small configuration, runs the layer's own backward pass, and compares
-every parameter block and both input batches against the oracle,
-coordinate by coordinate.
+code, only repeated forward evaluations.  check_layer draws a random
+small configuration into one vector laid out by model.param_table, runs
+the layer's own backward pass, and compares every parameter block and
+both input batches against the oracle, coordinate by coordinate.  The
+naive variant has no layer: its case is the two modes alone, run
+through naive_fusion and naive_backward as the classifier runs them.
 
 Finite differences are only trustworthy away from ReLU kinks and for
 gradient entries comfortably above the subtraction noise floor, so
@@ -26,7 +28,6 @@ from .fusion import (
     MEMORY_RESAMPLED,
     MEMORY_SINGLE,
     NAIVE,
-    PARAM_FIELDS,
     FusionParams,
     Variant,
     fusion_backward,
@@ -35,6 +36,8 @@ from .fusion import (
     init_memory,
     init_params,
     naive_backward,
+    naive_fusion,
+    param_shapes,
 )
 from .kernels import Array, Rng
 from .model import (
@@ -42,11 +45,10 @@ from .model import (
     ModelParams,
     build_state,
     cross_entropy_batch,
-    flatten,
     forward_logits,
     loss_and_grads,
     param_table,
-    relu_margins_ok,
+    relu_inputs,
     table_views,
 )
 
@@ -141,37 +143,6 @@ class GradReport:
         }
 
 
-def _grad_margins_ok(blocks: Dict[str, Array]) -> bool:
-    for arr in blocks.values():
-        mags = np.abs(arr.ravel())
-        tiny = (mags > 0.0) & (mags < GRAD_FLOOR)
-        if tiny.any():
-            return False
-    return True
-
-
-def _report_from_blocks(
-    analytic: Dict[str, Array],
-    numeric: Dict[str, Array],
-    threshold: float,
-    step: float,
-    tries: int,
-) -> GradReport:
-    blocks = {}
-    ok = True
-    for name, a in analytic.items():
-        rel = relative_errors(a, numeric[name])
-        worst = int(np.argmax(rel)) if rel.size else 0
-        rep = BlockReport(
-            max_rel=float(rel.max()) if rel.size else 0.0,
-            mean_rel=float(rel.mean()) if rel.size else 0.0,
-            worst_index=worst,
-        )
-        blocks[name] = rep
-        ok = ok and rep.max_rel < threshold
-    return GradReport(passed=ok, threshold=threshold, step=step, blocks=blocks, tries=tries)
-
-
 @dataclass
 class LayerCheckConfig:
     """Dimensions for one layer gradient check (small on purpose)."""
@@ -181,7 +152,6 @@ class LayerCheckConfig:
     slots: int = 4
     batch: int = 3
     variant: Variant = Variant()
-    out_dim: int = 0
 
     def __post_init__(self):
         d = self.layer_dim
@@ -198,17 +168,33 @@ class LayerCheckConfig:
         return self.variant.input_dim(self.s1, self.s2)
 
 
-def _draw_case(cfg: LayerCheckConfig, rng: Rng):
-    d = cfg.layer_dim
-    params = init_params(rng.split(1), d)
-    mem = init_memory(rng.split(2), cfg.slots, d)
-    m1 = INPUT_SIGMA * rng.normal(cfg.batch * cfg.s1).reshape(cfg.batch, cfg.s1)
-    m2 = INPUT_SIGMA * rng.normal(cfg.batch * cfg.s2).reshape(cfg.batch, cfg.s2)
-    proj = None
-    if cfg.variant.kind == MEMORY_RESAMPLED:
-        bound = 1.0 / np.sqrt(d)
-        proj = rng.uniform(d * cfg.variant.out_dim, -bound, bound).reshape(d, cfg.variant.out_dim)
-    return params, mem, m1, m2, proj
+def _check(what: str, seed: int, label_base: int, draw: Callable, threshold: float, step: float) -> GradReport:
+    """The retry loop of both checks.
+
+    Attempt i draws its case from substream label_base + i of Rng(seed)
+    as (its ReLU pre-activations, a function giving its analytic
+    gradients by block name, the loss of a flat vector, that vector, its
+    table).  A case is redrawn when a pre-activation lies within
+    KINK_MARGIN of its kink (before the gradients are taken) or a nonzero
+    gradient entry under GRAD_FLOOR; the first case clear of both is
+    compared block by block with central differences.
+    """
+    rng = Rng(seed)
+    for attempt in range(1, MAX_TRIES + 1):
+        pres, backward, loss_fn, theta, table = draw(rng.split(label_base + attempt))
+        if not all(np.abs(p).min() >= KINK_MARGIN for p in pres if p.size):
+            continue
+        analytic = backward()
+        if any(((a != 0.0) & (np.abs(a) < GRAD_FLOOR)).any() for a in analytic.values()):
+            continue
+        numeric = table_views(table, central_diff(loss_fn, theta, step=step))
+        blocks = {}
+        for name, a in analytic.items():
+            rel = relative_errors(a, numeric[name])
+            blocks[name] = BlockReport(float(rel.max()), float(rel.mean()), int(np.argmax(rel)))
+        passed = all(block.max_rel < threshold for block in blocks.values())
+        return GradReport(passed, threshold, step, blocks, tries=attempt)
+    raise ParameterError(f"{what}: no well-conditioned configuration found in {MAX_TRIES} tries (seed {seed})")
 
 
 def check_layer(
@@ -219,53 +205,64 @@ def check_layer(
 ) -> GradReport:
     """Compare the layer backward pass against central differences.
 
-    Draws random parameters and inputs (rejecting drawings that violate
-    the kink or gradient-floor margins), flattens every differentiable
-    block into one vector, and checks each block coordinate-wise at the
-    given threshold.
+    A case is laid out by param_table in one vector: the layer's blocks
+    (none for the naive variant, which is naive_fusion alone), m1, m2 and
+    the resampled variant's projection.  Each part is drawn straight
+    into its view: the layer by init_params, the modes as normals scaled
+    by INPUT_SIGMA, the projection uniform in +-1/sqrt(d).  Every block
+    of the vector is checked coordinate-wise at the given threshold.
     """
-    rng = Rng(seed)
-    variant = cfg.variant
+    variant, d = cfg.variant, cfg.layer_dim
+    layer_shapes = {} if variant.kind == NAIVE else param_shapes(d)
+    shapes = {**layer_shapes, "m1": (cfg.batch, cfg.s1), "m2": (cfg.batch, cfg.s2)}
+    if variant.kind == MEMORY_RESAMPLED:
+        shapes["proj"] = (d, variant.out_dim)
+    table = param_table(shapes)
+    size = sum(math.prod(shape) for shape in shapes.values())
 
-    for attempt in range(1, MAX_TRIES + 1):
-        case_rng = rng.split(1000 + attempt)
-        params, mem, m1, m2, proj = _draw_case(cfg, case_rng)
+    def forward(parts: Dict[str, Array], mem):
+        """(out, trace, layer) of the case whose views are `parts`."""
+        if not layer_shapes:
+            return naive_fusion(parts["m1"], parts["m2"]), None, None
+        layer = FusionParams(*(parts[name] for name in layer_shapes))
+        out, trace, _ = fusion_forward(layer, mem, variant, parts["m1"], parts["m2"], proj=parts.get("proj"))
+        return out, trace, layer
 
-        out, trace, _ = fusion_forward(params, mem, variant, m1, m2, proj=proj)
-        grad_out = 2.0 * out
+    def draw(rng: Rng):
+        flat = np.empty(size)
+        parts = table_views(table, flat)
+        mem = None
+        if layer_shapes:
+            init_params(rng.split(1), d, out=flat[: table["m1"][0]])
+            mem = init_memory(rng.split(2), cfg.slots, d)
+        for mode in ("m1", "m2"):
+            rng.fill_normal(parts[mode])
+            parts[mode] *= INPUT_SIGMA
+        if "proj" in parts:
+            bound = 1.0 / math.sqrt(d)
+            rng.fill_uniform(parts["proj"], -bound, bound)
 
-        if variant.kind == NAIVE:
-            g1, g2 = naive_backward(grad_out, cfg.s1)
-            analytic = {"m1": g1, "m2": g2}
-            theta = {"m1": m1, "m2": m2}
-        else:
-            if np.abs(trace.pre_act).min() < KINK_MARGIN:
-                continue
-            bwd = fusion_backward(params, trace, mem, grad_out, proj=proj)
-            g1, g2 = fusion_input_grads(params, trace, bwd)
+        out, trace, layer = forward(parts, mem)
+
+        def backward() -> Dict[str, Array]:
+            grad_out = 2.0 * out
+            if trace is None:
+                g1, g2 = naive_backward(grad_out, cfg.s1)
+                return {"m1": g1, "m2": g2}
+            bwd = fusion_backward(layer, trace, mem, grad_out, proj=parts.get("proj"))
+            g1, g2 = fusion_input_grads(layer, trace, bwd)
             analytic = {**vars(bwd.params), "m1": g1, "m2": g2}
-            theta = {**vars(params), "m1": m1, "m2": m2}
-            if proj is not None:
+            if bwd.grad_proj is not None:
                 analytic["proj"] = bwd.grad_proj
-                theta["proj"] = proj
+            return analytic
 
-        if not _grad_margins_ok(analytic):
-            continue
-        table = param_table(theta)
-
-        def loss_fn(flat: Array) -> float:
-            parts = table_views(table, flat)
-            layer = params if variant.kind == NAIVE else FusionParams(*(parts[f] for f in PARAM_FIELDS))
-            trial = fusion_forward(layer, mem, variant, parts["m1"], parts["m2"], proj=parts.get("proj"))[0]
+        def loss_fn(theta: Array) -> float:
+            trial = forward(table_views(table, theta), mem)[0]
             return float(np.sum(trial * trial))
 
-        numeric = table_views(table, central_diff(loss_fn, flatten(table, theta), step=step))
-        return _report_from_blocks(analytic, numeric, threshold, step, tries=attempt)
+        return [] if trace is None else [trace.pre_act], backward, loss_fn, flat, table
 
-    raise ParameterError(
-        f"check_layer: no well-conditioned configuration found in {MAX_TRIES} tries "
-        f"(seed {seed}, variant {variant.kind})"
-    )
+    return _check(f"check_layer ({variant.kind})", seed, 1000, draw, threshold, step)
 
 
 def standard_variants(out_dim: int = 4) -> list[Variant]:
@@ -289,7 +286,7 @@ def check_classifier(seed: int, variant: Variant = Variant(), threshold: float =
     """
     cfg = ClassifierConfig(
         variant=variant.kind,
-        out_dim=variant.out_dim if variant.kind == MEMORY_RESAMPLED else 0,
+        out_dim=variant.out_dim,
         encoder_hidden=3,
         head_hidden=4,
         classes=3,
@@ -304,31 +301,19 @@ def check_classifier(seed: int, variant: Variant = Variant(), threshold: float =
         read_bias_init=0.0,
         transform_gain=1.0,
     )
-    rng = Rng(seed)
 
-    for attempt in range(1, MAX_TRIES + 1):
-        case_rng = rng.split(7000 + attempt)
-        state = build_state(cfg, s1=3, s2=2, init_seed=int(case_rng.integers(1, 2**31)[0]))
-        m1 = INPUT_SIGMA * case_rng.normal(cfg.batch * 3).reshape(cfg.batch, 3)
-        m2 = INPUT_SIGMA * case_rng.normal(cfg.batch * 2).reshape(cfg.batch, 2)
-        labels = case_rng.integers(cfg.batch, cfg.classes)
-
-        loss, grads, cache = loss_and_grads(state, m1, m2, labels)
-        grads = grads.named()
-        if not relu_margins_ok(cache, KINK_MARGIN):
-            continue
-        if not _grad_margins_ok(grads):
-            continue
-
+    def draw(rng: Rng):
+        state = build_state(cfg, s1=3, s2=2, init_seed=int(rng.integers(1, 2**31)[0]))
+        m1 = INPUT_SIGMA * rng.normal(cfg.batch * 3).reshape(cfg.batch, 3)
+        m2 = INPUT_SIGMA * rng.normal(cfg.batch * 2).reshape(cfg.batch, 2)
+        labels = rng.integers(cfg.batch, cfg.classes)
+        _, grads, cache = loss_and_grads(state, m1, m2, labels)
         table = state.params.table
 
         def loss_fn(flat: Array) -> float:
             logits, _ = forward_logits(cfg, ModelParams(flat, table), state.memories, m1, m2)
             return cross_entropy_batch(logits, labels)[0]
 
-        numeric = table_views(table, central_diff(loss_fn, state.params.flat, step=step))
-        return _report_from_blocks(grads, numeric, threshold, step, tries=attempt)
+        return relu_inputs(cache), grads.named, loss_fn, state.params.flat, table
 
-    raise ParameterError(
-        f"check_classifier: no well-conditioned configuration found in {MAX_TRIES} tries"
-    )
+    return _check("check_classifier", seed, 7000, draw, threshold, step)

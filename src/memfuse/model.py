@@ -75,7 +75,6 @@ class ClassifierConfig:
     transform_gain: float = 16.0
 
     def __post_init__(self):
-        self.variant = self.variant.strip().lower().replace("-", "_")
         if self.classes < 2:
             raise ParameterError(f"classes must be >= 2, got {self.classes}")
         if self.lr < 0:
@@ -92,11 +91,10 @@ class ClassifierConfig:
             raise ParameterError(f"encoder_hidden must be >= 0, got {self.encoder_hidden}")
         if self.out_dim < 0:
             raise ParameterError(f"out_dim must be >= 0, got {self.out_dim}")
-        if self.variant == MEMORY_RESAMPLED and self.out_dim < 1:
-            raise ParameterError("resampled variant needs out_dim >= 1")
         if self.read_bias_init < 0 or self.transform_gain <= 0:
             raise ParameterError("read_bias_init must be >= 0 and transform_gain > 0")
-        parse_variant(self.variant, out_dim=self.out_dim)  # validates the kind
+        # the kind in its one spelling; Variant checks it and a resampled out_dim
+        self.variant = parse_variant(self.variant, out_dim=self.out_dim).kind
 
     def layer_variants(self) -> List[Variant]:
         """One Variant per fusion layer, in layer order (none for naive)."""
@@ -119,13 +117,13 @@ def _layer_variants(variant: str, out_dim: int) -> Tuple[Variant, ...]:
 Table = Dict[str, Tuple[int, Tuple[int, ...]]]
 
 
-def param_table(blocks: Dict[str, Array]) -> Table:
-    """Lay the given blocks end to end, in their order."""
+def param_table(shapes: Dict[str, Tuple[int, ...]]) -> Table:
+    """Lay blocks of the given shapes end to end, in their order."""
     table: Table = {}
     offset = 0
-    for name, block in blocks.items():
-        table[name] = (offset, block.shape)
-        offset += block.size
+    for name, shape in shapes.items():
+        table[name] = (offset, shape)
+        offset += math.prod(shape)
     return table
 
 
@@ -135,15 +133,6 @@ def table_views(table: Table, flat: Array, prefix: str = "") -> Dict[str, Array]
         prefix + name: flat[offset : offset + math.prod(shape)].reshape(shape)
         for name, (offset, shape) in table.items()
     }
-
-
-def flatten(table: Table, arrays: Dict[str, Array], prefix: str = "") -> Array:
-    """The named arrays (each name led by `prefix`) copied into one flat vector."""
-    parts = [arrays[prefix + name] for name in table]
-    for (name, (_, shape)), part in zip(table.items(), parts):
-        if part.shape != shape:
-            raise ShapeError(f"{prefix}{name} has shape {part.shape}, want {shape}")
-    return np.concatenate(parts, axis=None)
 
 
 class ModelParams:
@@ -190,8 +179,6 @@ class ModelParams:
 @dataclass
 class TrainState:
     config: ClassifierConfig
-    s1: int
-    s2: int
     params: ModelParams
     memories: List[MemoryState]
     m_flat: Array   # Adam's first moment, laid out like params.flat
@@ -278,8 +265,6 @@ def build_state(config: ClassifierConfig, s1: int, s2: int, init_seed: Optional[
     params = ModelParams(flat, table)
     return TrainState(
         config=config,
-        s1=s1,
-        s2=s2,
         params=params,
         memories=_fresh_memories(config.slots, params, mem_seed),
         m_flat=np.zeros(flat.size),
@@ -305,7 +290,6 @@ _EVAL_BLOCK = 256
 @dataclass(slots=True)
 class BatchCache:
     enc1: Array
-    enc2: Array
     pre1: Optional[Array]
     pre2: Optional[Array]
     traces: List[ForwardTrace]
@@ -313,10 +297,8 @@ class BatchCache:
     new_memories: List[MemoryState]
     fused_out: Array
     hid_pre: Array
-    hid: Array
     drop_mask: Optional[Array]
     hid_dropped: Array
-    logits: Array
 
 
 def encode(params: ModelParams, m1: Array, m2: Array, matmul=np.matmul):
@@ -379,9 +361,9 @@ def forward_logits(
         traces.append(trace)
         new_memories.append(new_mem)
     fused_out = _head_input(outs, enc1, enc2)
-    logits, hid_pre, hid, hid_dropped = head_forward(params, fused_out, drop_mask)
-    cache = BatchCache(enc1, enc2, pre1, pre2, traces, list(memories), new_memories,
-                       fused_out, hid_pre, hid, drop_mask, hid_dropped, logits)
+    logits, hid_pre, _, hid_dropped = head_forward(params, fused_out, drop_mask)
+    cache = BatchCache(enc1, pre1, pre2, traces, list(memories), new_memories,
+                       fused_out, hid_pre, drop_mask, hid_dropped)
     return logits, cache
 
 
@@ -474,13 +456,13 @@ def loss_and_grads(state: TrainState, m1: Array, m2: Array, labels: Array):
     return loss, grads, cache
 
 
-def relu_margins_ok(cache: BatchCache, margin: float) -> bool:
-    """True when every ReLU pre-activation sits clear of its kink."""
+def relu_inputs(cache: BatchCache) -> List[Array]:
+    """Every ReLU pre-activation of the batch: the head's, the encoders'
+    and each fusion layer's."""
     pres = [cache.hid_pre]
     if cache.pre1 is not None:
         pres += [cache.pre1, cache.pre2]
-    pres += [tr.pre_act for tr in cache.traces]
-    return all(np.abs(p).min() >= margin for p in pres if p.size)
+    return pres + [tr.pre_act for tr in cache.traces]
 
 
 def adam_step(

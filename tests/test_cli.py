@@ -581,3 +581,49 @@ class TestUsage:
     def test_unknown_variant_exit_2(self, tmp_path):
         cfg = write_config(tmp_path, tiny_experiment(tmp_path / "run"))
         assert main(["train", "--config", cfg, "--variant", "bogus"]) == 2
+
+
+class TestUnusablePaths:
+    """A path the command cannot use exits 2 with one `error:` line naming
+    it, and a bad --out fails before any training."""
+
+    def _refused(self, capsys, argv, path):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert str(path) in err and "Traceback" not in err
+
+    @pytest.fixture
+    def no_training(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("trained before the output directory was made")
+
+        monkeypatch.setattr(cli, "run_single", refuse)
+
+    def test_train_out_is_an_existing_file(self, tmp_path, capsys, no_training):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        cfg = write_config(tmp_path, tiny_experiment(tmp_path / "run"))
+        self._refused(capsys, ["train", "--config", cfg, "--out", str(taken)], taken)
+
+    def test_train_out_under_a_file(self, tmp_path, capsys, no_training):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        cfg = write_config(tmp_path, tiny_experiment(tmp_path / "run"))
+        self._refused(capsys, ["train", "--config", cfg, "--out", str(taken / "sub")], taken / "sub")
+
+    def test_ablate_out_is_an_existing_file(self, tmp_path, capsys, no_training):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        cfg = write_config(tmp_path, tiny_experiment(tmp_path / "run"))
+        self._refused(capsys, ["ablate", "--config", cfg, "--out", str(taken)], taken)
+
+    def test_gen_data_out_under_a_file(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        cfg = write_config(tmp_path, tiny_experiment(tmp_path / "run"))
+        self._refused(capsys, ["gen-data", "--config", cfg, "--out", str(taken / "x.csv")], taken)
+
+    def test_evaluate_checkpoint_is_a_directory(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, tiny_experiment(tmp_path / "run"))
+        self._refused(capsys, ["evaluate", "--config", cfg, "--checkpoint", str(tmp_path)], tmp_path)

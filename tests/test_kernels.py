@@ -3,6 +3,7 @@ and the layer's elementwise steps and products, checked on the batched
 path the program runs."""
 
 import concurrent.futures
+import functools
 import math
 import sys
 
@@ -122,6 +123,23 @@ class TestMatmul:
         with pytest.raises(ShapeError):
             fusion_rows(params, mem, Variant(), np.ones((4, 2)), np.ones((4, 3)), batch=2)
 
+    @pytest.mark.parametrize("batch", [0, -1, 2.5, True, None])
+    def test_bad_batch_is_refused(self, batch):
+        # a batch that is not a whole number of at least 1 names itself,
+        # whether or not the rows fit in one batch; the layer inherits the check
+        with pytest.raises(ParameterError, match="batch"):
+            batchwise_matmul(np.ones((4, 2)), np.ones((2, 3)), batch)
+        with pytest.raises(ParameterError, match="batch"):
+            batchwise_matmul(np.ones((1, 2)), np.ones((2, 3)), batch)
+        params, mem = init_params(Rng(1), 5), init_memory(Rng(1), 3, 5)
+        with pytest.raises(ParameterError, match="batch"):
+            fusion_rows(params, mem, Variant(), np.ones((4, 2)), np.ones((4, 3)), batch=batch)
+
+    def test_integer_batch_types(self):
+        a, b = np.arange(10.0).reshape(5, 2), np.ones((2, 3))
+        want = batchwise_matmul(a, b, 2)
+        assert batchwise_matmul(a, b, np.int64(2)).tobytes() == want.tobytes()
+
 
 class TestSoftmax:
     """softmax_rows, the layer's one softmax (keys and composer gate)."""
@@ -233,9 +251,13 @@ class TestConcat:
         assert not np.array_equal(plain.scores, cross.scores)
 
     def test_benchmark_dims(self):
+        # the naive variant is naive_fusion alone (its 6848-wide output is
+        # test_fusion.py::TestNaiveAndSwap::test_naive_benchmark_dims); the
+        # layer refuses it
         params, mem = init_params(Rng(1), 2), init_memory(Rng(1), 2, 2)
-        out, trace, same = fusion_forward(params, mem, Variant(NAIVE), np.zeros((2, 2048)), np.zeros((2, 4800)))
-        assert out.shape == (2, 6848) and trace is None and same is mem
+        for run in (fusion_forward, functools.partial(fusion_rows, batch=2)):
+            with pytest.raises(ParameterError, match="naive_fusion"):
+                run(params, mem, Variant(NAIVE), np.zeros((2, 2048)), np.zeros((2, 4800)))
 
     def test_empty_rejected(self):
         params, mem = init_params(Rng(1), 2), init_memory(Rng(1), 2, 2)
