@@ -206,24 +206,15 @@ def stacked_splits(exp: ExperimentConfig):
     return split(data, exp.train_frac, exp.val_frac)
 
 
-def run_single(
-    exp: ExperimentConfig,
-    seed: int,
-    variant: Optional[str] = None,
-    slots: Optional[int] = None,
-    splits=None,
-):
-    """Train one (variant, slots, seed) cell; returns (state, curves, report).
+def run_single(exp: ExperimentConfig, seed: int, splits=None, **overrides):
+    """Train one cell; returns (state, curves, report).
 
+    The cell's classifier is exp.classifier with this seed and with the
+    `overrides` fields replaced (for example variant=, slots=, out_dim=).
     `splits` is stacked_splits(exp), built here when not given; a sweep
     builds it once and passes it to every cell.
     """
-    cls = dataclasses.replace(
-        exp.classifier,
-        seed=seed,
-        variant=variant if variant is not None else exp.classifier.variant,
-        slots=slots if slots is not None else exp.classifier.slots,
-    )
+    cls = dataclasses.replace(exp.classifier, seed=seed, **overrides)
     train, val, test = stacked_splits(exp) if splits is None else splits
     state = build_state(cls, exp.task.s1, exp.task.s2)
     curves = fit(state, train, val)
@@ -260,6 +251,7 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     exp = load_experiment(args.config, vars(args))
     out = Path(exp.out_dir)
+    out.mkdir(parents=True, exist_ok=True)  # a bad --out fails before the evaluation
     checkpoint = Path(args.checkpoint or out / "checkpoint.bin")
     if not checkpoint.exists():
         raise ParameterError(f"checkpoint not found: {checkpoint}")
@@ -269,7 +261,6 @@ def cmd_evaluate(args) -> int:
     state = build_state(cls, exp.task.s1, exp.task.s2)
     restore_state(state, load_arrays(checkpoint))
     report = evaluate(state, test, freeze_writes=args.freeze_writes or None)
-    out.mkdir(parents=True, exist_ok=True)
     write_json(out / "metrics.json", metrics_doc(exp, seed, report, []))
     (out / "confusion.csv").write_text(confusion_to_csv(report.confusion))
     print(f"evaluated: wa={report.wa:.4f} ua={report.ua:.4f}")
@@ -282,72 +273,31 @@ def cmd_ablate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)  # a bad --out fails before the sweep
     # every cell trains on the same task, so the dataset is built once
     splits = stacked_splits(exp)
-
-    memory_size_rows = []
-    for variant in exp.sweep_variants:
-        for slots in exp.sweep_slots:
-            for seed in exp.seeds:
-                _, curves, report = run_single(exp, seed, variant=variant, slots=slots, splits=splits)
-                memory_size_rows.append(
-                    {
-                        "variant": variant,
-                        "slots": slots,
-                        "seed": seed,
-                        "wa": report.wa,
-                        "ua": report.ua,
-                    }
-                )
-                print(
-                    f"[memory-size] {variant} slots={slots} seed={seed}: "
-                    f"wa={report.wa:.4f} ua={report.ua:.4f}",
-                    flush=True,
-                )
-
-    # a location cell the memory-size study already trained is reused
-    trained = {(r["variant"], r["slots"], r["seed"]): r for r in memory_size_rows}
-    location_rows = []
-    for variant in ("memory", "memory_single"):
-        for seed in exp.seeds:
-            row = trained.get((variant, exp.classifier.slots, seed))
-            if row is None:
-                _, _, report = run_single(exp, seed, variant=variant, splits=splits)
-                row = {"variant": variant, "slots": exp.classifier.slots, "seed": seed,
-                       "wa": report.wa, "ua": report.ua}
-            location_rows.append(dict(row))
-            print(f"[location] {variant} seed={seed}: wa={row['wa']:.4f}", flush=True)
-
-    out_dim_rows = []
-    native = head_input_dim(
-        dataclasses.replace(exp.classifier, variant="memory", out_dim=0),
-        exp.task.s1,
-        exp.task.s2,
-    )
-    for d_out in exp.sweep_out_dims:
-        for seed in exp.seeds:
-            cls = dataclasses.replace(exp.classifier, variant="memory_resampled", out_dim=d_out)
-            sub = dataclasses.replace(exp, classifier=cls)
-            _, _, report = run_single(sub, seed, splits=splits)
-            out_dim_rows.append(
-                {"variant": "memory_resampled", "out_dim": d_out, "seed": seed,
-                 "wa": report.wa, "ua": report.ua}
-            )
-            print(f"[out-dim] d_out={d_out} seed={seed}: wa={report.wa:.4f}", flush=True)
-
-    baseline_rows = []
-    for seed in exp.seeds:
-        _, _, report = run_single(exp, seed, variant="naive", splits=splits)
-        baseline_rows.append({"variant": "naive", "seed": seed, "wa": report.wa, "ua": report.ua})
-        print(f"[baseline] naive seed={seed}: wa={report.wa:.4f}", flush=True)
-
-    doc = {
-        "native_output_dim": native,
-        "memory_size": memory_size_rows,
-        "memory_location": location_rows,
-        "output_dim": out_dim_rows,
-        "baseline": baseline_rows,
+    # study -> its cells, each the classifier fields it overrides
+    studies = {
+        "memory_size": [{"variant": v, "slots": k} for v in exp.sweep_variants for k in exp.sweep_slots],
+        "memory_location": [{"variant": v, "slots": exp.classifier.slots} for v in ("memory", "memory_single")],
+        "output_dim": [{"variant": "memory_resampled", "out_dim": d} for d in exp.sweep_out_dims],
+        "baseline": [{"variant": "naive"}],
     }
+    doc = {"native_output_dim": head_input_dim(
+        dataclasses.replace(exp.classifier, variant="memory", out_dim=0), exp.task.s1, exp.task.s2)}
+    # a cell that two studies name with the same config is trained once
+    scores = {}
+    for study, cells in studies.items():
+        doc[study] = []
+        for cell in cells:
+            for seed in exp.seeds:
+                key = dataclasses.astuple(dataclasses.replace(exp.classifier, seed=seed, **cell))
+                if key not in scores:
+                    _, _, report = run_single(exp, seed, splits=splits, **cell)
+                    scores[key] = {"wa": report.wa, "ua": report.ua}
+                row = {**cell, "seed": seed, **scores[key]}
+                doc[study].append(row)
+                fields = " ".join(f"{k}={v}" for k, v in cell.items())
+                print(f"[{study}] {fields} seed={seed}: wa={row['wa']:.4f} ua={row['ua']:.4f}", flush=True)
     write_json(out / "ablation.json", doc)
-    print(f"ablation table -> {out / 'ablation.json'} ({len(memory_size_rows)} sweep rows)")
+    print(f"ablation table -> {out / 'ablation.json'} ({len(scores)} cells trained)")
     return EXIT_OK
 
 

@@ -104,15 +104,7 @@ def relative_errors(a: Array, b: Array) -> Array:
 @dataclass
 class BlockReport:
     max_rel: float
-    mean_rel: float
     worst_index: int
-
-    def to_dict(self) -> dict:
-        return {
-            "max_rel": self.max_rel,
-            "mean_rel": self.mean_rel,
-            "worst_index": self.worst_index,
-        }
 
 
 @dataclass
@@ -120,10 +112,7 @@ class GradReport:
     """Outcome of one finite-difference comparison."""
 
     passed: bool
-    threshold: float
-    step: float
     blocks: Dict[str, BlockReport] = field(default_factory=dict)
-    tries: int = 1
 
     @property
     def max_rel(self) -> float:
@@ -131,16 +120,6 @@ class GradReport:
 
     def worst_block(self) -> str:
         return max(self.blocks, key=lambda k: self.blocks[k].max_rel)
-
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "threshold": self.threshold,
-            "step": self.step,
-            "max_rel": self.max_rel,
-            "tries": self.tries,
-            "blocks": {k: v.to_dict() for k, v in self.blocks.items()},
-        }
 
 
 @dataclass
@@ -191,9 +170,9 @@ def _check(what: str, seed: int, label_base: int, draw: Callable, threshold: flo
         blocks = {}
         for name, a in analytic.items():
             rel = relative_errors(a, numeric[name])
-            blocks[name] = BlockReport(float(rel.max()), float(rel.mean()), int(np.argmax(rel)))
+            blocks[name] = BlockReport(float(rel.max()), int(np.argmax(rel)))
         passed = all(block.max_rel < threshold for block in blocks.values())
-        return GradReport(passed, threshold, step, blocks, tries=attempt)
+        return GradReport(passed, blocks)
     raise ParameterError(f"{what}: no well-conditioned configuration found in {MAX_TRIES} tries (seed {seed})")
 
 

@@ -465,15 +465,17 @@ def relu_inputs(cache: BatchCache) -> List[Array]:
     return pres + [tr.pre_act for tr in cache.traces]
 
 
-def adam_step(
-    state: TrainState,
-    grads: ModelParams,
-    lr: Optional[float] = None,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> TrainState:
-    """Bias-corrected Adam update, in place on the state's parameters.
+# Adam's decay rates and floor; the step's constant operands are read-only 0-d
+# arrays, which numpy takes without a Python float's weak-scalar promotion
+_BETA1, _BETA2 = 0.9, 0.999
+_ADAM = np.array([_BETA1, 1.0 - _BETA1, _BETA2, 1.0 - _BETA2, 1e-8])
+_ADAM.flags.writeable = False
+_B1, _B1C, _B2, _B2C, _EPS = (_ADAM[i, ...] for i in range(5))
+
+
+def adam_step(state: TrainState, grads: ModelParams) -> TrainState:
+    """Bias-corrected Adam update at the config's lr, in place on the
+    state's parameters.
 
     The gradients are laid out like the parameters, so the update is a
     few whole-vector operations on `grads.flat`, done in place through
@@ -482,23 +484,21 @@ def adam_step(
     params = state.params
     if grads.table is not params.table and grads.table != params.table:
         raise ShapeError("adam_step: gradients are not laid out like the parameters")
-    if lr is None:
-        lr = state.config.lr
     g = grads.flat
     state.step = t = state.step + 1
     m, v = state.m_flat, state.v_flat
-    m *= beta1
-    tmp = np.multiply(1.0 - beta1, g)
+    m *= _B1
+    tmp = np.multiply(_B1C, g)
     m += tmp
-    v *= beta2
-    np.multiply(1.0 - beta2, g, out=tmp)
+    v *= _B2
+    np.multiply(_B2C, g, out=tmp)
     tmp *= g
     v += tmp
-    step = np.divide(m, 1.0 - beta1**t, out=tmp)  # m_hat
-    step *= lr
-    denom = np.divide(v, 1.0 - beta2**t)  # v_hat
+    step = np.divide(m, 1.0 - _BETA1**t, out=tmp)  # m_hat
+    step *= state.config.lr
+    denom = np.divide(v, 1.0 - _BETA2**t)  # v_hat
     np.sqrt(denom, out=denom)
-    denom += eps
+    denom += _EPS
     step /= denom
     params.flat -= step
     return state

@@ -1,5 +1,7 @@
 """CLI behavior: exit codes, artifacts, determinism, schema validity."""
 
+import dataclasses
+import hashlib
 import json
 import struct
 import sys
@@ -223,21 +225,26 @@ class TestAblate:
         assert len(doc["memory_size"]) == 1
 
 
-    def test_no_cell_trained_twice(self, tmp_path, monkeypatch):
-        # classifier.slots (4) is in the slot sweep, so the location study's
-        # memory cells are the memory-size study's
-        cells = []
-        given_splits = []
+    @staticmethod
+    def fake_cells(monkeypatch):
+        """Replace run_single by a fake; returns the lists of (variant,
+        slots, out_dim, seed) keys and of splits it was called with."""
+        cells, given_splits = [], []
 
-        def fake_run_single(exp, seed, variant=None, slots=None, splits=None):
-            cls = exp.classifier
-            key = (variant or cls.variant, slots or cls.slots, cls.out_dim, seed)
-            cells.append(key)
+        def fake_run_single(exp, seed, splits=None, **cell):
+            cls = dataclasses.replace(exp.classifier, **cell)
+            cells.append((cls.variant, cls.slots, cls.out_dim, seed))
             given_splits.append(splits)
             wa = (len(cells) % 7) / 7
             return None, [], SimpleNamespace(wa=wa, ua=wa / 2)
 
         monkeypatch.setattr(cli, "run_single", fake_run_single)
+        return cells, given_splits
+
+    def test_no_cell_trained_twice(self, tmp_path, monkeypatch):
+        # classifier.slots (4) is in the slot sweep, so the location study's
+        # memory cells are the memory-size study's
+        cells, given_splits = self.fake_cells(monkeypatch)
         out = tmp_path / "abl"
         sweep = {"slots": [2, 4], "variants": ["memory", "memory_cross"], "out_dims": [4]}
         cfg = write_config(tmp_path, tiny_experiment(out, seeds=(0, 1), sweep=sweep))
@@ -251,6 +258,38 @@ class TestAblate:
         # every cell was handed the one dataset the sweep built
         assert given_splits[0] is not None
         assert all(sp is given_splits[0] for sp in given_splits)
+
+    def test_cell_shared_across_studies_trained_once(self, tmp_path, monkeypatch):
+        # naive at classifier.slots (4) is both a memory-size cell and the baseline
+        cells, _ = self.fake_cells(monkeypatch)
+        out = tmp_path / "abl"
+        sweep = {"slots": [2, 4], "variants": ["memory", "naive"], "out_dims": [4]}
+        cfg = write_config(tmp_path, tiny_experiment(out, seeds=(0, 1), sweep=sweep))
+        assert main(["ablate", "--config", cfg]) == 0
+        assert len(cells) == len(set(cells)) == 8 + 2 + 2
+        doc = json.loads((out / "ablation.json").read_text())
+        naive_at_4 = [{k: v for k, v in row.items() if k != "slots"} for row in doc["memory_size"]
+                      if row["variant"] == "naive" and row["slots"] == 4]
+        assert doc["baseline"] == naive_at_4 and len(naive_at_4) == 2
+
+    def test_bench_sweep_document_is_pinned(self, tmp_path):
+        # the values of bench/configs/ablate_sweep.json, inline so that this
+        # pin does not move with the benchmark's config
+        doc = {
+            "task": {"s1": 4, "s2": 4, "classes": 3, "regimes": 3, "regime_period": 8,
+                     "occlusion_prob": 0.1, "noise_sigma": 0.25, "length": 1000, "seed": 0},
+            "classifier": {"variant": "memory", "encoder_hidden": 0, "head_hidden": 32,
+                           "dropout_rate": 0.0, "slots": 20, "lr": 0.002, "batch": 2, "epochs": 2,
+                           "seed": 0, "read_bias_init": 0.0, "transform_gain": 1.0},
+            "seeds": [0, 1],
+            "train_frac": 0.8,
+            "val_frac": 0.1,
+            "out_dir": str(tmp_path / "abl"),
+            "sweep": {"slots": [20, 100], "variants": ["memory", "memory_cross"], "out_dims": [8]},
+        }
+        assert main(["ablate", "--config", write_config(tmp_path, doc)]) == 0
+        got = hashlib.sha256((tmp_path / "abl" / "ablation.json").read_bytes()).hexdigest()
+        assert got == "8abb3a6703a3aa70d47b56c7e5cbf123b61d8fc449f2d8eb37e02a89d92b008d"
 
     def test_dataset_built_once_per_sweep(self, tmp_path, monkeypatch):
         built = []
@@ -623,6 +662,16 @@ class TestUnusablePaths:
         taken.write_text("")
         cfg = write_config(tmp_path, tiny_experiment(tmp_path / "run"))
         self._refused(capsys, ["gen-data", "--config", cfg, "--out", str(taken / "x.csv")], taken)
+
+    def test_evaluate_out_is_an_existing_file(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("built the data before the output directory was made")
+
+        monkeypatch.setattr(cli, "stacked_splits", refuse)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        cfg = write_config(tmp_path, tiny_experiment(tmp_path / "run"))
+        self._refused(capsys, ["evaluate", "--config", cfg, "--checkpoint", cfg, "--out", str(taken)], taken)
 
     def test_evaluate_checkpoint_is_a_directory(self, tmp_path, capsys):
         cfg = write_config(tmp_path, tiny_experiment(tmp_path / "run"))

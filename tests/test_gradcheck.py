@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from memfuse.errors import NumericError, ParameterError
-from memfuse.fusion import MEMORY_RESAMPLED, MEMORY_SINGLE, NAIVE, Variant, fusion_backward
+from memfuse.fusion import MEMORY_RESAMPLED, MEMORY_SINGLE, NAIVE, Variant, fusion_backward, init_params
 from memfuse.gradcheck import (
     BATCH_CAP,
     DIM_CAP,
@@ -124,27 +124,32 @@ class TestCheckLayer:
         # every configuration that reaches the backward pass is clear of the ReLU kinks
         import memfuse.gradcheck
 
-        traces = []
+        traces, draws = [], []
 
         def recording(params, trace, *args, **kwargs):
             traces.append(trace)
             return fusion_backward(params, trace, *args, **kwargs)
 
+        def drawing(*args, **kwargs):  # each draw of a layer case inits its parameters once
+            draws.append(args)
+            return init_params(*args, **kwargs)
+
         monkeypatch.setattr(memfuse.gradcheck, "fusion_backward", recording)
+        monkeypatch.setattr(memfuse.gradcheck, "init_params", drawing)
         # seed 11 takes its first draw; seed 24's first draw sits on a kink
         # and is redrawn before its backward pass
         for seed, tries in ((11, 1), (24, 2)):
             traces.clear()
+            draws.clear()
             rep = check_layer(LayerCheckConfig(), seed=seed)
-            assert rep.passed and rep.tries == tries and len(traces) == 1
+            assert rep.passed and len(draws) == tries and len(traces) == 1
             for trace in traces:
                 assert np.abs(trace.pre_act).min() >= KINK_MARGIN >= 1e-7
 
     def test_report_serializes(self):
         rep = check_layer(LayerCheckConfig(variant=Variant(NAIVE)), seed=3)
-        doc = rep.to_dict()
-        assert doc["passed"] is True
-        assert set(doc["blocks"]) == {"m1", "m2"}
+        assert rep.passed
+        assert set(rep.blocks) == {"m1", "m2"}
 
     def test_resampled_includes_projection_block(self):
         rep = check_layer(
@@ -171,11 +176,9 @@ class TestGradReport:
 
         rep = GradReport(
             passed=False,
-            threshold=1e-5,
-            step=1e-5,
             blocks={
-                "a": BlockReport(1e-7, 1e-8, 0),
-                "b": BlockReport(3e-4, 1e-5, 2),
+                "a": BlockReport(1e-7, 0),
+                "b": BlockReport(3e-4, 2),
             },
         )
         assert rep.worst_block() == "b"
