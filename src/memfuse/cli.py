@@ -212,7 +212,9 @@ def run_single(exp: ExperimentConfig, seed: int, splits=None, **overrides):
     The cell's classifier is exp.classifier with this seed and with the
     `overrides` fields replaced (for example variant=, slots=, out_dim=).
     `splits` is stacked_splits(exp), built here when not given; a sweep
-    builds it once and passes it to every cell.
+    builds it once and passes it to every cell with val None, so that a
+    cell runs no validation pass (its curves carry no val_wa / val_ua)
+    and its one evaluation is the test pass.
     """
     cls = dataclasses.replace(exp.classifier, seed=seed, **overrides)
     train, val, test = stacked_splits(exp) if splits is None else splits
@@ -260,7 +262,7 @@ def cmd_evaluate(args) -> int:
     _, _, test = stacked_splits(exp)
     state = build_state(cls, exp.task.s1, exp.task.s2)
     restore_state(state, load_arrays(checkpoint))
-    report = evaluate(state, test, freeze_writes=args.freeze_writes or None)
+    report = evaluate(state, test)
     write_json(out / "metrics.json", metrics_doc(exp, seed, report, []))
     (out / "confusion.csv").write_text(confusion_to_csv(report.confusion))
     print(f"evaluated: wa={report.wa:.4f} ua={report.ua:.4f}")
@@ -271,8 +273,6 @@ def cmd_ablate(args) -> int:
     exp = load_experiment(args.config, vars(args))
     out = Path(exp.out_dir)
     out.mkdir(parents=True, exist_ok=True)  # a bad --out fails before the sweep
-    # every cell trains on the same task, so the dataset is built once
-    splits = stacked_splits(exp)
     # study -> its cells, each the classifier fields it overrides
     studies = {
         "memory_size": [{"variant": v, "slots": k} for v in exp.sweep_variants for k in exp.sweep_slots],
@@ -282,20 +282,27 @@ def cmd_ablate(args) -> int:
     }
     doc = {"native_output_dim": head_input_dim(
         dataclasses.replace(exp.classifier, variant="memory", out_dim=0), exp.task.s1, exp.task.s2)}
+    # study -> its (cell, seed, key) triples; building every key checks every
+    # cell's config, so a bad sweep value exits before any data is built
+    keyed = {study: [(cell, seed, dataclasses.astuple(dataclasses.replace(exp.classifier, seed=seed, **cell)))
+                     for cell in cells for seed in exp.seeds]
+             for study, cells in studies.items()}
+    # every cell trains on the same task, so the dataset is built once; a
+    # cell reports only its test scores, so it runs no validation pass
+    train, _, test = stacked_splits(exp)
+    splits = (train, None, test)
     # a cell that two studies name with the same config is trained once
     scores = {}
-    for study, cells in studies.items():
+    for study, cells in keyed.items():
         doc[study] = []
-        for cell in cells:
-            for seed in exp.seeds:
-                key = dataclasses.astuple(dataclasses.replace(exp.classifier, seed=seed, **cell))
-                if key not in scores:
-                    _, _, report = run_single(exp, seed, splits=splits, **cell)
-                    scores[key] = {"wa": report.wa, "ua": report.ua}
-                row = {**cell, "seed": seed, **scores[key]}
-                doc[study].append(row)
-                fields = " ".join(f"{k}={v}" for k, v in cell.items())
-                print(f"[{study}] {fields} seed={seed}: wa={row['wa']:.4f} ua={row['ua']:.4f}", flush=True)
+        for cell, seed, key in cells:
+            if key not in scores:
+                _, _, report = run_single(exp, seed, splits=splits, **cell)
+                scores[key] = {"wa": report.wa, "ua": report.ua}
+            row = {**cell, "seed": seed, **scores[key]}
+            doc[study].append(row)
+            fields = " ".join(f"{k}={v}" for k, v in cell.items())
+            print(f"[{study}] {fields} seed={seed}: wa={row['wa']:.4f} ua={row['ua']:.4f}", flush=True)
     write_json(out / "ablation.json", doc)
     print(f"ablation table -> {out / 'ablation.json'} ({len(scores)} cells trained)")
     return EXIT_OK
@@ -378,11 +385,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, variant=True):
         p.add_argument("--config", required=True, help="experiment JSON path")
         p.add_argument("--seed", type=int, default=None, help="override the seed list")
         p.add_argument("--slots", type=int, default=None, help="override slot count")
-        p.add_argument("--variant", default=None, help="override fusion variant")
+        if variant:
+            p.add_argument("--variant", default=None, help="override fusion variant")
         p.add_argument("--out", default=None, help="override output directory")
         p.add_argument("--freeze-writes", action="store_true", dest="freeze_writes")
 
@@ -396,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_abl = sub.add_parser("ablate", help="run the ablation sweeps")
-    common(p_abl)
+    common(p_abl, variant=False)  # every ablation cell sets its own variant
     p_abl.set_defaults(func=cmd_ablate)
 
     p_gc = sub.add_parser("gradcheck", help="finite-difference gradient verification")

@@ -601,20 +601,19 @@ def forward_split(
     return logits, memories
 
 
-def evaluate(state: TrainState, dataset, freeze_writes: Optional[bool] = None) -> MetricsReport:
+def evaluate(state: TrainState, dataset) -> MetricsReport:
     """Metrics on a dataset; dropout off, memory evolves on a copy.
 
-    Writes follow the flag (default: the config's freeze_eval_writes);
-    either way the training memories are untouched.  The logits come
-    from forward_split, which loops batch by batch only over the
-    memory's write chain.  Non-finite logits raise NumericError naming
-    the first such sample.
+    Writes follow the config's freeze_eval_writes; either way the
+    training memories are untouched.  The logits come from
+    forward_split, which loops batch by batch only over the memory's
+    write chain.  Non-finite logits raise NumericError naming the first
+    such sample.
     """
     cfg = state.config
     m1_all, m2_all, y_all = _as_arrays(dataset, "evaluate", cfg.classes)
     n = m1_all.shape[0]
-    freeze = cfg.freeze_eval_writes if freeze_writes is None else freeze_writes
-    memories = [m.frozen() if freeze else m.copy() for m in state.memories]
+    memories = [m.frozen() if cfg.freeze_eval_writes else m.copy() for m in state.memories]
     logits_all, _ = forward_split(cfg, state.params, memories, m1_all, m2_all)
     # argmax would turn a NaN into a silent prediction
     finite = np.isfinite(logits_all).all(axis=1)

@@ -12,7 +12,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from memfuse import cli
+from memfuse import cli, model
 from memfuse.cli import ExperimentConfig, load_experiment, main, restore_state, state_to_arrays
 from memfuse.model import build_state, train_epoch
 from memfuse.serialize import load_arrays, save_arrays
@@ -51,6 +51,15 @@ def write_config(tmp_path, doc, name="exp.json"):
 
 def load_schema(name):
     return json.loads((SCHEMA_DIR / name).read_text())
+
+
+@pytest.fixture
+def no_training(monkeypatch):
+    """Fail the test if the command trains any run."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a run was trained")
+
+    monkeypatch.setattr(cli, "run_single", refuse)
 
 
 class TestTrain:
@@ -271,6 +280,51 @@ class TestAblate:
         naive_at_4 = [{k: v for k, v in row.items() if k != "slots"} for row in doc["memory_size"]
                       if row["variant"] == "naive" and row["slots"] == 4]
         assert doc["baseline"] == naive_at_4 and len(naive_at_4) == 2
+
+    def test_each_cell_evaluated_once_on_the_test_split(self, tmp_path, monkeypatch):
+        # swapped in every memfuse module that refers to it, as the
+        # benchmark's traced run swaps it
+        datasets = []
+        orig = model.evaluate
+
+        def counting(state, dataset):
+            datasets.append(dataset)
+            return orig(state, dataset)
+
+        for name, mod in list(sys.modules.items()):
+            if name == "memfuse" or name.startswith("memfuse."):
+                for key, val in list(vars(mod).items()):
+                    if val is orig:
+                        monkeypatch.setattr(mod, key, counting)
+        out = tmp_path / "abl"
+        sweep = {"slots": [2, 4], "variants": ["memory", "memory_cross"], "out_dims": [4]}
+        cfg = write_config(tmp_path, tiny_experiment(out, epochs=2, sweep=sweep))
+        assert main(["ablate", "--config", cfg]) == 0
+        # 4 memory-size cells (the location study's memory cell among them),
+        # memory_single, one output dim and the baseline; no validation pass
+        assert len(datasets) == 4 + 1 + 1 + 1
+        test = cli.stacked_splits(load_experiment(cfg))[2]
+        for dataset in datasets:
+            for got, want in zip(dataset, test, strict=True):
+                np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("sweep, named", [
+        ({"out_dims": [0]}, "out_dim"),
+        ({"slots": [4, 0]}, "slots"),
+        ({"variants": ["memory", "bogus"]}, "bogus"),
+    ])
+    def test_bad_sweep_value_exits_before_any_cell_trains(self, tmp_path, capsys, monkeypatch, no_training,
+                                                          sweep, named):
+        def refuse(exp):
+            raise AssertionError("built the data before checking the sweep")
+
+        monkeypatch.setattr(cli, "stacked_splits", refuse)
+        out = tmp_path / "abl"
+        cfg = write_config(tmp_path, tiny_experiment(out, sweep=sweep))
+        assert main(["ablate", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err, err
+        assert not (out / "ablation.json").exists()
 
     def test_bench_sweep_document_is_pinned(self, tmp_path):
         # the values of bench/configs/ablate_sweep.json, inline so that this
@@ -621,6 +675,12 @@ class TestUsage:
         cfg = write_config(tmp_path, tiny_experiment(tmp_path / "run"))
         assert main(["train", "--config", cfg, "--variant", "bogus"]) == 2
 
+    def test_ablate_takes_no_variant_flag(self, tmp_path, capsys, no_training):
+        # every ablation cell sets its own variant, so the flag would be ignored
+        cfg = write_config(tmp_path, tiny_experiment(tmp_path / "run"))
+        assert main(["ablate", "--config", cfg, "--variant", "naive"]) == 2
+        assert "unrecognized arguments: --variant" in capsys.readouterr().err
+
 
 class TestUnusablePaths:
     """A path the command cannot use exits 2 with one `error:` line naming
@@ -631,13 +691,6 @@ class TestUnusablePaths:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert str(path) in err and "Traceback" not in err
-
-    @pytest.fixture
-    def no_training(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("trained before the output directory was made")
-
-        monkeypatch.setattr(cli, "run_single", refuse)
 
     def test_train_out_is_an_existing_file(self, tmp_path, capsys, no_training):
         taken = tmp_path / "taken"

@@ -438,17 +438,17 @@ class TestEvaluate:
         np.testing.assert_array_equal(rep.confusion, tally)
 
     def test_eval_does_not_disturb_training_memory(self):
-        cfg = tiny_config(variant="memory")
+        cfg = tiny_config(variant="memory", freeze_eval_writes=False)
         state = build_state(cfg, 4, 4)
         before = state.memories[0].matrix.copy()
-        evaluate(state, tiny_data(n=20), freeze_writes=False)
+        evaluate(state, tiny_data(n=20))
         np.testing.assert_array_equal(state.memories[0].matrix, before)
 
     def test_freeze_writes_flag(self):
-        cfg = tiny_config(variant="memory")
+        cfg = tiny_config(variant="memory", freeze_eval_writes=True)
         state = build_state(cfg, 4, 4)
-        r1 = evaluate(state, tiny_data(n=24), freeze_writes=True)
-        r2 = evaluate(state, tiny_data(n=24), freeze_writes=True)
+        r1 = evaluate(state, tiny_data(n=24))
+        r2 = evaluate(state, tiny_data(n=24))
         assert r1.wa == r2.wa
         np.testing.assert_array_equal(r1.confusion, r2.confusion)
 
@@ -854,7 +854,7 @@ class TestEvalCallBudget:
     PER_BLOCK = 20  # encode, fusion_rows, the batchwise products, the head, ...
 
     def _calls(self, variant, freeze, n):
-        cfg = tiny_config(variant=variant, slots=20, batch=2, head_hidden=32)
+        cfg = tiny_config(variant=variant, slots=20, batch=2, head_hidden=32, freeze_eval_writes=freeze)
         state = build_state(cfg, 4, 4)
         data = tiny_data(n=n)
         package = str(Path(memfuse.__file__).parent)
@@ -866,7 +866,7 @@ class TestEvalCallBudget:
 
         sys.setprofile(count)
         try:
-            evaluate(state, data, freeze_writes=freeze)
+            evaluate(state, data)
         finally:
             sys.setprofile(None)
         return calls
