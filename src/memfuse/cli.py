@@ -194,7 +194,7 @@ def restore_state(state: TrainState, arrays: dict) -> TrainState:
     return state
 
 
-def stacked_splits(exp: ExperimentConfig):
+def task_splits(exp: ExperimentConfig):
     """The task's (train, val, test) splits, each a Dataset of read-only row views.
 
     Read-only, so runs that share the splits cannot change what the next
@@ -211,13 +211,13 @@ def run_single(exp: ExperimentConfig, seed: int, splits=None, **overrides):
 
     The cell's classifier is exp.classifier with this seed and with the
     `overrides` fields replaced (for example variant=, slots=, out_dim=).
-    `splits` is stacked_splits(exp), built here when not given; a sweep
+    `splits` is task_splits(exp), built here when not given; a sweep
     builds it once and passes it to every cell with val None, so that a
     cell runs no validation pass (its curves carry no val_wa / val_ua)
     and its one evaluation is the test pass.
     """
     cls = dataclasses.replace(exp.classifier, seed=seed, **overrides)
-    train, val, test = stacked_splits(exp) if splits is None else splits
+    train, val, test = task_splits(exp) if splits is None else splits
     state = build_state(cls, exp.task.s1, exp.task.s2)
     curves = fit(state, train, val)
     report = evaluate(state, test)
@@ -259,7 +259,7 @@ def cmd_evaluate(args) -> int:
         raise ParameterError(f"checkpoint not found: {checkpoint}")
     seed = exp.seeds[0]
     cls = dataclasses.replace(exp.classifier, seed=seed)
-    _, _, test = stacked_splits(exp)
+    _, _, test = task_splits(exp)
     state = build_state(cls, exp.task.s1, exp.task.s2)
     restore_state(state, load_arrays(checkpoint))
     report = evaluate(state, test)
@@ -289,7 +289,7 @@ def cmd_ablate(args) -> int:
              for study, cells in studies.items()}
     # every cell trains on the same task, so the dataset is built once; a
     # cell reports only its test scores, so it runs no validation pass
-    train, _, test = stacked_splits(exp)
+    train, _, test = task_splits(exp)
     splits = (train, None, test)
     # a cell that two studies name with the same config is trained once
     scores = {}

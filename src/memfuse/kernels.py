@@ -15,19 +15,14 @@ of uniforms.
 
 Draws are made a block of 2**14 pairs at a time, so a long draw holds no
 temporary longer than a block, and the blocks never change a value: the
-bits are those of the whole-array formula.  A draw of more than one
-block runs its blocks on a thread pool, one thread per CPU the process
-may use and never more threads than blocks; numpy releases the GIL
-inside the mixing, `log`, `sqrt`, `cos` and `sin` loops, so the blocks
-run in parallel.  A one-block draw runs on the calling thread and starts
-no thread.  `Rng.fill_normal` draws straight into a caller's array, and
-with `rows` into only those rows of it, which is how
+bits are those of the whole-array formula.  The blocks of a draw run in
+order on the calling thread.  `Rng.fill_normal` draws straight into a
+caller's array, and with `rows` into only those rows of it, which is how
 `synthdata.gen_dataset` draws only the noise its stream keeps.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Optional, Tuple
 
 import numpy as np
@@ -138,32 +133,6 @@ def _mix64(z: Array) -> Array:
     return z
 
 
-def _cpus() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _run_blocks(fill, blocks: list) -> None:
-    """Hand `blocks` to fill(share) in shares: all of them to one call on
-    the calling thread when there is one block or one CPU, else one
-    interleaved share per thread of a pool with one thread per CPU and
-    never more threads than blocks.  Every result is read, so a share's
-    exception reaches the caller."""
-    workers = min(len(blocks), _cpus()) if len(blocks) > 1 else 1
-    if workers < 2:
-        fill(blocks)
-        return
-    # imported here, on the first draw that needs a pool: importing it adds
-    # about 0.6 MB to a process, and one-block draws never need it
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(workers) as pool:
-        for _ in pool.map(fill, [blocks[i::workers] for i in range(workers)]):
-            pass
-
-
 def _checked_rows(out: Array, rows) -> Array:
     """`rows` as int64, checked to be increasing row indices of a 2-D `out`."""
     rows = np.asarray(rows)
@@ -251,9 +220,8 @@ class Rng:
         advances by the whole draw.
 
         The draw runs in blocks of about 2**14 pairs (whole rows with
-        `rows`).  Blocks write disjoint parts of `out` and never touch the
-        counter; a draw of several blocks runs them on threads (see the
-        module docstring), a one-block draw on the calling thread.
+        `rows`), one after another on the calling thread.  Blocks write
+        disjoint parts of `out` and never touch the counter.
         """
         if sigma <= 0:
             raise ParameterError(f"normal: sigma must be > 0, got {sigma}")
@@ -269,34 +237,26 @@ class Rng:
             width = out.shape[1]
             touched = (width + 1) // 2  # pairs each row touches
             per_chunk = max(per_block // max(touched, 1), 1)  # rows per block
-
-            def fill(chunks):
-                # one thread's buffers, reused by each of its blocks (see _box_muller)
-                size = min(per_chunk, rows.size) * touched
-                buffers = (np.empty(2 * size, dtype=np.uint64), np.empty(2 * size),
-                           np.empty(size, dtype=np.int64), np.empty(2 * size))
-                for chunk in chunks:
-                    self._normal_rows(first, pairs, flat, width, chunk, mu, sigma, buffers)
-
-            _run_blocks(fill, [rows[i : i + per_chunk] for i in range(0, rows.size, per_chunk)])
+            # one set of buffers for the draw, reused by each block (see _box_muller)
+            size = min(per_chunk, rows.size) * touched
+            buffers = (np.empty(2 * size, dtype=np.uint64), np.empty(2 * size),
+                       np.empty(size, dtype=np.int64), np.empty(2 * size))
+            for i in range(0, rows.size, per_chunk):
+                self._normal_rows(first, pairs, flat, width, rows[i : i + per_chunk], mu, sigma, buffers)
         elif pairs <= per_block:
             # one block: its radius and angle counters form one range
             counters = np.arange(first + 1, first + 1 + 2 * pairs, dtype=np.uint64)
             self._box_muller(counters, flat, mu, sigma)
         else:
-
-            def fill(starts):
-                # one thread's buffers, reused by each of its blocks (see _box_muller)
-                buffer, uniforms = np.empty(2 * per_block, dtype=np.uint64), np.empty(2 * per_block)
-                index = np.arange(per_block, dtype=np.uint64)
-                for p0 in starts:
-                    m = min(per_block, pairs - p0)
-                    counters = buffer[: 2 * m]
-                    np.add(index[:m], first + 1 + p0, out=counters[:m])
-                    np.add(counters[:m], pairs, out=counters[m:])
-                    self._box_muller(counters, flat[2 * p0 : 2 * (p0 + m)], mu, sigma, uniforms[: 2 * m])
-
-            _run_blocks(fill, list(range(0, pairs, per_block)))
+            # one set of buffers for the draw, reused by each block (see _box_muller)
+            buffer, uniforms = np.empty(2 * per_block, dtype=np.uint64), np.empty(2 * per_block)
+            index = np.arange(per_block, dtype=np.uint64)
+            for p0 in range(0, pairs, per_block):
+                m = min(per_block, pairs - p0)
+                counters = buffer[: 2 * m]
+                np.add(index[:m], first + 1 + p0, out=counters[:m])
+                np.add(counters[:m], pairs, out=counters[m:])
+                self._box_muller(counters, flat[2 * p0 : 2 * (p0 + m)], mu, sigma, uniforms[: 2 * m])
         return out
 
     def _box_muller(self, counters: Array, z: Array, mu: float, sigma: float,
@@ -308,7 +268,7 @@ class Rng:
         one short.  `counters` is overwritten, and so is `uniforms`, a
         float64 array of its size that takes the uniforms when given.
 
-        A thread drawing many blocks passes the same buffers to each.
+        A draw of many blocks passes the same buffers to each.
         With fresh buffers per block the allocator handed their pages back
         between blocks: a draw into half the rows of a 24000 x 32 array
         took about 80 page faults per block and ran about 10% slower.

@@ -62,7 +62,6 @@ class ClassifierConfig:
     batch: int = 32
     epochs: int = 10
     seed: int = 0
-    reset_memory_each_epoch: bool = False
     freeze_eval_writes: bool = False
     # Warm-start policy for the memory loop.  A large uniform read bias
     # makes slot addressing start sharply peaked, so one row acts as a
@@ -263,10 +262,11 @@ def build_state(config: ClassifierConfig, s1: int, s2: int, init_seed: Optional[
         fp.w_scale *= config.transform_gain
 
     params = ModelParams(flat, table)
+    mrng = Rng(mem_seed).split(0)
     return TrainState(
         config=config,
         params=params,
-        memories=_fresh_memories(config.slots, params, mem_seed),
+        memories=[init_memory(mrng.split(i), config.slots, fp.dim) for i, fp in enumerate(params.fusion_layers)],
         m_flat=np.zeros(flat.size),
         v_flat=np.zeros(flat.size),
         grads=ModelParams(np.zeros(flat.size), table),
@@ -274,11 +274,6 @@ def build_state(config: ClassifierConfig, s1: int, s2: int, init_seed: Optional[
         drop_rng=drop_rng,
         mem_seed=mem_seed,
     )
-
-
-def _fresh_memories(slots: int, params: ModelParams, mem_seed: int, epoch: int = 0) -> List[MemoryState]:
-    mrng = Rng(mem_seed).split(epoch)
-    return [init_memory(mrng.split(i), slots, fp.dim) for i, fp in enumerate(params.fusion_layers)]
 
 
 # Rows per evaluation block (rounded down to whole batches): long enough to
@@ -629,11 +624,8 @@ def fit(
     val_set=None,
 ) -> List[dict]:
     """Run config.epochs passes; returns one curve row per epoch."""
-    cfg = state.config
     curves = []
-    for epoch in range(1, cfg.epochs + 1):
-        if cfg.reset_memory_each_epoch and epoch > 1:
-            state.memories = _fresh_memories(cfg.slots, state.params, state.mem_seed, epoch=epoch - 1)
+    for epoch in range(1, state.config.epochs + 1):
         state, loss = train_epoch(state, train_set)
         row = {"epoch": epoch, "train_loss": loss}
         if val_set is not None:

@@ -1,8 +1,12 @@
 """CLI behavior: exit codes, artifacts, determinism, schema validity."""
 
+import argparse
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
+import shutil
 import struct
 import sys
 from pathlib import Path
@@ -303,7 +307,7 @@ class TestAblate:
         # 4 memory-size cells (the location study's memory cell among them),
         # memory_single, one output dim and the baseline; no validation pass
         assert len(datasets) == 4 + 1 + 1 + 1
-        test = cli.stacked_splits(load_experiment(cfg))[2]
+        test = cli.task_splits(load_experiment(cfg))[2]
         for dataset in datasets:
             for got, want in zip(dataset, test, strict=True):
                 np.testing.assert_array_equal(got, want)
@@ -318,7 +322,7 @@ class TestAblate:
         def refuse(exp):
             raise AssertionError("built the data before checking the sweep")
 
-        monkeypatch.setattr(cli, "stacked_splits", refuse)
+        monkeypatch.setattr(cli, "task_splits", refuse)
         out = tmp_path / "abl"
         cfg = write_config(tmp_path, tiny_experiment(out, sweep=sweep))
         assert main(["ablate", "--config", cfg]) == 2
@@ -365,7 +369,7 @@ class TestAblate:
 class TestStackedSplits:
     def test_read_only_and_equal_to_a_fresh_stack(self, tmp_path):
         exp = load_experiment(write_config(tmp_path, tiny_experiment(tmp_path / "run")))
-        splits = cli.stacked_splits(exp)
+        splits = cli.task_splits(exp)
         data = gen_dataset(exp.task)
         n = exp.task.length
         n_train, n_val = int(n * exp.train_frac), int(n * exp.val_frac)
@@ -381,7 +385,7 @@ class TestStackedSplits:
 
     def test_parts_are_read_only_views_of_one_buffer_per_column(self, tmp_path):
         exp = load_experiment(write_config(tmp_path, tiny_experiment(tmp_path / "run")))
-        splits = cli.stacked_splits(exp)
+        splits = cli.task_splits(exp)
         assert all(isinstance(part, Dataset) for part in splits)
         for i in range(3):
             parts = [part[i] for part in splits]
@@ -394,7 +398,7 @@ class TestStackedSplits:
 
     def test_cells_given_the_splits_match_cells_that_build_them(self, tmp_path):
         exp = load_experiment(write_config(tmp_path, tiny_experiment(tmp_path / "run")))
-        splits = cli.stacked_splits(exp)
+        splits = cli.task_splits(exp)
         _, curves_a, report_a = cli.run_single(exp, 0, variant="memory_cross", splits=splits)
         _, curves_b, report_b = cli.run_single(exp, 0, variant="memory_cross")
         assert curves_a == curves_b
@@ -405,7 +409,7 @@ class TestSetupCallBudget:
     """A deterministic guard on the Python work of building a run's data.
 
     Counts every Python-level call event (memfuse, numpy and the standard
-    library alike) with sys.setprofile while stacked_splits builds the
+    library alike) with sys.setprofile while task_splits builds the
     splits of a 500-step and of a 5000-step stream.  The counts must be
     equal: setup makes no Python call per row.  No timing, so it cannot
     flake.
@@ -422,7 +426,7 @@ class TestSetupCallBudget:
 
         sys.setprofile(count)
         try:
-            cli.stacked_splits(exp)
+            cli.task_splits(exp)
         finally:
             sys.setprofile(None)
         return calls
@@ -491,7 +495,7 @@ class TestStrictConfig:
             ("task", "s1", None),
             ("classifier", "epochs", 1.5),
             ("classifier", "batch", True),
-            ("classifier", "reset_memory_each_epoch", 1),
+            ("classifier", "freeze_eval_writes", 1),
             ("classifier", "variant", 3),
             (None, "seeds", [0, "1"]),
             (None, "seeds", 0),
@@ -682,6 +686,87 @@ class TestUsage:
         assert "unrecognized arguments: --variant" in capsys.readouterr().err
 
 
+class TestEveryFlagCounts:
+    """Every optional flag of every subcommand (a required one is part of
+    every run), walked from build_parser() and set to a value other than
+    its baseline's, changes some output byte (a file the command writes or
+    its stdout) or exits 2.  A flag that
+    parses and is then ignored fails here, so a new flag is covered without
+    being listed: int, float and on/off flags get their new value by type,
+    and a string flag needs one in STRINGS."""
+
+    # arguments every run of a command takes
+    BASE = {
+        "train": ["--config", "{cfg}"],
+        "evaluate": ["--config", "{cfg}"],
+        "ablate": ["--config", "{cfg}"],
+        "gradcheck": ["--seeds", "1"],
+        "gen-data": [],
+    }
+    # a value for each string flag that no baseline run uses
+    STRINGS = {"variant": "naive", "out": "elsewhere", "config": "{cfg}", "checkpoint": "{checkpoint}"}
+
+    @staticmethod
+    def flags():
+        parser = cli.build_parser()
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        for command, sub in commands.choices.items():
+            for action in sub._actions:
+                if action.option_strings and not action.required and not isinstance(action, argparse._HelpAction):
+                    yield command, action
+
+    def changed(self, action, base, paths):
+        flag = action.option_strings[0]
+        if action.nargs == 0:
+            return [flag]
+        current = base[base.index(flag) + 1] if flag in base else action.default
+        if action.type is int:
+            return [flag, str(int(current or 0) + 1)]
+        if action.type is float:
+            return [flag, repr(float(current) * 2)]
+        assert action.dest in self.STRINGS, f"{flag} takes a string: give it a value in STRINGS"
+        return [flag, self.STRINGS[action.dest].format(**paths)]
+
+    @staticmethod
+    def run(workdir, argv, seed_dir=None):
+        """Exit code, stdout and every file of `memfuse argv` run in workdir,
+        a new directory, or a fresh copy of seed_dir when given."""
+        if seed_dir is None:
+            workdir.mkdir()
+        else:
+            shutil.copytree(seed_dir, workdir)
+        stdout = io.StringIO()
+        with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(stdout):
+            mp.chdir(workdir)
+            code = main(argv)
+        files = {str(f.relative_to(workdir)): f.read_bytes() for f in sorted(workdir.rglob("*")) if f.is_file()}
+        return code, stdout.getvalue(), files
+
+    def test_each_flag_changes_an_output_or_exits_2(self, tmp_path):
+        sweep = {"slots": [2], "variants": ["memory"], "out_dims": [4]}
+        # out_dir is relative, so every run writes inside its own workdir; at
+        # seed 2 a frozen memory changes some of the tiny task's test labels
+        doc = tiny_experiment("run", seeds=(2,), sweep=sweep)
+        paths = {"cfg": write_config(tmp_path, doc), "checkpoint": str(tmp_path / "other" / "checkpoint.bin")}
+        assert main(["train", "--config", paths["cfg"], "--seed", "0", "--out", str(tmp_path / "other")]) == 0
+        # what every run starts from: the checkpoint evaluate reads by default
+        seed_dir = tmp_path / "seed"
+        assert self.run(seed_dir, ["train", "--config", paths["cfg"]])[0] == 0
+        base = {}
+        for command, args in self.BASE.items():
+            argv = [command] + [a.format(**paths) for a in args]
+            base[command] = self.run(tmp_path / command, argv, seed_dir)
+            assert base[command][0] == 0, (argv, base[command][0])
+        ignored = []
+        for command, action in self.flags():
+            args = [a.format(**paths) for a in self.BASE[command]]
+            argv = [command] + args + self.changed(action, args, paths)
+            code, stdout, files = self.run(tmp_path / f"{command}{action.option_strings[0]}", argv, seed_dir)
+            if code != cli.EXIT_USAGE and (code, stdout, files) == base[command]:
+                ignored.append(argv)
+        assert not ignored, ignored
+
+
 class TestUnusablePaths:
     """A path the command cannot use exits 2 with one `error:` line naming
     it, and a bad --out fails before any training."""
@@ -720,7 +805,7 @@ class TestUnusablePaths:
         def refuse(*args, **kwargs):
             raise AssertionError("built the data before the output directory was made")
 
-        monkeypatch.setattr(cli, "stacked_splits", refuse)
+        monkeypatch.setattr(cli, "task_splits", refuse)
         taken = tmp_path / "taken"
         taken.write_text("")
         cfg = write_config(tmp_path, tiny_experiment(tmp_path / "run"))

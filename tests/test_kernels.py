@@ -2,10 +2,8 @@
 and the layer's elementwise steps and products, checked on the batched
 path the program runs."""
 
-import concurrent.futures
 import functools
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -458,27 +456,22 @@ class TestSplitOracle:
 
 class TestFillNormalRows:
     """fill_normal(rows=) writes, bit for bit, what the whole draw puts in
-    those rows and leaves every other row alone, whatever the block size
-    and whether the blocks run on the calling thread or on a pool."""
+    those rows and leaves every other row alone, whatever the block size."""
 
     MU, SIGMA = 0.5, 1.5
 
-    def whole_draw(self, seed, skip, n, width, mp):
-        """normal(n * width) drawn serially after `skip` uniforms, as rows."""
-        mp.setattr(kernels, "_cpus", lambda: 1)
+    def whole_draw(self, seed, skip, n, width):
+        """normal(n * width) drawn after `skip` uniforms, as rows."""
         rng = Rng(seed)
         rng.uniform(skip)
         return rng.normal(n * width, self.MU, self.SIGMA).reshape(n, width), rng.counter
 
-    def check(self, seed, skip, n, width, rows, block, cpus):
+    def check(self, seed, skip, n, width, rows, block):
+        want, counter = self.whole_draw(seed, skip, n, width)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(kernels, "_BLOCK", block)
-            want, counter = self.whole_draw(seed, skip, n, width, mp)
-            mp.setattr(kernels, "_cpus", lambda: cpus)
-            # the threaded whole draw against the serial one
-            full = Rng(seed)
-            full.uniform(skip)
-            assert full.normal(n * width, self.MU, self.SIGMA).tobytes() == want.tobytes()
+            # the whole draw in blocks of `block` against the default blocks
+            assert self.whole_draw(seed, skip, n, width)[0].tobytes() == want.tobytes()
             rng = Rng(seed)
             rng.uniform(skip)
             out = np.full((n, width), np.nan)
@@ -496,31 +489,24 @@ class TestFillNormalRows:
         seed=st.integers(0, 2**64 - 1),
         skip=st.integers(0, 9),
         block=st.sampled_from([2, 3, 5, 16, 32768]),
-        cpus=st.sampled_from([1, 2, 5]),
         which=st.sampled_from(["none", "all", "some"]),
     )
-    def test_rows_match_the_whole_draw(self, data, n, width, seed, skip, block, cpus, which):
+    def test_rows_match_the_whole_draw(self, data, n, width, seed, skip, block, which):
         """Odd widths put a Box-Muller pair across two rows; small blocks
-        split a draw into many blocks; five threads outnumber the cores."""
+        split a draw into many blocks."""
         if which == "some":
             rows = sorted(data.draw(st.sets(st.integers(0, max(n - 1, 0)), max_size=n)) if n else [])
         else:
             rows = list(range(n)) if which == "all" else []
-        self.check(seed, skip, n, width, rows, block, cpus)
+        self.check(seed, skip, n, width, rows, block)
 
     @pytest.mark.parametrize("width", [13, 32])
     def test_many_default_blocks(self, width):
-        """Five threads on many default blocks, switching as often as the
-        interpreter allows."""
+        """A draw into half the rows that spans many default blocks."""
         n = 12000
         rows = np.flatnonzero(Rng(4).uniform(n) < 0.5)
         assert n * width > 4 * kernels._BLOCK
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            self.check(21, 3, n, width, rows, kernels._BLOCK, 5)
-        finally:
-            sys.setswitchinterval(interval)
+        self.check(21, 3, n, width, rows, kernels._BLOCK)
 
     def test_bad_rows(self):
         out = np.empty((4, 3))
@@ -534,26 +520,6 @@ class TestFillNormalRows:
             with pytest.raises(ParameterError):
                 Rng(1).fill_normal(out, rows=rows)
 
-    def test_one_block_starts_no_thread_and_a_pool_never_outnumbers_blocks(self, monkeypatch):
-        pools = []
-
-        class Recording(concurrent.futures.ThreadPoolExecutor):
-            def __init__(self, workers):
-                pools.append(workers)
-                super().__init__(workers)
-
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
-        monkeypatch.setattr(kernels, "_cpus", lambda: 8)
-        Rng(1).normal(kernels._BLOCK)
-        Rng(1).fill_normal(np.empty((100, 4)), rows=np.arange(0, 100, 2))
-        assert pools == []
-        Rng(1).normal(3 * kernels._BLOCK)
-        monkeypatch.setattr(kernels, "_cpus", lambda: 2)
-        Rng(1).normal(3 * kernels._BLOCK)
-        monkeypatch.setattr(kernels, "_cpus", lambda: 1)
-        Rng(1).normal(3 * kernels._BLOCK)
-        assert pools == [3, 2]
-
 
 class TestBatchwiseMatmul:
     """batchwise_matmul gives each row the bits of its own batch's product."""
@@ -566,7 +532,7 @@ class TestBatchwiseMatmul:
             return rng.standard_normal((rows, cols + 3))[:, 1 : cols + 1]
         return rng.standard_normal((cols, rows)).T
 
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=300, deadline=None)
     @given(
         n=st.integers(0, 70),
         batch=st.integers(1, 9),

@@ -496,16 +496,6 @@ class TestVariantsTrain:
         train_epoch(state, data)
         assert not np.array_equal(state.memories[0].matrix, after_first)
 
-    def test_reset_memory_each_epoch(self):
-        data = tiny_data()
-        cfg = tiny_config(variant="memory", epochs=2, lr=0.0, reset_memory_each_epoch=True)
-        state = build_state(cfg, 4, 4)
-        fit(state, data)
-        cfg2 = tiny_config(variant="memory", epochs=2, lr=0.0, reset_memory_each_epoch=False)
-        state2 = build_state(cfg2, 4, 4)
-        fit(state2, data)
-        assert not np.array_equal(state.memories[0].matrix, state2.memories[0].matrix)
-
 
 class TestConfigValidation:
     def test_bad_values(self):
@@ -714,9 +704,9 @@ class TestPinnedTraining:
         (dict(variant="memory_cross", **PLAIN), "bf72e7c8e80b01c36dda9f3462fe081567d12ff42284c227d51696cdbea80165"),
         (dict(variant="memory_single", **PLAIN), "fa26c0b1c2d6f4652be90d5bd1232533cd05ae727e2581bda4147167f0fcb42f"),
         (dict(variant="memory_resampled", out_dim=6, **PLAIN), "a4924fbd1e9e6303ffd93cb069f89a7328dcb001f9f529b107d8bdcf2bcf3132"),
-        # encoders, dropout, a fresh memory each epoch and the default warm start
-        (dict(variant="memory", encoder_hidden=6, dropout_rate=0.2, reset_memory_each_epoch=True), "503b3ad54707db29ba195d35d9e7c8fca14dc7099c3d5de1770f3c138fa73047"),
-    ], ids=["naive", "memory", "memory_cross", "memory_single", "memory_resampled", "encoders_dropout_reset"])
+        # encoders, dropout and the default warm start
+        (dict(variant="memory", encoder_hidden=6, dropout_rate=0.2), "81e1aad556775a220d2e4e8194b4eeb8ac14fe90721354ee51f1e75e58c4a092"),
+    ], ids=["naive", "memory", "memory_cross", "memory_single", "memory_resampled", "encoders_dropout"])
     def test_training_bits(self, overrides, digest):
         assert self._digest(overrides, tiny_data(n=120, seed=9)) == digest
 

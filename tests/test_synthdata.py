@@ -342,19 +342,17 @@ class TestMemory:
     """Traced allocations while building a stream of many blocks peak at
     no more than the kept columns, a few per-row vectors (signals,
     regimes, the occlusion draw and its row lists: PER_ROW bytes a row)
-    and one block's scratch for each thread that draws (PER_THREAD).
-    Neither scratch term grows with the width, so no stream-sized column
-    is ever held beside the output."""
+    and one block's scratch (BLOCK_SCRATCH).  Neither scratch term grows
+    with the width, so no stream-sized column is ever held beside the
+    output."""
 
     PER_ROW = 48
-    # a thread's buffers for 2**14 pairs and the mixing's temporaries peak
-    # at about 1.2 MB; the threads can hit their peaks at the same time
-    PER_THREAD = 3 * 2**19
-    THREADS = 2
+    # a draw's buffers for 2**14 pairs and the mixing's temporaries peak at
+    # about 1 MB
+    BLOCK_SCRATCH = 3 * 2**19
 
     @pytest.mark.parametrize("length", [8000, 32000])
-    def test_peak_is_the_columns_plus_block_scratch(self, monkeypatch, length):
-        monkeypatch.setattr(kernels, "_cpus", lambda: self.THREADS)
+    def test_peak_is_the_columns_plus_block_scratch(self, length):
         cfg = small_config(s1=48, s2=16, length=length)
         assert cfg.length * cfg.s1 > 8 * kernels._BLOCK
         tracemalloc.start()
@@ -364,5 +362,5 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         kept = sum(column.nbytes for column in data)
-        bound = kept + self.PER_ROW * cfg.length + self.THREADS * self.PER_THREAD
+        bound = kept + self.PER_ROW * cfg.length + self.BLOCK_SCRATCH
         assert peak <= bound, (peak, kept, bound)
