@@ -97,9 +97,6 @@ class MemoryState:
     def dim(self) -> int:
         return self.matrix.shape[1]
 
-    def copy(self) -> "MemoryState":
-        return MemoryState(self.matrix.copy(), self.writes_enabled)
-
     def frozen(self) -> "MemoryState":
         return replace(self, writes_enabled=False)
 

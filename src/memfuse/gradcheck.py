@@ -18,7 +18,7 @@ both the backward pass and the oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict
 
 import numpy as np
@@ -282,7 +282,7 @@ def check_classifier(seed: int, variant: Variant = Variant(), threshold: float =
     )
 
     def draw(rng: Rng):
-        state = build_state(cfg, s1=3, s2=2, init_seed=int(rng.integers(1, 2**31)[0]))
+        state = build_state(replace(cfg, seed=int(rng.integers(1, 2**31)[0])), s1=3, s2=2)
         m1 = INPUT_SIGMA * rng.normal(cfg.batch * 3).reshape(cfg.batch, 3)
         m2 = INPUT_SIGMA * rng.normal(cfg.batch * 2).reshape(cfg.batch, 2)
         labels = rng.integers(cfg.batch, cfg.classes)

@@ -89,15 +89,12 @@ def batchwise_matmul(x: Array, w: Array, batch: int) -> Array:
     which numpy runs as the same gemm a 2-D call on those rows makes, so
     each row gets the bits it would get from its own batch's product; the
     ragged tail is one 2-D call.  One plain 2-D product over all rows can
-    block the sums differently and change the last bits.  With no more
-    than `batch` rows this is plain x @ w.  A `batch` that is not a whole
-    number of at least 1 raises ParameterError.
+    block the sums differently and change the last bits.  A `batch` that
+    is not a whole number of at least 1 raises ParameterError.
     """
     if not (isinstance(batch, (int, np.integer)) and not isinstance(batch, bool) and batch >= 1):
         raise ParameterError(f"batchwise_matmul: batch must be an integer >= 1, got {batch!r}")
     n = x.shape[0]
-    if n <= batch:
-        return x @ w
     full = n - n % batch
     out = np.empty((n, w.shape[1]))
     np.matmul(x[:full].reshape(-1, batch, x.shape[1]), w,

@@ -208,7 +208,7 @@ def head_input_dim(config: ClassifierConfig, s1: int, s2: int) -> int:
     return e1 + e2
 
 
-def build_state(config: ClassifierConfig, s1: int, s2: int, init_seed: Optional[int] = None) -> TrainState:
+def build_state(config: ClassifierConfig, s1: int, s2: int) -> TrainState:
     """Draw all parameters and memories for a fresh training run.
 
     The parameter table is laid out from the shapes alone, then the flat
@@ -218,8 +218,7 @@ def build_state(config: ClassifierConfig, s1: int, s2: int, init_seed: Optional[
     (init_params).  The warm start's read bias is the layer stream's
     next draw, straight into b_read.
     """
-    seed = config.seed if init_seed is None else init_seed
-    rng = Rng(seed)
+    rng = Rng(config.seed)
     prng = rng.split(1)
     mem_seed = int(rng.split(2).integers(1, 2**62)[0])
     drop_rng = rng.split(3)
@@ -597,18 +596,18 @@ def forward_split(
 
 
 def evaluate(state: TrainState, dataset) -> MetricsReport:
-    """Metrics on a dataset; dropout off, memory evolves on a copy.
+    """Metrics on a dataset; dropout off.
 
-    Writes follow the config's freeze_eval_writes; either way the
-    training memories are untouched.  The logits come from
-    forward_split, which loops batch by batch only over the memory's
-    write chain.  Non-finite logits raise NumericError naming the first
-    such sample.
+    Writes follow the config's freeze_eval_writes.  The state's memories
+    go in as they are, since forward_split never mutates them.  The
+    logits come from forward_split, which loops batch by batch only over
+    the memory's write chain.  Non-finite logits raise NumericError
+    naming the first such sample.
     """
     cfg = state.config
     m1_all, m2_all, y_all = _as_arrays(dataset, "evaluate", cfg.classes)
     n = m1_all.shape[0]
-    memories = [m.frozen() if cfg.freeze_eval_writes else m.copy() for m in state.memories]
+    memories = [m.frozen() for m in state.memories] if cfg.freeze_eval_writes else state.memories
     logits_all, _ = forward_split(cfg, state.params, memories, m1_all, m2_all)
     # argmax would turn a NaN into a silent prediction
     finite = np.isfinite(logits_all).all(axis=1)

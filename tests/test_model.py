@@ -437,12 +437,19 @@ class TestEvaluate:
             tally[t, p] += 1
         np.testing.assert_array_equal(rep.confusion, tally)
 
-    def test_eval_does_not_disturb_training_memory(self):
-        cfg = tiny_config(variant="memory", freeze_eval_writes=False)
+    @pytest.mark.parametrize("freeze", [False, True])
+    @pytest.mark.parametrize("variant", ["naive", "memory", "memory_cross", "memory_single", "memory_resampled"])
+    def test_eval_does_not_disturb_training_memory(self, variant, freeze):
+        # evaluate hands the state's own memories to forward_split, with no copy
+        cfg = tiny_config(variant=variant, out_dim=3, freeze_eval_writes=freeze)
         state = build_state(cfg, 4, 4)
-        before = state.memories[0].matrix.copy()
+        memories = list(state.memories)
+        before = [(m.matrix, m.matrix.tobytes(), m.writes_enabled) for m in memories]
         evaluate(state, tiny_data(n=20))
-        np.testing.assert_array_equal(state.memories[0].matrix, before)
+        assert len(state.memories) == len(memories)
+        for mem, kept, (matrix, data, writes) in zip(state.memories, memories, before):
+            assert mem is kept and mem.matrix is matrix
+            assert mem.matrix.tobytes() == data and mem.writes_enabled == writes
 
     def test_freeze_writes_flag(self):
         cfg = tiny_config(variant="memory", freeze_eval_writes=True)
