@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import NumericError, ParameterError, ShapeError
-from .fusion import parse_variant
+from .fusion import parse_variant, table_views
 from .gradcheck import (
     DEFAULT_STEP,
     DEFAULT_THRESHOLD,
@@ -36,7 +36,6 @@ from .model import (
     evaluate,
     fit,
     head_input_dim,
-    table_views,
 )
 from .serialize import load_arrays, save_arrays
 from .synthdata import TaskConfig, gen_dataset, split, to_csv
@@ -432,6 +431,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (ParameterError, ShapeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        print(f"error: cannot allocate: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)

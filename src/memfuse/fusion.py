@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
@@ -157,15 +158,16 @@ class FusionBackward:
     """Cotangents returned by fusion_backward.
 
     params and grad_proj are the parameter gradients.  grad_out (the
-    output's cotangent before any projection), grad_mlp_in (whose first
-    d columns are the query's cotangent) and grad_mapped are what
-    fusion_input_grads needs to carry the chain into the inputs.
+    output's cotangent before any projection), grad_scores (the composer's
+    output cotangent, which w_comp's first d rows carry to the query) and
+    grad_mapped are what fusion_input_grads needs to carry the chain into
+    the inputs.
     """
 
     params: FusionParams
     grad_proj: Optional[Array]
     grad_out: Array
-    grad_mlp_in: Array
+    grad_scores: Array
     grad_mapped: Array
 
 
@@ -175,14 +177,43 @@ def param_shapes(dim: int) -> dict[str, tuple[int, ...]]:
     return {"w_read": (dim, dim), "b_read": (dim,), "w_comp": (2 * dim, dim), "b_comp": (dim,), "w_scale": (dim,)}
 
 
+# name -> (offset, shape) of each learnable block in a flat parameter vector
+Table = dict[str, tuple[int, tuple[int, ...]]]
+
+
+def param_table(shapes: dict[str, tuple[int, ...]]) -> Table:
+    """Lay blocks of the given shapes end to end, in their order: the one
+    rule that gives every block of every flat vector its offset."""
+    table: Table = {}
+    offset = 0
+    for name, shape in shapes.items():
+        table[name] = (offset, shape)
+        offset += math.prod(shape)
+    return table
+
+
+def table_size(table: Table) -> int:
+    """Length of a vector laid out by `table`: where its last block ends."""
+    offset, shape = table[next(reversed(table))]
+    return offset + math.prod(shape)
+
+
+def table_views(table: Table, flat: Array, prefix: str = "") -> dict[str, Array]:
+    """Name -> view of that block of `flat`, each name led by `prefix`."""
+    views = {}
+    for name, (offset, shape) in table.items():
+        views[prefix + name] = flat[offset : offset + math.prod(shape)].reshape(shape)
+    return views
+
+
 def init_params(rng: Rng, dim: int, out: Optional[Array] = None) -> FusionParams:
     """Uniform init in +-1/sqrt(fan_in) for every block.
 
     The elementwise scale has fan-in 1, so it starts at full +-1 range
     and the transform path is active from the first step.
 
-    The five blocks, laid end to end in field order (param_shapes), are
-    one draw of `rng` into one flat vector: `out` when given (a
+    The five blocks, laid end to end by param_table(param_shapes(dim)),
+    are one draw of `rng` into one flat vector: `out` when given (a
     contiguous slice of a larger parameter vector, say), else a fresh
     one.  The blocks are views of it.  Each value is u * (hi - lo) + lo
     of its own uniform u, as rng.uniform(n, lo, hi) block by block would
@@ -190,31 +221,28 @@ def init_params(rng: Rng, dim: int, out: Optional[Array] = None) -> FusionParams
     """
     if dim < 1:
         raise ParameterError(f"layer dim must be >= 1, got {dim}")
-    d = dim
-    # ends of w_read, b_read, w_comp, b_comp and w_scale
-    a, b, c, e, n = d * d, d * d + d, 3 * d * d + d, 3 * d * d + 2 * d, 3 * d * d + 3 * d
+    table = param_table(param_shapes(dim))
+    n = table_size(table)
     flat = np.empty(n) if out is None else out
     if flat.shape != (n,):
         raise ShapeError(f"init_params: out has shape {flat.shape}, want ({n},)")
     rng.fill_uniform(flat)
-    # w_read and b_read have fan-in d, w_comp and b_comp 2d, w_scale 1
-    for part, fan_in in ((flat[:b], d), (flat[b:e], 2 * d), (flat[e:], 1)):
+    # w_read and b_read have fan-in dim, w_comp and b_comp 2 dim, w_scale 1
+    comp, scale = table["w_comp"][0], table["w_scale"][0]
+    for part, fan_in in ((flat[:comp], dim), (flat[comp:scale], 2 * dim), (flat[scale:], 1)):
         bound = 1.0 / math.sqrt(fan_in)
         part *= bound - -bound
         part += -bound
-    return FusionParams(
-        w_read=flat[:a].reshape(d, d),
-        b_read=flat[a:b],
-        w_comp=flat[b:c].reshape(2 * d, d),
-        b_comp=flat[c:e],
-        w_scale=flat[e:],
-    )
+    return FusionParams(**table_views(table, flat))
 
 
 def init_memory(rng: Rng, slots: int, dim: int) -> MemoryState:
     """Fresh memory with standard-normal entries and writes enabled."""
     if slots < 1 or dim < 1:
         raise ParameterError(f"memory sizes must be >= 1, got slots={slots} dim={dim}")
+    # numpy refuses a size beyond the address space with a ValueError
+    if slots * dim > sys.maxsize // 8:
+        raise MemoryError(f"a memory of {slots} x {dim} float64 entries exceeds the address space")
     matrix = rng.normal(slots * dim).reshape(slots, dim)
     return MemoryState(matrix=matrix, writes_enabled=True)
 
@@ -467,18 +495,19 @@ def fusion_backward(
     # scores = mlp_in @ w_comp + b_comp
     trace.mlp_in.T.dot(grad_scores, out=out.w_comp)
     np.add.reduce(grad_scores, axis=0, out=out.b_comp)
-    grad_mlp_in = grad_scores.dot(params.w_comp.T)
+    # the recalled half of mlp_in's cotangent; fusion_input_grads takes the query half
+    grad_recalled = grad_scores.dot(params.w_comp[trace.fused.shape[1] :].T)
 
     # recalled = keys @ M, keys = softmax(mapped @ M^T); M constant
     matrix = mem_prev.matrix
-    grad_keys = grad_mlp_in[:, trace.fused.shape[1] :].dot(matrix.T)
+    grad_keys = grad_recalled.dot(matrix.T)
     grad_mapped = _softmax_vjp(trace.keys, grad_keys).dot(matrix)
 
     # mapped = fused @ w_read + b_read
     np.matmul(trace.fused.T, grad_mapped, out=out.w_read)
     np.add.reduce(grad_mapped, axis=0, out=out.b_read)
 
-    return FusionBackward(out, grad_proj, grad_out, grad_mlp_in, grad_mapped)
+    return FusionBackward(out, grad_proj, grad_out, grad_scores, grad_mapped)
 
 
 def fusion_input_grads(params: FusionParams, trace: ForwardTrace, bwd: FusionBackward) -> tuple[Array, Array]:
@@ -490,7 +519,7 @@ def fusion_input_grads(params: FusionParams, trace: ForwardTrace, bwd: FusionBac
     variant = trace.variant
     s1, s2 = trace.s1, trace.s2
     grad_fused = bwd.grad_out + bwd.grad_mapped.dot(params.w_read.T)
-    grad_query = bwd.grad_mlp_in[:, : grad_fused.shape[1]]
+    grad_query = bwd.grad_scores.dot(params.w_comp[: grad_fused.shape[1]].T)
     if variant.kind == MEMORY_SINGLE:
         # the query is the fused input itself
         grad_single = grad_fused + grad_query

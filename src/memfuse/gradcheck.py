@@ -2,7 +2,7 @@
 
 central_diff is the independent oracle: it never calls any backward
 code, only repeated forward evaluations.  check_layer draws a random
-small configuration into one vector laid out by model.param_table, runs
+small configuration into one vector laid out by fusion.param_table, runs
 the layer's own backward pass, and compares every parameter block and
 both input batches against the oracle, coordinate by coordinate.  The
 naive variant has no layer: its case is the two modes alone, run
@@ -38,6 +38,9 @@ from .fusion import (
     naive_backward,
     naive_fusion,
     param_shapes,
+    param_table,
+    table_size,
+    table_views,
 )
 from .kernels import Array, Rng
 from .model import (
@@ -47,9 +50,7 @@ from .model import (
     cross_entropy_batch,
     forward_logits,
     loss_and_grads,
-    param_table,
     relu_inputs,
-    table_views,
 )
 
 DIM_CAP = 16
@@ -197,7 +198,6 @@ def check_layer(
     if variant.kind == MEMORY_RESAMPLED:
         shapes["proj"] = (d, variant.out_dim)
     table = param_table(shapes)
-    size = sum(math.prod(shape) for shape in shapes.values())
 
     def forward(parts: Dict[str, Array], mem):
         """(out, trace, layer) of the case whose views are `parts`."""
@@ -208,7 +208,7 @@ def check_layer(
         return out, trace, layer
 
     def draw(rng: Rng):
-        flat = np.empty(size)
+        flat = np.empty(table_size(table))
         parts = table_views(table, flat)
         mem = None
         if layer_shapes:

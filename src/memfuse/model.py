@@ -31,6 +31,7 @@ from .fusion import (
     ForwardTrace,
     FusionParams,
     MemoryState,
+    Table,
     Variant,
     fusion_backward,
     fusion_forward,
@@ -41,7 +42,10 @@ from .fusion import (
     naive_backward,
     naive_fusion,
     param_shapes,
+    param_table,
     parse_variant,
+    table_size,
+    table_views,
 )
 from .kernels import ONE, ZERO, Array, Rng, as_batch, as_labels, batchwise_matmul
 from .metrics import MetricsReport, report_from_labels
@@ -112,28 +116,6 @@ def _layer_variants(variant: str, out_dim: int) -> Tuple[Variant, ...]:
     return (Variant(variant),)
 
 
-# name -> (offset, shape) of each learnable block in a flat parameter vector
-Table = Dict[str, Tuple[int, Tuple[int, ...]]]
-
-
-def param_table(shapes: Dict[str, Tuple[int, ...]]) -> Table:
-    """Lay blocks of the given shapes end to end, in their order."""
-    table: Table = {}
-    offset = 0
-    for name, shape in shapes.items():
-        table[name] = (offset, shape)
-        offset += math.prod(shape)
-    return table
-
-
-def table_views(table: Table, flat: Array, prefix: str = "") -> Dict[str, Array]:
-    """Name -> view of that block of `flat`, each name led by `prefix`."""
-    return {
-        prefix + name: flat[offset : offset + math.prod(shape)].reshape(shape)
-        for name, (offset, shape) in table.items()
-    }
-
-
 class ModelParams:
     """Every learnable block of the classifier, as views into one flat vector.
 
@@ -161,7 +143,7 @@ class ModelParams:
                 layers.setdefault(layer, []).append(name)
         # table names of each fusion layer's blocks, in FusionParams field order
         self.fusion_keys = list(layers.values())
-        self.fusion_layers = [FusionParams(*[named[k] for k in keys]) for keys in self.fusion_keys]
+        self.fusion_layers = [FusionParams(*map(named.__getitem__, keys)) for keys in self.fusion_keys]
 
     def named(self) -> Dict[str, Array]:
         """Name -> view of every learnable block, in table order."""
@@ -211,9 +193,9 @@ def head_input_dim(config: ClassifierConfig, s1: int, s2: int) -> int:
 def build_state(config: ClassifierConfig, s1: int, s2: int) -> TrainState:
     """Draw all parameters and memories for a fresh training run.
 
-    The parameter table is laid out from the shapes alone, then the flat
-    vector is allocated once and every random stream draws straight into
-    its contiguous slice of it, with one counter range: a linear map's
+    One param_table call lays out every block, then the flat vector is
+    allocated once and every random stream draws straight into its
+    contiguous slice of it, with one counter range: a linear map's
     weight and bias together, and a fusion layer's five blocks together
     (init_params).  The warm start's read bias is the layer stream's
     next draw, straight into b_read.
@@ -223,39 +205,33 @@ def build_state(config: ClassifierConfig, s1: int, s2: int) -> TrainState:
     mem_seed = int(rng.split(2).integers(1, 2**62)[0])
     drop_rng = rng.split(3)
 
-    table: Table = {}
-    # (label of prng's child, start, stop, fan-in or fusion layer width, fusion layer?)
-    streams: List[Tuple[int, int, int, int, bool]] = []
-
-    def lay(label: int, rows: int, blocks: Dict[str, Tuple[int, ...]], layer: bool = False) -> None:
-        start = stop = streams[-1][2] if streams else 0
-        for name, shape in blocks.items():
-            table[name] = (stop, shape)
-            stop += math.prod(shape)
-        streams.append((label, start, stop, rows, layer))
-
     e1, e2 = _encoded_dims(config, s1, s2)
     h = config.encoder_hidden
+    # (label of prng's child, its blocks, fan-in or fusion layer width, fusion layer?)
+    streams: List[Tuple[int, Dict[str, Tuple[int, ...]], int, bool]] = []
     if h > 0:
-        lay(10, s1, {"enc1_w": (s1, h), "enc1_b": (h,)})
-        lay(11, s2, {"enc2_w": (s2, h), "enc2_b": (h,)})
+        streams.append((10, {"enc1_w": (s1, h), "enc1_b": (h,)}, s1, False))
+        streams.append((11, {"enc2_w": (s2, h), "enc2_b": (h,)}, s2, False))
     for i, var in enumerate(_layer_variants(config.variant, config.out_dim)):
         d = var.input_dim(e1, e2)
-        lay(20 + i, d, {f"fusion{i}.{name}": shape for name, shape in param_shapes(d).items()}, layer=True)
+        streams.append((20 + i, {f"fusion{i}.{name}": shape for name, shape in param_shapes(d).items()}, d, True))
     if config.variant == MEMORY_RESAMPLED:
-        lay(30, e1 + e2, {"proj": (e1 + e2, config.out_dim)})
+        streams.append((30, {"proj": (e1 + e2, config.out_dim)}, e1 + e2, False))
     fused_dim, hidden = head_input_dim(config, s1, s2), config.head_hidden
-    lay(40, fused_dim, {"head1_w": (fused_dim, hidden), "head1_b": (hidden,)})
-    lay(41, hidden, {"head2_w": (hidden, config.classes), "head2_b": (config.classes,)})
+    streams.append((40, {"head1_w": (fused_dim, hidden), "head1_b": (hidden,)}, fused_dim, False))
+    streams.append((41, {"head2_w": (hidden, config.classes), "head2_b": (config.classes,)}, hidden, False))
 
-    flat = np.empty(streams[-1][2])
-    for label, start, stop, rows, layer in streams:
+    table = param_table({name: shape for _, blocks, _, _ in streams for name, shape in blocks.items()})
+    flat = np.empty(table_size(table))
+    for label, blocks, rows, layer in streams:
+        (start, _), (offset, shape) = table[next(iter(blocks))], table[next(reversed(blocks))]
+        part = flat[start : offset + math.prod(shape)]
         stream = prng.split(label)
         if not layer:
             bound = 1.0 / math.sqrt(rows)
-            stream.fill_uniform(flat[start:stop], -bound, bound)
+            stream.fill_uniform(part, -bound, bound)
             continue
-        fp = init_params(stream, rows, out=flat[start:stop])
+        fp = init_params(stream, rows, out=part)
         if config.read_bias_init > 0:
             stream.fill_uniform(fp.b_read, -config.read_bias_init, config.read_bias_init)
         fp.w_scale *= config.transform_gain

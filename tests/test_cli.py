@@ -645,6 +645,20 @@ class TestClassifierFieldChecks:
         assert not (tmp_path / "run").exists()
 
 
+class TestUnallocatableSize:
+    """A memory no address space holds exits 2 with one error line and no
+    traceback.  At d = 8, 2**55 slots ask for 2 EiB, which the allocator
+    refuses (MemoryError); 2**60 slots exceed what numpy can even index.
+    Neither allocates anything."""
+
+    @pytest.mark.parametrize("slots", [2**55, 2**60])
+    def test_exit_2_with_one_error_line(self, tmp_path, capsys, slots):
+        cfg = write_config(tmp_path, tiny_experiment(tmp_path / "run"))
+        assert main(["train", "--config", cfg, "--slots", str(slots)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot allocate: ") and err.count("\n") == 1
+
+
 class TestGenData:
     def test_writes_csv(self, tmp_path):
         cfg = write_config(
