@@ -22,6 +22,13 @@ ndarray.dot, the BLAS routine np.matmul calls (same bits) without its
 ufunc overhead; a product of the caller's array as given (a single-mode
 layer's input) keeps np.matmul, as ndarray.dot copies some strided
 layouts first and may then round differently.
+
+fusion_rows also takes several runs of one shape at once, as lanes:
+their parameter blocks and memories stacked along a leading axis (see
+table_views), the inputs shared or stacked likewise.  The equations are
+written over leading axes, so the lanes go through the same code; their
+products go through np.matmul, which gives every lane the bits of its
+own 2-D product.
 """
 
 from __future__ import annotations
@@ -96,7 +103,7 @@ class MemoryState:
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[1]
+        return self.matrix.shape[-1]
 
     def frozen(self) -> "MemoryState":
         return replace(self, writes_enabled=False)
@@ -123,7 +130,7 @@ class FusionParams:
 
     @property
     def dim(self) -> int:
-        return self.b_read.shape[0]
+        return self.b_read.shape[-1]
 
 
 @dataclass(slots=True)
@@ -199,10 +206,18 @@ def table_size(table: Table) -> int:
 
 
 def table_views(table: Table, flat: Array, prefix: str = "") -> dict[str, Array]:
-    """Name -> view of that block of `flat`, each name led by `prefix`."""
+    """Name -> view of that block of `flat`, each name led by `prefix`.
+
+    `flat` may be several vectors stacked along a leading lane axis; each
+    view then carries that axis, and a vector block is given a unit row
+    axis after it, (lanes, 1, n), so that it adds to each lane's rows.
+    """
+    lead = flat.shape[:-1]
     views = {}
     for name, (offset, shape) in table.items():
-        views[prefix + name] = flat[offset : offset + math.prod(shape)].reshape(shape)
+        if lead and len(shape) == 1:
+            shape = (1,) + shape
+        views[prefix + name] = flat[..., offset : offset + math.prod(shape)].reshape(lead + shape)
     return views
 
 
@@ -254,40 +269,46 @@ def write_memory(mem: MemoryState, batch_keys: Array, batch_values: Array) -> Me
     mean_b(keys[b, j] * values[b]).  With a one-example batch and a
     one-hot key this replaces exactly one row and leaves every other row
     bit-identical.  Returns a new state; the input is never mutated.
+
+    A memory of stacked lanes, (lanes, slots, dim), takes the keys and
+    values of its lanes stacked likewise and writes each lane's batch
+    into that lane's matrix.
     """
-    keys = as_batch(batch_keys)
-    values = as_batch(batch_values)
-    batch = keys.shape[0]
+    lanes = mem.matrix.ndim == 3
+    keys = as_batch(batch_keys, lanes)
+    values = as_batch(batch_values, lanes)
+    batch = keys.shape[-2]
     if batch == 0:
         raise ParameterError("write_memory: empty batch")
-    if keys.shape[1] != mem.matrix.shape[0] or values.shape[1] != mem.matrix.shape[1]:
+    if keys.shape[-1] != mem.matrix.shape[-2] or values.shape[-1] != mem.matrix.shape[-1]:
         raise ShapeError(
             f"write_memory: keys {keys.shape} / values {values.shape} "
             f"vs memory {mem.matrix.shape}"
         )
-    if batch != values.shape[0]:
+    if batch != values.shape[-2]:
         raise ShapeError("write_memory: batch sizes differ")
     if not mem.writes_enabled:
         return mem
     # the sum over the batch divided by its size: the same bits as keys.mean(axis=0)
-    keep = np.subtract(ONE, np.add.reduce(keys, axis=0) / batch)
-    matrix = keys.T.dot(values)
+    keep = np.subtract(ONE, np.add.reduce(keys, axis=-2) / batch)
+    matrix = np.matmul(keys.mT, values) if lanes else keys.T.dot(values)
     matrix /= batch
-    matrix += mem.matrix * keep[:, None]
+    matrix += mem.matrix * keep[..., None]
     return MemoryState(matrix, True)
 
 
-def naive_fusion(batch_m1, batch_m2) -> Array:
-    """Plain per-example concatenation, the no-memory baseline."""
-    m1 = as_batch(batch_m1)
-    m2 = as_batch(batch_m2)
-    if m1.shape[0] != m2.shape[0]:
+def naive_fusion(batch_m1, batch_m2, lanes: bool = False) -> Array:
+    """Plain per-example concatenation, the no-memory baseline; with
+    `lanes` the modes may be stacked along a leading lane axis."""
+    m1 = as_batch(batch_m1, lanes)
+    m2 = as_batch(batch_m2, lanes)
+    if m1.shape[-2] != m2.shape[-2]:
         raise ShapeError(
-            f"naive_fusion: batch sizes differ, {m1.shape[0]} vs {m2.shape[0]}"
+            f"naive_fusion: batch sizes differ, {m1.shape[-2]} vs {m2.shape[-2]}"
         )
-    if m1.shape[1] == 0 or m2.shape[1] == 0:
+    if m1.shape[-1] == 0 or m2.shape[-1] == 0:
         raise ShapeError("naive_fusion: empty mode features")
-    return np.concatenate([m1, m2], axis=1)
+    return np.concatenate([m1, m2], axis=-1)
 
 
 def param_count_formula(s1: int, s2: int, batch: int) -> int:
@@ -312,17 +333,20 @@ def _layer_inputs(params: FusionParams, mem: MemoryState, variant: Variant, batc
     """(fused, query, mapped, s1, s2) for rows of the two modes, shapes
     checked; mapped = fused @ w_read + b_read, the product by `matmul`.
 
+    With stacked lanes (3-D blocks) the modes may be shared by every lane
+    (2-D) or stacked too; the query is then given every lane's rows.
     The naive variant has no layer: it is naive_fusion / naive_backward
     alone, and is refused here once the shapes are checked.
     """
-    m1 = as_batch(batch_m1)
-    m2 = as_batch(batch_m2)
-    rows = m1.shape[0]
-    if rows != m2.shape[0]:
-        raise ShapeError(f"fusion_forward: batch sizes differ, {rows} vs {m2.shape[0]}")
+    lanes = params.w_read.ndim == 3
+    m1 = as_batch(batch_m1, lanes)
+    m2 = as_batch(batch_m2, lanes)
+    rows = m1.shape[-2]
+    if rows != m2.shape[-2]:
+        raise ShapeError(f"fusion_forward: batch sizes differ, {rows} vs {m2.shape[-2]}")
     if rows == 0:
         raise ParameterError("fusion_forward: empty batch")
-    s1, s2 = m1.shape[1], m2.shape[1]
+    s1, s2 = m1.shape[-1], m2.shape[-1]
     if s1 == 0 or s2 == 0:
         raise ShapeError("fusion_forward: empty mode features")
 
@@ -332,16 +356,18 @@ def _layer_inputs(params: FusionParams, mem: MemoryState, variant: Variant, batc
     if kind == MEMORY_SINGLE:
         fused = query = m1 if variant.mode == 1 else m2
     else:
-        fused = np.concatenate([m1, m2], axis=1)
-        query = np.concatenate([m2, m1], axis=1) if kind == MEMORY_CROSS else fused
+        fused = np.concatenate([m1, m2], axis=-1)
+        query = np.concatenate([m2, m1], axis=-1) if kind == MEMORY_CROSS else fused
 
-    d = fused.shape[1]
-    if mem.matrix.shape[1] != d:
+    d = fused.shape[-1]
+    if mem.matrix.shape[-1] != d:
         raise ShapeError(f"fusion_forward: memory dim {mem.dim} vs input dim {d}")
-    if params.b_read.shape[0] != d:
+    if params.b_read.shape[-1] != d:
         raise ShapeError(f"fusion_forward: params dim {params.dim} vs input dim {d}")
     mapped = matmul(fused, params.w_read)
     mapped += params.b_read
+    if query.ndim < mapped.ndim:
+        query = np.broadcast_to(query, mapped.shape)
     return fused, query, mapped, s1, s2
 
 
@@ -351,14 +377,16 @@ def _memory_chain(params: FusionParams, matrix: Array, mapped: Array, query: Arr
     Returns (keys, recalled, mlp_in, scores, attn, gated, pre_act,
     transformed), one row per input row; every row reads `matrix`.
     `matmul` computes every product, so the same equations serve one
-    batch and a run of batches read against one memory.
+    batch and a run of batches read against one memory.  A 3-D `matrix`
+    is one memory per lane, each read by that lane's rows.
     """
-    keys = softmax_rows(matmul(mapped, matrix.T))            # (B, k)
+    lanes = matrix.ndim == 3
+    keys = softmax_rows(matmul(mapped, matrix.mT), lanes)    # (B, k)
     recalled = matmul(keys, matrix)                          # (B, d)
-    mlp_in = np.concatenate([query, recalled], axis=1)       # (B, 2d)
+    mlp_in = np.concatenate([query, recalled], axis=-1)      # (B, 2d)
     scores = matmul(mlp_in, params.w_comp)                   # (B, d)
     scores += params.b_comp
-    attn = softmax_rows(scores)
+    attn = softmax_rows(scores, lanes)
     gated = attn * scores
     pre_act = gated * params.w_scale
     transformed = np.maximum(pre_act, ZERO)
@@ -374,7 +402,7 @@ def _layer_output(variant: Variant, fused: Array, transformed: Array, proj: Opti
         return out, None
     if proj is None:
         raise ParameterError("resampled variant needs a projection matrix")
-    if proj.ndim != 2 or proj.shape[0] != out.shape[1]:
+    if proj.ndim != out.ndim or proj.shape[-2] != out.shape[-1]:
         raise ShapeError(f"resampled output: out {out.shape} vs proj {proj.shape}")
     return matmul(out, proj), out
 
@@ -419,17 +447,25 @@ def fusion_rows(
     the one before it wrote.  The input map, the residual sum and the
     projection run once over all rows through batchwise_matmul.  With
     writes disabled nothing links the batches and the chain runs once.
+
+    With stacked lanes (3-D parameter blocks and memory matrix, see
+    table_views) every lane runs its own chain and memory, and each
+    lane's outputs and memory have the bits that lane gets on its own.
+    The chain's products are then np.matmul, which ndarray.dot is not
+    for stacked arrays.
     """
     matmul = functools.partial(batchwise_matmul, batch=batch)
     fused, query, mapped, _, _ = _layer_inputs(params, mem, variant, m1, m2, matmul)
     if mem.writes_enabled:
+        chain = np.matmul if mem.matrix.ndim == 3 else np.ndarray.dot
         written = []
-        for start in range(0, fused.shape[0], batch):
+        for start in range(0, fused.shape[-2], batch):
             rows = slice(start, start + batch)
-            keys, *_, transformed = _memory_chain(params, mem.matrix, mapped[rows], query[rows])
+            keys, *_, transformed = _memory_chain(params, mem.matrix, mapped[..., rows, :],
+                                                  query[..., rows, :], chain)
             mem = write_memory(mem, keys, transformed)
             written.append(transformed)
-        transformed = written[0] if len(written) == 1 else np.concatenate(written)
+        transformed = written[0] if len(written) == 1 else np.concatenate(written, axis=-2)
     else:
         transformed = _memory_chain(params, mem.matrix, mapped, query, matmul)[-1]
     return _layer_output(variant, fused, transformed, proj, matmul)[0], mem

@@ -4,7 +4,9 @@ All numeric data in this package is carried by plain numpy arrays, and
 batches are 2-D row-major float64 with one row per example.  The batch
 helpers here (input and label coercion, row softmax, batchwise products)
 raise :class:`ShapeError` / :class:`ParameterError` instead of letting
-numpy broadcast its way into silent nonsense.
+numpy broadcast its way into silent nonsense.  Evaluation may stack
+several runs' batches along a leading lane axis; the helpers take that
+axis only where the caller asks for it.
 
 The generator is SplitMix64: draw ``i`` of a stream seeded with ``s`` is
 ``mix64(s + (i + 1) * GOLDEN)`` where ``mix64`` is the standard 64-bit
@@ -48,17 +50,19 @@ ZERO, ONE = np.zeros(()), np.ones(())
 ZERO.flags.writeable = ONE.flags.writeable = False
 
 
-def as_batch(x) -> Array:
+def as_batch(x, lanes: bool = False) -> Array:
     """Coerce to a 2-D float64 array of rows (a vector becomes one row).
 
     A 2-D float64 ndarray comes back as the same object with no numpy
     call, which keeps per-step input checks cheap.  A higher rank raises
-    ShapeError.
+    ShapeError, except that with `lanes` a 3-D array (rows of each lane
+    along a leading lane axis) is taken too.
     """
-    if type(x) is np.ndarray and x.dtype is _FLOAT64 and x.ndim == 2:
+    ndim = 3 if lanes else 2
+    if type(x) is np.ndarray and x.dtype is _FLOAT64 and x.ndim == ndim:
         return x
     batch = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if batch.ndim > 2:
+    if batch.ndim > ndim:
         raise ShapeError(f"expected rows of features, got ndim={batch.ndim}")
     return batch
 
@@ -89,34 +93,42 @@ def batchwise_matmul(x: Array, w: Array, batch: int) -> Array:
     which numpy runs as the same gemm a 2-D call on those rows makes, so
     each row gets the bits it would get from its own batch's product; the
     ragged tail is one 2-D call.  One plain 2-D product over all rows can
-    block the sums differently and change the last bits.  A `batch` that
-    is not a whole number of at least 1 raises ParameterError.
+    block the sums differently and change the last bits.  Either operand,
+    or both with one length, may carry a leading lane axis, its rows (or
+    its matrix) that lane's: lane i of the result is then lane i's rows
+    times lane i's matrix, with the bits of that lane's own 2-D call.  A
+    `batch` that is not a whole number of at least 1 raises
+    ParameterError.
     """
     if not (isinstance(batch, (int, np.integer)) and not isinstance(batch, bool) and batch >= 1):
         raise ParameterError(f"batchwise_matmul: batch must be an integer >= 1, got {batch!r}")
-    n = x.shape[0]
+    n, cols = x.shape[-2], w.shape[-1]
     full = n - n % batch
-    out = np.empty((n, w.shape[1]))
-    np.matmul(x[:full].reshape(-1, batch, x.shape[1]), w,
-              out=out[:full].reshape(-1, batch, w.shape[1]))
+    lead = x.shape[:-2] or w.shape[:-2]  # the lane axis, if either operand has one
+    out = np.empty(lead + (n, cols))
+    np.matmul(x[..., :full, :].reshape(x.shape[:-2] + (-1, batch, x.shape[-1])), w[..., None, :, :],
+              out=out[..., :full, :].reshape(lead + (-1, batch, cols)))
     if full < n:
-        np.matmul(x[full:], w, out=out[full:])
+        np.matmul(x[..., full:, :], w, out=out[..., full:, :])
     return out
 
 
-def softmax_rows(m) -> Array:
+def softmax_rows(m, lanes: bool = False) -> Array:
     """Row-wise stable softmax of a 2-D array: each row's max is
-    subtracted first, so large scores cannot overflow."""
-    if not (type(m) is np.ndarray and m.dtype is _FLOAT64 and m.ndim == 2):
+    subtracted first, so large scores cannot overflow.  With `lanes` the
+    array is 3-D, the rows of each lane along a leading lane axis, and
+    every row gets the bits it gets in its lane's own 2-D call."""
+    ndim = 3 if lanes else 2
+    if not (type(m) is np.ndarray and m.dtype is _FLOAT64 and m.ndim == ndim):
         m = np.asarray(m, dtype=np.float64)
-        if m.ndim != 2:
+        if m.ndim != ndim:
             raise ShapeError(f"softmax_rows: expected a matrix, got ndim={m.ndim}")
-    if m.shape[1] == 0:
+    if m.shape[-1] == 0:
         raise ShapeError("softmax_rows: zero-width matrix")
     # the ufunc reductions are what m.max and e.sum call, minus a Python layer
-    e = m - np.maximum.reduce(m, axis=1, keepdims=True)
+    e = m - np.maximum.reduce(m, axis=-1, keepdims=True)
     np.exp(e, out=e)
-    e /= np.add.reduce(e, axis=1, keepdims=True)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
     return e
 
 

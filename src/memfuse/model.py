@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -124,7 +125,9 @@ class ModelParams:
     `fusion_layers` are views of `flat`, so an update to `flat` reaches
     all of them; `params[name]` is the view of one block.  A deep copy or
     a pickle copies `flat` once and rebinds the views to the copy.  The
-    same class holds a gradient vector in the same layout.
+    same class holds a gradient vector in the same layout, and several
+    runs' vectors stacked as lanes, `flat` of shape (lanes, size), whose
+    views carry the lane axis first (see table_views).
     """
 
     def __init__(self, flat: Array, table: Table):
@@ -222,7 +225,11 @@ def build_state(config: ClassifierConfig, s1: int, s2: int) -> TrainState:
     streams.append((41, {"head2_w": (hidden, config.classes), "head2_b": (config.classes,)}, hidden, False))
 
     table = param_table({name: shape for _, blocks, _, _ in streams for name, shape in blocks.items()})
-    flat = np.empty(table_size(table))
+    size = table_size(table)
+    # numpy refuses a size beyond the address space with a ValueError
+    if size > sys.maxsize // 8:
+        raise MemoryError(f"a parameter vector of {size} float64 entries exceeds the address space")
+    flat = np.empty(size)
     for label, blocks, rows, layer in streams:
         (start, _), (offset, shape) = table[next(iter(blocks))], table[next(reversed(blocks))]
         part = flat[start : offset + math.prod(shape)]
@@ -278,7 +285,8 @@ def encode(params: ModelParams, m1: Array, m2: Array, matmul=np.matmul):
     the backward pass (None under the identity encoder).  The identity
     hands the modes on as given: the fusion layers (or, with none,
     naive_fusion) coerce and check them.  `matmul` computes the products
-    (evaluation passes a batchwise one).
+    (evaluation passes a batchwise one); stacked lanes of parameters give
+    each lane its own encodings of the shared modes.
     """
     if params.enc1_w is None:
         return m1, m2, None, None
@@ -293,9 +301,10 @@ def head_forward(params: ModelParams, fused: Array, drop_mask: Optional[Array] =
     """Hidden ReLU layer (with optional inverted-dropout mask) to logits.
 
     Returns (logits, hid_pre, hid, hid_dropped).  `matmul` computes the
-    products, as in encode.
+    products, as in encode.  With stacked lanes of parameters the fused
+    rows may be stacked too, or shared by every lane.
     """
-    fused = as_batch(fused)
+    fused = as_batch(fused, params.head1_w.ndim == 3)
     hid_pre = matmul(fused, params.head1_w)
     hid_pre += params.head1_b
     hid = np.maximum(hid_pre, ZERO)
@@ -305,12 +314,12 @@ def head_forward(params: ModelParams, fused: Array, drop_mask: Optional[Array] =
     return logits, hid_pre, hid, hid_dropped
 
 
-def _head_input(outs: List[Array], enc1: Array, enc2: Array) -> Array:
+def _head_input(outs: List[Array], enc1: Array, enc2: Array, lanes: bool = False) -> Array:
     """The fusion layers' outputs side by side, or with no layer (the
     naive variant) the plain concatenation of the encoded modes."""
     if len(outs) == 1:
         return outs[0]  # concatenating one array would only copy it
-    return np.concatenate(outs, axis=1) if outs else naive_fusion(enc1, enc2)
+    return np.concatenate(outs, axis=-1) if outs else naive_fusion(enc1, enc2, lanes)
 
 
 def forward_logits(
@@ -553,13 +562,18 @@ def forward_split(
     over its memory's write chain.  Every product goes through
     batchwise_matmul, so the logits and memories have the bits of
     forward_logits run batch by batch.
+
+    `params` and the memories may be several runs stacked as lanes (see
+    ModelParams); the logits are then (lanes, rows, classes), each lane
+    with the bits of its own run's pass over the shared rows.
     """
     n = m1.shape[0]
     memories = list(memories)
     variants = _layer_variants(config.variant, config.out_dim)
     matmul = functools.partial(batchwise_matmul, batch=config.batch)
     block = max(_EVAL_BLOCK // config.batch, 1) * config.batch
-    logits = np.empty((n, config.classes))
+    lead = params.head1_w.shape[:-2]  # (lanes,) or ()
+    logits = np.empty(lead + (n, config.classes))
     for start in range(0, n, block):
         rows = slice(start, start + block)
         enc1, enc2, _, _ = encode(params, m1[rows], m2[rows], matmul)
@@ -567,30 +581,68 @@ def forward_split(
         for i, (layer, variant, mem) in enumerate(zip(params.fusion_layers, variants, memories, strict=True)):
             out, memories[i] = fusion_rows(layer, mem, variant, enc1, enc2, config.batch, proj=params.proj)
             outs.append(out)
-        logits[rows] = head_forward(params, _head_input(outs, enc1, enc2), matmul=matmul)[0]
+        logits[..., rows, :] = head_forward(params, _head_input(outs, enc1, enc2, bool(lead)), matmul=matmul)[0]
     return logits, memories
 
 
-def evaluate(state: TrainState, dataset) -> MetricsReport:
+def _stacked(states: List[TrainState]) -> Tuple[ModelParams, List[MemoryState]]:
+    """The states' parameters and memories stacked as lanes, one lane per
+    state in order.  The states must share one config and layout, and
+    each memory its write flag across them; otherwise ParameterError."""
+    first = states[0]
+    for state in states[1:]:
+        if state.config != first.config or state.params.table != first.params.table:
+            raise ParameterError("evaluate: stacked states must share one config and parameter layout")
+    params = ModelParams(np.stack([state.params.flat for state in states]), first.params.table)
+    memories = []
+    for lane_mems in zip(*(state.memories for state in states)):
+        writes = {mem.writes_enabled for mem in lane_mems}
+        if len(writes) > 1:
+            raise ParameterError("evaluate: stacked states' memories differ in their write flag")
+        memories.append(MemoryState(np.stack([mem.matrix for mem in lane_mems]), writes.pop()))
+    return params, memories
+
+
+def _scored(labels: Array, logits: Array, classes: int) -> MetricsReport:
+    """The report of one pass's logits; non-finite logits raise
+    NumericError naming the first such sample."""
+    # argmax would turn a NaN into a silent prediction
+    finite = np.isfinite(logits).all(axis=1)
+    if not finite.all():
+        first = int(np.argmin(finite))
+        raise NumericError(f"evaluate: non-finite logits for sample {first} of {len(labels)}")
+    return report_from_labels(labels, logits.argmax(axis=1), classes)
+
+
+def evaluate(states, dataset):
     """Metrics on a dataset; dropout off.
 
-    Writes follow the config's freeze_eval_writes.  The state's memories
+    `states` is one TrainState, which gives one MetricsReport, or a
+    nonempty list of states that share one config, which gives one
+    report per state, each with the bits a call on that state alone
+    gives.  A list of two or more is scored in one pass: its parameters
+    and memories are stacked along a leading lane axis (see
+    forward_split), so every numpy call of the pass serves all of them.
+    One state runs on 2-D arrays, which is faster than a stack of one.
+
+    Writes follow the config's freeze_eval_writes.  The states' memories
     go in as they are, since forward_split never mutates them.  The
     logits come from forward_split, which loops batch by batch only over
     the memory's write chain.  Non-finite logits raise NumericError
-    naming the first such sample.
+    naming the first such sample, of the first such state.
     """
-    cfg = state.config
+    one = isinstance(states, TrainState)
+    stack = [states] if one else list(states)
+    if not stack:
+        raise ParameterError("evaluate: no states to score")
+    cfg = stack[0].config
     m1_all, m2_all, y_all = _as_arrays(dataset, "evaluate", cfg.classes)
-    n = m1_all.shape[0]
-    memories = [m.frozen() for m in state.memories] if cfg.freeze_eval_writes else state.memories
-    logits_all, _ = forward_split(cfg, state.params, memories, m1_all, m2_all)
-    # argmax would turn a NaN into a silent prediction
-    finite = np.isfinite(logits_all).all(axis=1)
-    if not finite.all():
-        first = int(np.argmin(finite))
-        raise NumericError(f"evaluate: non-finite logits for sample {first} of {n}")
-    return report_from_labels(y_all, logits_all.argmax(axis=1), cfg.classes)
+    params, memories = (stack[0].params, stack[0].memories) if len(stack) == 1 else _stacked(stack)
+    if cfg.freeze_eval_writes:
+        memories = [m.frozen() for m in memories]
+    logits, _ = forward_split(cfg, params, memories, m1_all, m2_all)
+    reports = [_scored(y_all, lane, cfg.classes) for lane in (logits if len(stack) > 1 else [logits])]
+    return reports[0] if one else reports
 
 
 def fit(
@@ -598,14 +650,32 @@ def fit(
     train_set,
     val_set=None,
 ) -> List[dict]:
-    """Run config.epochs passes; returns one curve row per epoch."""
-    curves = []
+    """Run config.epochs passes; returns one curve row per epoch.
+
+    With a validation set, each epoch's row also holds the validation
+    scores of the state as that epoch left it.  Every epoch trains
+    first, keeping a snapshot of the state after each (a copy of the
+    parameters and the memory list, whose matrices writes never
+    change); then one evaluate call scores all snapshots as lanes of one
+    pass.  The scores are those a validation pass after each epoch
+    gives.  If an epoch raises, the snapshots taken before it are scored
+    first, so an error that a validation pass before that epoch would
+    have raised is the one raised.
+    """
+    curves, snapshots = [], []
     for epoch in range(1, state.config.epochs + 1):
-        state, loss = train_epoch(state, train_set)
-        row = {"epoch": epoch, "train_loss": loss}
+        try:
+            state, loss = train_epoch(state, train_set)
+        except Exception:
+            if snapshots:
+                evaluate(snapshots, val_set)
+            raise
+        curves.append({"epoch": epoch, "train_loss": loss})
         if val_set is not None:
-            rep = evaluate(state, val_set)
+            params = ModelParams(state.params.flat.copy(), state.params.table)
+            snapshots.append(replace(state, params=params, memories=list(state.memories)))
+    if snapshots:
+        for row, rep in zip(curves, evaluate(snapshots, val_set)):
             row["val_wa"] = rep.wa
             row["val_ua"] = rep.ua
-        curves.append(row)
     return curves

@@ -646,15 +646,27 @@ class TestClassifierFieldChecks:
 
 
 class TestUnallocatableSize:
-    """A memory no address space holds exits 2 with one error line and no
-    traceback.  At d = 8, 2**55 slots ask for 2 EiB, which the allocator
-    refuses (MemoryError); 2**60 slots exceed what numpy can even index.
-    Neither allocates anything."""
+    """A memory or parameter vector no address space holds exits 2 with
+    one error line and no traceback.  At d = 8, 2**55 slots ask for
+    2 EiB, which the allocator refuses (MemoryError); 2**60 slots, or a
+    2**60-wide block, exceed what numpy can even index.  None allocates
+    anything."""
 
     @pytest.mark.parametrize("slots", [2**55, 2**60])
     def test_exit_2_with_one_error_line(self, tmp_path, capsys, slots):
         cfg = write_config(tmp_path, tiny_experiment(tmp_path / "run"))
         assert main(["train", "--config", cfg, "--slots", str(slots)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot allocate: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("field", ["head_hidden", "encoder_hidden", "out_dim"])
+    def test_parameter_vector_beyond_the_address_space(self, tmp_path, capsys, field):
+        # a 2**60-wide block makes the parameter vector too long to index
+        doc = tiny_experiment(tmp_path / "run")
+        doc["classifier"][field] = 2**60
+        if field == "out_dim":
+            doc["classifier"]["variant"] = "memory_resampled"
+        assert main(["train", "--config", write_config(tmp_path, doc)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: cannot allocate: ") and err.count("\n") == 1
 

@@ -1,5 +1,6 @@
 """Dead-code guards: every module-level function and class in src/memfuse
-has a user in the package itself, and so does every dataclass field.
+has a user in the package itself, and so does every dataclass field and
+every method or property of a package class.
 
 A definition counts as used when another module of the package imports it
 and refers to it, or when its own module refers to it outside its own
@@ -11,6 +12,11 @@ A dataclass field counts as used when the package reads it, `x.name` or
 whose class the code states.  A read through an object of no stated class
 matches by name alone, and only the fields listed in NAME_MATCHED may rest
 on such reads.
+
+A method or property counts as used when the package reads its name
+through an object of its class, or through an object of no stated class.
+Dunder methods are left out: Python calls them itself.  KEPT_METHODS names
+the ones only callers outside the package use.
 """
 
 import ast
@@ -248,3 +254,40 @@ def test_every_name_matched_field_is_still_read_only_by_name():
     """An entry leaves NAME_MATCHED once a read states its class, or once
     nothing reads its name."""
     assert sorted(unread_fields()[1]) == sorted(NAME_MATCHED)
+
+
+# methods and properties only callers outside the package read; the
+# benchmark's output checks call them, so deleting one breaks every round
+KEPT_METHODS = {
+    # bench/checks.py's fusion_pairs: one reference layer per variant
+    "ClassifierConfig.layer_variants",
+    # bench/checks.py's adam_pairs: Adam's moments by block against textbook Adam
+    "TrainState.adam_m",
+    "TrainState.adam_v",
+}
+
+
+def unread_methods():
+    """Methods and properties of package classes whose name the package
+    never reads through an object of their class or of no stated class."""
+    owned, by_name, _ = field_reads()
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        for cls in ast.parse(path.read_text(), str(path)).body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for fn in cls.body:
+                if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) or fn.name.startswith("__"):
+                    continue
+                if (cls.name, fn.name) not in owned and fn.name not in by_name:
+                    unread.append(f"{cls.name}.{fn.name}")
+    return unread
+
+
+def test_every_method_is_read():
+    unread = [name for name in unread_methods() if name not in KEPT_METHODS]
+    assert unread == [], f"methods or properties that src/memfuse never reads: {unread}"
+
+
+def test_every_kept_method_still_exists_and_is_unread():
+    assert sorted(set(unread_methods()) & KEPT_METHODS) == sorted(KEPT_METHODS)

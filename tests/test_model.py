@@ -14,6 +14,7 @@ import pytest
 
 import memfuse
 from memfuse.errors import NumericError, ParameterError, ShapeError
+from memfuse.fusion import MemoryState
 from memfuse.gradcheck import central_diff
 from memfuse.kernels import Rng
 from memfuse.model import (
@@ -758,6 +759,10 @@ class TestForwardSplit:
     column views.  A block of 5 rows gives single-batch blocks, several
     blocks and a ragged last batch; the default block gives many batches
     per block.
+
+    The lane cases stack 1 to 3 states, each a later epoch of one run,
+    and check that one stacked pass gives every state the bits of its
+    own pass; fit's validation runs that way.
     """
 
     @pytest.mark.parametrize("block", [5, None])
@@ -782,6 +787,118 @@ class TestForwardSplit:
                     for g, w in zip(got_mems, want_mems):
                         assert g.writes_enabled == w.writes_enabled, case
                         assert g.matrix.tobytes() == w.matrix.tobytes(), case
+
+    @staticmethod
+    def _epochs(cfg, lanes):
+        """The states a run of `cfg` is in after each of its first `lanes` epochs."""
+        state, states = build_state(cfg, 3, 4), []
+        for epoch in range(lanes):
+            train_epoch(state, tiny_data(n=30, seed=epoch, s1=3, s2=4))
+            states.append(copy.deepcopy(state))
+        return states
+
+    @pytest.mark.parametrize("block", [5, None])
+    @pytest.mark.parametrize("lanes", [1, 2, 3])
+    @pytest.mark.parametrize("freeze", [False, True])
+    @pytest.mark.parametrize("variant", ["naive", "memory", "memory_cross", "memory_single", "memory_resampled"])
+    def test_lanes_match_separate_calls(self, monkeypatch, variant, freeze, lanes, block):
+        _patch_block(monkeypatch, block)
+        for extra in ({}, {"encoder_hidden": 5, "dropout_rate": 0.3}):
+            cfg = tiny_config(variant=variant, out_dim=3, head_hidden=6, slots=5, batch=3, seed=2,
+                              freeze_eval_writes=freeze, **extra)
+            states = self._epochs(cfg, lanes)
+            # 50 rows: the last batch holds 2 of 3
+            rows = Rng(lanes).normal(12 * 50).reshape(50, 12)
+            m1, m2 = rows[:, 1:4], rows[:, 6:10]
+            data = (m1, m2, Rng(9).integers(50, 3))
+            reports = evaluate(states, data)
+            assert [r.to_dict() for r in reports] == [evaluate(s, data).to_dict() for s in states], extra
+            params = ModelParams(np.stack([s.params.flat for s in states]), states[0].params.table)
+            memories = [MemoryState(np.stack([s.memories[i].matrix for s in states]), not freeze)
+                        for i in range(len(states[0].memories))]
+            logits, after = forward_split(cfg, params, memories, m1, m2)
+            assert logits.shape == (lanes, 50, 3), extra
+            for lane, state in enumerate(states):
+                own = [m.frozen() if freeze else m for m in state.memories]
+                want, want_mems = forward_split(cfg, state.params, own, m1, m2)
+                assert logits[lane].tobytes() == want.tobytes(), (extra, lane)
+                for got, mem in zip(after, want_mems):
+                    assert got.matrix[lane].tobytes() == mem.matrix.tobytes(), (extra, lane)
+
+    @pytest.mark.parametrize("variant", ["memory", "memory_single", "naive"])
+    def test_fit_curves_equal_a_serial_loop(self, monkeypatch, variant):
+        # at this lr the validation scores differ between epochs
+        cfg = tiny_config(variant=variant, epochs=3, encoder_hidden=3, dropout_rate=0.2, lr=0.05)
+        train, val = tiny_data(n=64, seed=3), tiny_data(n=23, seed=4)
+        state, twin = build_state(cfg, 4, 4), build_state(cfg, 4, 4)
+        calls, real = [], memfuse.model.evaluate
+
+        def counted(states, data):
+            calls.append(len(states))
+            return real(states, data)
+
+        # the benchmark times evaluation by wrapping this module attribute
+        monkeypatch.setattr(memfuse.model, "evaluate", counted)
+        curves = fit(state, train, val)
+        assert calls == [3]
+        serial = []
+        for epoch in range(1, 4):
+            _, loss = train_epoch(twin, train)
+            rep = real(twin, val)
+            serial.append({"epoch": epoch, "train_loss": loss, "val_wa": rep.wa, "val_ua": rep.ua})
+        assert repr(curves) == repr(serial)
+        assert len({(row["val_wa"], row["val_ua"]) for row in serial}) > 1
+        assert state.params.flat.tobytes() == twin.params.flat.tobytes()
+        for mem, kept in zip(state.memories, twin.memories):
+            assert mem.matrix.tobytes() == kept.matrix.tobytes()
+
+    def test_fit_raises_the_serial_loops_error(self, monkeypatch):
+        cfg = tiny_config(variant="memory", epochs=3)
+        train = tiny_data(n=64, seed=3)
+        m1, m2, y = tiny_data(n=23, seed=4)
+        m2 = m2.copy()
+        m2[6, 0] = np.nan
+        val = (m1, m2, y)
+        # the serial loop raises at epoch 1's validation pass
+        state = build_state(cfg, 4, 4)
+        train_epoch(state, train)
+        with pytest.raises(NumericError) as serial:
+            evaluate(state, val)
+        with pytest.raises(NumericError) as got:
+            fit(build_state(cfg, 4, 4), train, val)
+        assert str(got.value) == str(serial.value)
+        # an epoch that raises after a validation pass that would have
+        # raised: the validation's error comes first
+        real, epochs = memfuse.model.train_epoch, []
+
+        def failing(state, data):
+            epochs.append(len(epochs) + 1)
+            if len(epochs) == 2:
+                raise NumericError("train_epoch: non-finite loss at batch 0")
+            return real(state, data)
+
+        monkeypatch.setattr(memfuse.model, "train_epoch", failing)
+        with pytest.raises(NumericError) as got:
+            fit(build_state(cfg, 4, 4), train, val)
+        assert str(got.value) == str(serial.value) and epochs == [1, 2]
+        epochs.clear()
+        with pytest.raises(NumericError, match="non-finite loss at batch 0"):
+            fit(build_state(cfg, 4, 4), train, tiny_data(n=23, seed=4))
+
+    def test_states_must_share_one_config(self):
+        data = tiny_data(n=20)
+        state = build_state(tiny_config(variant="memory"), 4, 4)
+        for other in (dict(slots=6), dict(seed=6), dict(freeze_eval_writes=True)):
+            with pytest.raises(ParameterError, match="one config"):
+                evaluate([state, build_state(tiny_config(variant="memory", **other), 4, 4)], data)
+        with pytest.raises(ParameterError, match="one config"):
+            evaluate([state, build_state(tiny_config(variant="memory"), 4, 3)], data)
+        with pytest.raises(ParameterError, match="no states"):
+            evaluate([], data)
+        twin = copy.deepcopy(state)
+        twin.memories[0].writes_enabled = False
+        with pytest.raises(ParameterError, match="write flag"):
+            evaluate([state, twin], data)
 
     def test_given_memories_are_not_mutated(self):
         state = build_state(tiny_config(variant="memory_single"), 4, 4)
