@@ -213,13 +213,13 @@ def run_single(exp: ExperimentConfig, seed: int, splits=None, **overrides):
     `splits` is task_splits(exp), built here when not given; a sweep
     builds it once and passes it to every cell with val None, so that a
     cell runs no validation pass (its curves carry no val_wa / val_ua)
-    and its one evaluation is the test pass.
+    and its one evaluation is the test pass.  fit scores the validation
+    passes and the test pass in one evaluate call.
     """
     cls = dataclasses.replace(exp.classifier, seed=seed, **overrides)
     train, val, test = task_splits(exp) if splits is None else splits
     state = build_state(cls, exp.task.s1, exp.task.s2)
-    curves = fit(state, train, val)
-    report = evaluate(state, test)
+    curves, report = fit(state, train, val, test)
     return state, curves, report
 
 

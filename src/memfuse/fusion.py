@@ -25,7 +25,7 @@ layouts first and may then round differently.
 
 fusion_rows also takes several runs of one shape at once, as lanes:
 their parameter blocks and memories stacked along a leading axis (see
-table_views), the inputs shared or stacked likewise.  The equations are
+table_views), the inputs stacked likewise.  The equations are
 written over leading axes, so the lanes go through the same code; their
 products go through np.matmul, which gives every lane the bits of its
 own 2-D product.
@@ -333,10 +333,10 @@ def _layer_inputs(params: FusionParams, mem: MemoryState, variant: Variant, batc
     """(fused, query, mapped, s1, s2) for rows of the two modes, shapes
     checked; mapped = fused @ w_read + b_read, the product by `matmul`.
 
-    With stacked lanes (3-D blocks) the modes may be shared by every lane
-    (2-D) or stacked too; the query is then given every lane's rows.
-    The naive variant has no layer: it is naive_fusion / naive_backward
-    alone, and is refused here once the shapes are checked.
+    With stacked lanes (3-D blocks) the modes are stacked too, each
+    lane's own rows.  The naive variant has no layer: it is naive_fusion
+    / naive_backward alone, and is refused here once the shapes are
+    checked.
     """
     lanes = params.w_read.ndim == 3
     m1 = as_batch(batch_m1, lanes)
@@ -366,8 +366,6 @@ def _layer_inputs(params: FusionParams, mem: MemoryState, variant: Variant, batc
         raise ShapeError(f"fusion_forward: params dim {params.dim} vs input dim {d}")
     mapped = matmul(fused, params.w_read)
     mapped += params.b_read
-    if query.ndim < mapped.ndim:
-        query = np.broadcast_to(query, mapped.shape)
     return fused, query, mapped, s1, s2
 
 

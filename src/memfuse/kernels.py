@@ -93,10 +93,10 @@ def batchwise_matmul(x: Array, w: Array, batch: int) -> Array:
     which numpy runs as the same gemm a 2-D call on those rows makes, so
     each row gets the bits it would get from its own batch's product; the
     ragged tail is one 2-D call.  One plain 2-D product over all rows can
-    block the sums differently and change the last bits.  Either operand,
-    or both with one length, may carry a leading lane axis, its rows (or
-    its matrix) that lane's: lane i of the result is then lane i's rows
-    times lane i's matrix, with the bits of that lane's own 2-D call.  A
+    block the sums differently and change the last bits.  Both operands
+    may carry a leading lane axis of one length, its rows and its matrix
+    that lane's: lane i of the result is then lane i's rows times lane
+    i's matrix, with the bits of that lane's own 2-D call.  A
     `batch` that is not a whole number of at least 1 raises
     ParameterError.
     """
@@ -104,7 +104,7 @@ def batchwise_matmul(x: Array, w: Array, batch: int) -> Array:
         raise ParameterError(f"batchwise_matmul: batch must be an integer >= 1, got {batch!r}")
     n, cols = x.shape[-2], w.shape[-1]
     full = n - n % batch
-    lead = x.shape[:-2] or w.shape[:-2]  # the lane axis, if either operand has one
+    lead = x.shape[:-2]  # the lane axis, or ()
     out = np.empty(lead + (n, cols))
     np.matmul(x[..., :full, :].reshape(x.shape[:-2] + (-1, batch, x.shape[-1])), w[..., None, :, :],
               out=out[..., :full, :].reshape(lead + (-1, batch, cols)))

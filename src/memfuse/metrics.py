@@ -68,9 +68,8 @@ def confusion_matrix(true_labels: Sequence[int], predicted_labels: Sequence[int]
         raise ParameterError(f"confusion_matrix: classes must be >= 1, got {classes}")
     if t.size and (t.min() < 0 or t.max() >= classes or p.min() < 0 or p.max() >= classes):
         raise ParameterError("confusion_matrix: label out of range")
-    counts = np.zeros((classes, classes), dtype=np.int64)
-    np.add.at(counts, (t, p), 1)
-    return counts
+    # each (true, predicted) pair as one flat index of the matrix, counted at once
+    return np.bincount(t * classes + p, minlength=classes * classes).reshape(classes, classes)
 
 
 def compute_report(confusion) -> MetricsReport:

@@ -285,13 +285,14 @@ def encode(params: ModelParams, m1: Array, m2: Array, matmul=np.matmul):
     the backward pass (None under the identity encoder).  The identity
     hands the modes on as given: the fusion layers (or, with none,
     naive_fusion) coerce and check them.  `matmul` computes the products
-    (evaluation passes a batchwise one); stacked lanes of parameters give
-    each lane its own encodings of the shared modes.
+    (evaluation passes a batchwise one); with stacked lanes of parameters
+    the modes are stacked too, (lanes, rows, s), each lane's own rows.
     """
     if params.enc1_w is None:
         return m1, m2, None, None
-    m1 = as_batch(m1)
-    m2 = as_batch(m2)
+    lanes = params.enc1_w.ndim == 3
+    m1 = as_batch(m1, lanes)
+    m2 = as_batch(m2, lanes)
     pre1 = matmul(m1, params.enc1_w) + params.enc1_b
     pre2 = matmul(m2, params.enc2_w) + params.enc2_b
     return np.maximum(pre1, 0.0), np.maximum(pre2, 0.0), pre1, pre2
@@ -302,7 +303,7 @@ def head_forward(params: ModelParams, fused: Array, drop_mask: Optional[Array] =
 
     Returns (logits, hid_pre, hid, hid_dropped).  `matmul` computes the
     products, as in encode.  With stacked lanes of parameters the fused
-    rows may be stacked too, or shared by every lane.
+    rows are stacked too, each lane's own.
     """
     fused = as_batch(fused, params.head1_w.ndim == 3)
     hid_pre = matmul(fused, params.head1_w)
@@ -549,8 +550,8 @@ def forward_split(
     config: ClassifierConfig,
     params: ModelParams,
     memories: List[MemoryState],
-    m1: Array,
-    m2: Array,
+    m1,
+    m2,
 ) -> Tuple[Array, List[MemoryState]]:
     """Logits for every row of a split, taken `config.batch` rows at a
     time, and the memories after the last batch; no dropout, and the
@@ -564,19 +565,35 @@ def forward_split(
     forward_logits run batch by batch.
 
     `params` and the memories may be several runs stacked as lanes (see
-    ModelParams); the logits are then (lanes, rows, classes), each lane
-    with the bits of its own run's pass over the shared rows.
+    ModelParams).  The modes then hold one (rows, s) array per lane, as a
+    sequence or stacked: each lane reads its own rows, and every lane has
+    the same row count and, per mode, the same width.  A block's (lanes, block, s) inputs are gathered
+    from each lane's rows on axis -2, so the whole split is never
+    stacked.  The logits are (lanes, rows, classes), each lane with the
+    bits of its own run's pass over its own rows.
     """
-    n = m1.shape[0]
+    lead = params.head1_w.shape[:-2]  # (lanes,) or ()
+    if lead:
+        n = len(m1[0])
+        if not len(m1) == len(m2) == lead[0] or any(len(m) != n for m in (*m1, *m2)):
+            raise ShapeError(f"forward_split: {lead[0]} lanes need a (rows, s) array per mode each, "
+                             "all with one row count")
+        if len({m.shape for m in m1}) > 1 or len({m.shape for m in m2}) > 1:
+            raise ShapeError("forward_split: the lanes' rows of a mode differ in width")
+    else:
+        n = m1.shape[0]
     memories = list(memories)
     variants = _layer_variants(config.variant, config.out_dim)
     matmul = functools.partial(batchwise_matmul, batch=config.batch)
     block = max(_EVAL_BLOCK // config.batch, 1) * config.batch
-    lead = params.head1_w.shape[:-2]  # (lanes,) or ()
     logits = np.empty(lead + (n, config.classes))
     for start in range(0, n, block):
         rows = slice(start, start + block)
-        enc1, enc2, _, _ = encode(params, m1[rows], m2[rows], matmul)
+        if lead:
+            b1, b2 = np.stack([m[rows] for m in m1]), np.stack([m[rows] for m in m2])
+        else:
+            b1, b2 = m1[rows], m2[rows]
+        enc1, enc2, _, _ = encode(params, b1, b2, matmul)
         outs = []
         for i, (layer, variant, mem) in enumerate(zip(params.fusion_layers, variants, memories, strict=True)):
             out, memories[i] = fusion_rows(layer, mem, variant, enc1, enc2, config.batch, proj=params.proj)
@@ -587,13 +604,10 @@ def forward_split(
 
 def _stacked(states: List[TrainState]) -> Tuple[ModelParams, List[MemoryState]]:
     """The states' parameters and memories stacked as lanes, one lane per
-    state in order.  The states must share one config and layout, and
-    each memory its write flag across them; otherwise ParameterError."""
-    first = states[0]
-    for state in states[1:]:
-        if state.config != first.config or state.params.table != first.params.table:
-            raise ParameterError("evaluate: stacked states must share one config and parameter layout")
-    params = ModelParams(np.stack([state.params.flat for state in states]), first.params.table)
+    state in order.  The states share one layout (evaluate checks it);
+    each memory must share its write flag across them, otherwise
+    ParameterError."""
+    params = ModelParams(np.stack([state.params.flat for state in states]), states[0].params.table)
     memories = []
     for lane_mems in zip(*(state.memories for state in states)):
         writes = {mem.writes_enabled for mem in lane_mems}
@@ -614,53 +628,102 @@ def _scored(labels: Array, logits: Array, classes: int) -> MetricsReport:
     return report_from_labels(labels, logits.argmax(axis=1), classes)
 
 
-def evaluate(states, dataset):
-    """Metrics on a dataset; dropout off.
+def evaluate(states, datasets):
+    """Metrics of each state on its dataset; dropout off.
 
     `states` is one TrainState, which gives one MetricsReport, or a
     nonempty list of states that share one config, which gives one
-    report per state, each with the bits a call on that state alone
-    gives.  A list of two or more is scored in one pass: its parameters
-    and memories are stacked along a leading lane axis (see
+    report per state in order, each with the bits a call on that state
+    alone gives.  `datasets` is one (m1, m2, labels) dataset that every
+    state is scored on, or a list with one dataset per state.
+
+    States whose datasets have the same row count and widths are scored
+    in one pass: their parameters and memories are stacked along a
+    leading lane axis, each lane reading its own dataset's rows (see
     forward_split), so every numpy call of the pass serves all of them.
-    One state runs on 2-D arrays, which is faster than a stack of one.
+    A group of one state runs on 2-D arrays, which is faster than a stack
+    of one.
 
     Writes follow the config's freeze_eval_writes.  The states' memories
-    go in as they are, since forward_split never mutates them.  The
-    logits come from forward_split, which loops batch by batch only over
-    the memory's write chain.  Non-finite logits raise NumericError
-    naming the first such sample, of the first such state.
+    go in as they are, since forward_split never mutates them.  Errors
+    come in state order, as calls state by state would raise them: the
+    first state whose dataset is refused, whose pass fails or whose
+    logits are non-finite raises its error, whichever pass ran first.
     """
     one = isinstance(states, TrainState)
     stack = [states] if one else list(states)
     if not stack:
         raise ParameterError("evaluate: no states to score")
-    cfg = stack[0].config
-    m1_all, m2_all, y_all = _as_arrays(dataset, "evaluate", cfg.classes)
-    params, memories = (stack[0].params, stack[0].memories) if len(stack) == 1 else _stacked(stack)
-    if cfg.freeze_eval_writes:
-        memories = [m.frozen() for m in memories]
-    logits, _ = forward_split(cfg, params, memories, m1_all, m2_all)
-    reports = [_scored(y_all, lane, cfg.classes) for lane in (logits if len(stack) > 1 else [logits])]
+    if not isinstance(datasets, list):
+        datasets = [datasets] * len(stack)
+    elif len(datasets) != len(stack):
+        raise ParameterError(f"evaluate: {len(datasets)} datasets for {len(stack)} states")
+    cfg, table = stack[0].config, stack[0].params.table
+    if any(s.config != cfg or s.params.table != table for s in stack[1:]):
+        raise ParameterError("evaluate: stacked states must share one config and parameter layout")
+    arrays = [_attempt(_as_arrays, data, "evaluate", cfg.classes) for data in datasets]
+    groups: Dict[tuple, List[int]] = {}
+    for i, checked in enumerate(arrays):
+        if not isinstance(checked, Exception):
+            m1, m2, labels = checked
+            groups.setdefault((len(labels), m1.shape[1:], m2.shape[1:]), []).append(i)
+    # each state's logits, or the error its dataset's check or its pass raised
+    outcomes: List = list(arrays)
+    for lanes in groups.values():
+        if len(lanes) == 1:
+            (i,) = lanes
+            params, memories, (m1, m2, _) = stack[i].params, stack[i].memories, arrays[i]
+        else:
+            params, memories = _stacked([stack[i] for i in lanes])
+            m1, m2 = [arrays[i][0] for i in lanes], [arrays[i][1] for i in lanes]
+        if cfg.freeze_eval_writes:
+            memories = [m.frozen() for m in memories]
+        out = _attempt(forward_split, cfg, params, memories, m1, m2)
+        if isinstance(out, Exception):
+            lane_logits = [out] * len(lanes)
+        else:
+            lane_logits = out[0] if len(lanes) > 1 else [out[0]]
+        for i, lane in zip(lanes, lane_logits):
+            outcomes[i] = lane
+    reports = []
+    for checked, lane in zip(arrays, outcomes):
+        if isinstance(lane, Exception):
+            raise lane
+        reports.append(_scored(checked[2], lane, cfg.classes))
     return reports[0] if one else reports
+
+
+def _attempt(fn, *args):
+    """fn(*args), or the ValueError (ShapeError, ParameterError) it raised."""
+    try:
+        return fn(*args)
+    except ValueError as err:
+        return err
 
 
 def fit(
     state: TrainState,
     train_set,
     val_set=None,
-) -> List[dict]:
-    """Run config.epochs passes; returns one curve row per epoch.
+    test_set=None,
+) -> Tuple[List[dict], Optional[MetricsReport]]:
+    """Run config.epochs passes; returns (curves, test report).
 
-    With a validation set, each epoch's row also holds the validation
-    scores of the state as that epoch left it.  Every epoch trains
-    first, keeping a snapshot of the state after each (a copy of the
-    parameters and the memory list, whose matrices writes never
-    change); then one evaluate call scores all snapshots as lanes of one
-    pass.  The scores are those a validation pass after each epoch
-    gives.  If an epoch raises, the snapshots taken before it are scored
-    first, so an error that a validation pass before that epoch would
-    have raised is the one raised.
+    The curves hold one row per epoch.  With a validation set, each row
+    also holds the validation scores of the state as that epoch left it.
+    With a test set, the report scores the state that training left on
+    it; otherwise the report is None.  Every epoch trains first, keeping
+    a snapshot of the state after each (a copy of the parameters and the
+    memory list, whose matrices writes never change); then one evaluate
+    call scores all snapshots on the validation set and the final state
+    on the test set, as lanes of one pass where the row counts agree.
+    With no validation set that call scores the final state alone.
+    The scores are those a validation pass after each epoch and a test
+    pass after training give, and so are the errors: evaluate raises in
+    state order, validations first.  If an epoch raises, the snapshots
+    taken before it are scored first, so an error that a validation pass
+    before that epoch would have raised is the one raised; the test set
+    is then never scored.
     """
     curves, snapshots = [], []
     for epoch in range(1, state.config.epochs + 1):
@@ -674,8 +737,14 @@ def fit(
         if val_set is not None:
             params = ModelParams(state.params.flat.copy(), state.params.table)
             snapshots.append(replace(state, params=params, memories=list(state.memories)))
-    if snapshots:
-        for row, rep in zip(curves, evaluate(snapshots, val_set)):
-            row["val_wa"] = rep.wa
-            row["val_ua"] = rep.ua
-    return curves
+    states, datasets = snapshots, [val_set] * len(snapshots)
+    if test_set is not None:
+        states, datasets = states + [state], datasets + [test_set]
+    # with no validation set the one state shares the test set, passed as
+    # one dataset: a sweep cell's call sees the test split itself
+    reports = evaluate(states, datasets if snapshots else test_set) if states else []
+    for row, rep in zip(curves, reports[:len(snapshots)]):
+        row["val_wa"] = rep.wa
+        row["val_ua"] = rep.ua
+    report = reports[-1] if test_set is not None else None
+    return curves, report

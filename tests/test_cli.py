@@ -18,7 +18,7 @@ import pytest
 
 from memfuse import cli, model
 from memfuse.cli import ExperimentConfig, load_experiment, main, restore_state, state_to_arrays
-from memfuse.model import build_state, train_epoch
+from memfuse.model import build_state, evaluate, train_epoch
 from memfuse.serialize import load_arrays, save_arrays
 from memfuse.synthdata import Dataset, gen_dataset
 
@@ -403,6 +403,23 @@ class TestStackedSplits:
         _, curves_b, report_b = cli.run_single(exp, 0, variant="memory_cross")
         assert curves_a == curves_b
         assert report_a.to_dict() == report_b.to_dict()
+
+
+class TestRunSingle:
+    @pytest.mark.parametrize("freeze", [False, True])
+    @pytest.mark.parametrize("variant", ["naive", "memory", "memory_cross", "memory_single", "memory_resampled"])
+    def test_test_report_equals_an_evaluate_call_on_the_returned_state(self, tmp_path, variant, freeze):
+        # what the benchmark's final check asks: the test pass, a lane of
+        # fit's evaluation, scores as a call on the trained state alone
+        doc = tiny_experiment(tmp_path / "run")
+        doc["classifier"]["freeze_eval_writes"] = freeze
+        exp = load_experiment(write_config(tmp_path, doc))
+        extra = {"out_dim": 3} if variant == "memory_resampled" else {}
+        state, curves, report = cli.run_single(exp, 0, variant=variant, **extra)
+        again = evaluate(state, cli.task_splits(exp)[2])
+        assert report.to_dict() == again.to_dict()
+        assert report.confusion.tobytes() == again.confusion.tobytes()
+        assert all("val_wa" in row for row in curves)
 
 
 class TestSetupCallBudget:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memfuse.errors import ParameterError
 from memfuse.metrics import (
@@ -25,15 +27,16 @@ class TestConfusionMatrix:
         expected[0, 2] = 1
         np.testing.assert_array_equal(cm, expected)
 
-    def test_random_against_hand_tally(self):
-        rng = np.random.default_rng(17)
-        true = rng.integers(0, 4, size=200)
-        pred = rng.integers(0, 4, size=200)
-        cm = confusion_matrix(true, pred, 4)
-        tally = np.zeros((4, 4), dtype=np.int64)
-        for t, p in zip(true, pred):
-            tally[t, p] += 1
-        np.testing.assert_array_equal(cm, tally)
+    @settings(max_examples=200, deadline=None)
+    @given(classes=st.integers(1, 9), n=st.integers(0, 200), seed=st.integers(0, 2**32 - 1))
+    def test_random_against_hand_tally(self, classes, n, seed):
+        rng = np.random.default_rng(seed)
+        true, pred = rng.integers(0, classes, size=n), rng.integers(0, classes, size=n)
+        tally = np.zeros((classes, classes), dtype=np.int64)
+        np.add.at(tally, (true, pred), 1)
+        cm = confusion_matrix(true, pred, classes)
+        assert cm.dtype == np.int64 and cm.shape == (classes, classes)
+        assert cm.tobytes() == tally.tobytes()
 
     def test_non_whole_labels_are_refused(self):
         # the int64 cast would count [0.5, 1.9, 2.2] as a perfect diagonal

@@ -6,6 +6,7 @@ import hashlib
 import importlib
 import pickle
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -357,7 +358,7 @@ class TestTrainEpoch:
         finals = []
         for _ in range(2):
             state = build_state(cfg, 4, 4)
-            curves = fit(state, data)
+            curves, _ = fit(state, data)
             losses.append([c["train_loss"] for c in curves])
             finals.append({k: v.copy() for k, v in state.params.named().items()})
         assert losses[0] == losses[1]
@@ -737,7 +738,7 @@ class TestPinnedTraining:
         cfg = ClassifierConfig(**{**dict(head_hidden=32, classes=3, slots=20, batch=2, epochs=2,
                                          lr=2e-3, seed=4), **overrides})
         state = build_state(cfg, s1, s2)
-        curves = fit(state, data)
+        curves, _ = fit(state, data)
         h = hashlib.sha256(state.params.flat.tobytes())
         h.update(state.m_flat.tobytes())
         h.update(state.v_flat.tobytes())
@@ -762,7 +763,8 @@ class TestForwardSplit:
 
     The lane cases stack 1 to 3 states, each a later epoch of one run,
     and check that one stacked pass gives every state the bits of its
-    own pass; fit's validation runs that way.
+    own pass, on one shared dataset or on a dataset per state; fit's
+    validation and test passes run that way.
     """
 
     @pytest.mark.parametrize("block", [5, None])
@@ -816,14 +818,92 @@ class TestForwardSplit:
             params = ModelParams(np.stack([s.params.flat for s in states]), states[0].params.table)
             memories = [MemoryState(np.stack([s.memories[i].matrix for s in states]), not freeze)
                         for i in range(len(states[0].memories))]
-            logits, after = forward_split(cfg, params, memories, m1, m2)
+            # each lane its own rows, as strided column views: a list of them, or one stacked array
+            lane_rows = [Rng(20 + lane).normal(12 * 50).reshape(50, 12) for lane in range(lanes)]
+            lane_m1, lane_m2 = [r[:, 1:4] for r in lane_rows], [r[:, 6:10] for r in lane_rows]
+            logits, after = forward_split(cfg, params, memories, lane_m1, lane_m2)
+            stacked, _ = forward_split(cfg, params, memories, np.stack(lane_m1), np.stack(lane_m2))
             assert logits.shape == (lanes, 50, 3), extra
+            assert stacked.tobytes() == logits.tobytes(), extra
             for lane, state in enumerate(states):
                 own = [m.frozen() if freeze else m for m in state.memories]
-                want, want_mems = forward_split(cfg, state.params, own, m1, m2)
+                want, want_mems = forward_split(cfg, state.params, own, lane_m1[lane], lane_m2[lane])
                 assert logits[lane].tobytes() == want.tobytes(), (extra, lane)
                 for got, mem in zip(after, want_mems):
                     assert got.matrix[lane].tobytes() == mem.matrix.tobytes(), (extra, lane)
+
+    @staticmethod
+    def _lane_data(rows, seed):
+        """A dataset of `rows` rows whose modes are strided column views."""
+        block = Rng(seed).normal(12 * rows).reshape(rows, 12)
+        return block[:, 1:4], block[:, 6:10], Rng(seed + 50).integers(rows, 3)
+
+    @pytest.mark.parametrize("block", [5, None])
+    @pytest.mark.parametrize("freeze", [False, True])
+    @pytest.mark.parametrize("variant", ["naive", "memory", "memory_cross", "memory_single", "memory_resampled"])
+    def test_per_state_datasets_match_separate_calls(self, monkeypatch, variant, freeze, block):
+        _patch_block(monkeypatch, block)
+        passes, real = [], memfuse.model.forward_split
+
+        def counted(config, params, memories, m1, m2):
+            passes.append(params.flat.shape[:-1])
+            return real(config, params, memories, m1, m2)
+
+        monkeypatch.setattr(memfuse.model, "forward_split", counted)
+        for extra in ({}, {"encoder_hidden": 5, "dropout_rate": 0.3}):
+            cfg = tiny_config(variant=variant, out_dim=3, head_hidden=6, slots=5, batch=3, seed=2,
+                              freeze_eval_writes=freeze, **extra)
+            states = self._epochs(cfg, 3)
+            # at batch 3, 50 rows and 41 rows both end in a ragged batch
+            for counts, want_passes in (((50, 50, 50), [(3,)]), ((50, 41, 50), [(2,), ()])):
+                datasets = [self._lane_data(n, seed) for seed, n in enumerate(counts)]
+                passes.clear()
+                reports = evaluate(states, datasets)
+                assert passes == want_passes, (extra, counts)
+                for report, state, data in zip(reports, states, datasets):
+                    own = evaluate(state, data)
+                    assert report.to_dict() == own.to_dict(), (extra, counts)
+                    assert report.confusion.tobytes() == own.confusion.tobytes(), (extra, counts)
+
+    def test_errors_come_in_state_order(self):
+        # the passes run by row count, 41 rows before 50, but the errors
+        # come as state-by-state calls raise them
+        states = self._epochs(tiny_config(variant="memory", head_hidden=6, slots=5, batch=3), 3)
+        nan_50, nan_41 = self._lane_data(50, 1), self._lane_data(41, 2)
+        nan_50[0][7, 0] = nan_41[0][3, 0] = np.nan
+        with pytest.raises(NumericError, match="sample 7 of 50"):
+            evaluate(states, [self._lane_data(41, 0), nan_50, nan_41])
+        # a malformed dataset raises in its state's place, as its own call
+        # would: after an earlier state's non-finite logits, before a later's
+        m1, m2, y = self._lane_data(50, 3)
+        short = (m1, m2[:47], y)
+        with pytest.raises(NumericError, match="sample 3 of 41"):
+            evaluate(states, [self._lane_data(41, 0), nan_41, short])
+        with pytest.raises(ShapeError, match="m2 has 47"):
+            evaluate(states, [self._lane_data(41, 0), short, nan_41])
+        # so does a dataset of the wrong width, which runs as a pass of its own
+        wide = (np.hstack([m1, m1[:, :1]]), m2, y)
+        with pytest.raises(ShapeError) as alone:
+            evaluate(states[2], wide)
+        with pytest.raises(NumericError, match="sample 7 of 50"):
+            evaluate(states, [self._lane_data(50, 0), nan_50, wide])
+        with pytest.raises(ShapeError) as got:
+            evaluate(states, [self._lane_data(50, 0), wide, nan_50])
+        assert str(got.value) == str(alone.value)
+
+    def test_datasets_must_match_the_states(self):
+        states = [build_state(tiny_config(variant="memory"), 4, 4)] * 2
+        with pytest.raises(ParameterError, match="3 datasets for 2 states"):
+            evaluate(states, [tiny_data(n=20)] * 3)
+        cfg = tiny_config(variant="memory")
+        params = ModelParams(np.stack([states[0].params.flat] * 2), states[0].params.table)
+        memories = [MemoryState(np.stack([states[0].memories[0].matrix] * 2))]
+        m1, m2, _ = tiny_data(n=20)
+        for lane_m1, lane_m2 in (([m1], [m2]), ([m1, m1[:16]], [m2, m2[:16]]), (m1, m2)):
+            with pytest.raises(ShapeError, match="one row count"):
+                forward_split(cfg, params, memories, lane_m1, lane_m2)
+        with pytest.raises(ShapeError, match="differ in width"):
+            forward_split(cfg, params, memories, [m1, np.hstack([m1, m1[:, :1]])], [m2, m2])
 
     @pytest.mark.parametrize("variant", ["memory", "memory_single", "naive"])
     def test_fit_curves_equal_a_serial_loop(self, monkeypatch, variant):
@@ -839,8 +919,10 @@ class TestForwardSplit:
 
         # the benchmark times evaluation by wrapping this module attribute
         monkeypatch.setattr(memfuse.model, "evaluate", counted)
-        curves = fit(state, train, val)
-        assert calls == [3]
+        # a test set of the validation set's row count joins its pass as one more lane
+        test = tiny_data(n=23, seed=5)
+        curves, report = fit(state, train, val, test)
+        assert calls == [4]
         serial = []
         for epoch in range(1, 4):
             _, loss = train_epoch(twin, train)
@@ -848,9 +930,30 @@ class TestForwardSplit:
             serial.append({"epoch": epoch, "train_loss": loss, "val_wa": rep.wa, "val_ua": rep.ua})
         assert repr(curves) == repr(serial)
         assert len({(row["val_wa"], row["val_ua"]) for row in serial}) > 1
+        assert report.to_dict() == real(twin, test).to_dict()
         assert state.params.flat.tobytes() == twin.params.flat.tobytes()
         for mem, kept in zip(state.memories, twin.memories):
             assert mem.matrix.tobytes() == kept.matrix.tobytes()
+
+    @pytest.mark.parametrize("val", [False, True])
+    def test_fit_makes_one_evaluate_call(self, monkeypatch, val):
+        # E + 1 states with a validation set, the final state alone without one
+        cfg = tiny_config(variant="memory", epochs=2)
+        train, test = tiny_data(n=64, seed=3), tiny_data(n=30, seed=5)
+        calls, real = [], memfuse.model.evaluate
+
+        def counted(states, data):
+            # the row count of each state's dataset
+            lanes = len(states) if isinstance(states, list) else 1
+            calls.append([len(d[2]) for d in (data if isinstance(data, list) else [data] * lanes)])
+            return real(states, data)
+
+        monkeypatch.setattr(memfuse.model, "evaluate", counted)
+        curves, report = fit(build_state(cfg, 4, 4), train, tiny_data(n=23, seed=4) if val else None, test)
+        assert calls == ([[23, 23, 30]] if val else [[30]])
+        assert all(("val_wa" in row) == val for row in curves)
+        calls.clear()
+        assert fit(build_state(cfg, 4, 4), train)[1] is None and calls == []
 
     def test_fit_raises_the_serial_loops_error(self, monkeypatch):
         cfg = tiny_config(variant="memory", epochs=3)
@@ -884,6 +987,60 @@ class TestForwardSplit:
         epochs.clear()
         with pytest.raises(NumericError, match="non-finite loss at batch 0"):
             fit(build_state(cfg, 4, 4), train, tiny_data(n=23, seed=4))
+
+    @staticmethod
+    def _with_nan(data, row):
+        m1, m2, y = data
+        m1 = m1.copy()
+        m1[row, 1] = np.nan
+        return m1, m2, y
+
+    def test_fit_raises_the_serial_loops_error_with_a_test_lane(self, monkeypatch):
+        cfg = tiny_config(variant="memory", epochs=3)
+        train = tiny_data(n=64, seed=3)
+        val, test = tiny_data(n=23, seed=4), tiny_data(n=23, seed=5)
+        bad_val, bad_test = self._with_nan(val, 6), self._with_nan(test, 17)
+        # the serial loop: the test pass raises after training, naming its sample
+        state = build_state(cfg, 4, 4)
+        for _ in range(3):
+            train_epoch(state, train)
+        with pytest.raises(NumericError, match="sample 17 of 23") as serial_test:
+            evaluate(state, bad_test)
+        with pytest.raises(NumericError) as got:
+            fit(build_state(cfg, 4, 4), train, val, bad_test)
+        assert str(got.value) == str(serial_test.value)
+        # NaNs in both: the first epoch's validation raises first
+        state = build_state(cfg, 4, 4)
+        train_epoch(state, train)
+        with pytest.raises(NumericError, match="sample 6 of 23") as serial_val:
+            evaluate(state, bad_val)
+        with pytest.raises(NumericError) as got:
+            fit(build_state(cfg, 4, 4), train, bad_val, bad_test)
+        assert str(got.value) == str(serial_val.value)
+        # a NaN validation row and a test set of the wrong width: the validation raises first
+        wide_test = (np.hstack([test[0], test[0][:, :1]]), test[1], test[2])
+        with pytest.raises(NumericError) as got:
+            fit(build_state(cfg, 4, 4), train, bad_val, wide_test)
+        assert str(got.value) == str(serial_val.value)
+        # an epoch that raises: the pending validations are scored, the test set never
+        real_train, real_eval, scored = memfuse.model.train_epoch, memfuse.model.evaluate, []
+
+        def failing(state, data):
+            if state.step >= 2 * (64 // cfg.batch):
+                raise NumericError("train_epoch: non-finite loss at batch 0")
+            return real_train(state, data)
+
+        def counted(states, data):
+            scored.append(data)
+            return real_eval(states, data)
+
+        monkeypatch.setattr(memfuse.model, "train_epoch", failing)
+        monkeypatch.setattr(memfuse.model, "evaluate", counted)
+        for val_set, match in ((val, "non-finite loss at batch 0"), (bad_val, "sample 6 of 23")):
+            scored.clear()
+            with pytest.raises(NumericError, match=match):
+                fit(build_state(cfg, 4, 4), train, val_set, bad_test)
+            assert len(scored) == 1 and scored[0] is val_set
 
     def test_states_must_share_one_config(self):
         data = tiny_data(n=20)
@@ -967,10 +1124,15 @@ class TestEvalCallBudget:
     PER_BATCH = 6
     PER_BLOCK = 20  # encode, fusion_rows, the batchwise products, the head, ...
 
-    def _calls(self, variant, freeze, n):
+    def _calls(self, variant, freeze, n, lanes=0):
+        """Calls of one evaluate call: of one state, or with `lanes` of
+        them, of that many states each on its own dataset."""
         cfg = tiny_config(variant=variant, slots=20, batch=2, head_hidden=32, freeze_eval_writes=freeze)
         state = build_state(cfg, 4, 4)
-        data = tiny_data(n=n)
+        states, data = state, tiny_data(n=n)
+        if lanes:
+            states = [copy.deepcopy(state) for _ in range(lanes)]
+            data = [tiny_data(n=n, seed=lane) for lane in range(lanes)]
         package = str(Path(memfuse.__file__).parent)
         calls = []
 
@@ -980,7 +1142,7 @@ class TestEvalCallBudget:
 
         sys.setprofile(count)
         try:
-            evaluate(state, data)
+            evaluate(states, data)
         finally:
             sys.setprofile(None)
         return calls
@@ -999,3 +1161,43 @@ class TestEvalCallBudget:
         _patch_block(monkeypatch, 16)
         wide = self._calls(variant, freeze, 640)
         assert len(wide) == len(many) > len(few), (len(few), len(many), len(wide))
+
+    @pytest.mark.parametrize("variant,freeze", [("memory", False), ("memory", True), ("naive", False)])
+    def test_per_state_datasets_add_calls_per_state_not_per_row(self, monkeypatch, variant, freeze):
+        # a lane more adds the same few calls (its dataset's check, its
+        # scoring) at 4 and at 40 blocks: the pass's calls do not grow with lanes
+        _patch_block(monkeypatch, 8)
+        few = [len(self._calls(variant, freeze, 32, lanes)) for lanes in (2, 3)]
+        many = [len(self._calls(variant, freeze, 320, lanes)) for lanes in (2, 3)]
+        assert few[1] - few[0] == many[1] - many[0], (few, many)
+        assert many[0] > few[0]
+
+
+class TestEvalMemory:
+    """A 3-lane evaluate holds block-sized inputs, never a stack of the split.
+
+    At d = 64 with a dataset per state, the tracemalloc peak may grow with
+    the row count only by the logits (lanes x classes float64 per row)
+    and the scoring's per-row temporaries.  Stacking every lane's whole
+    split would add lanes x d float64, 1536 bytes, per row.
+    """
+
+    @staticmethod
+    def _peak(states, rows):
+        datasets = [tiny_data(n=rows, seed=lane, s1=32, s2=32) for lane in range(len(states))]
+        evaluate(states, datasets)  # warm up numpy's caches outside the trace
+        tracemalloc.start()
+        try:
+            evaluate(states, datasets)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_grows_with_rows_only_by_the_logits(self):
+        cfg = tiny_config(variant="memory", slots=20, batch=32, head_hidden=32)
+        state = build_state(cfg, 32, 32)
+        states = [copy.deepcopy(state) for _ in range(3)]
+        small, large = self._peak(states, 512), self._peak(states, 2048)
+        per_row = 3 * cfg.classes * 8 + 24
+        assert large - small <= per_row * (2048 - 512), (small, large)
+
