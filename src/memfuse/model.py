@@ -50,6 +50,7 @@ from .fusion import (
 )
 from .kernels import ONE, ZERO, Array, Rng, as_batch, as_labels, batchwise_matmul
 from .metrics import MetricsReport, report_from_labels
+from .synthdata import Dataset
 
 _INT64 = np.dtype(np.int64)
 
@@ -163,6 +164,7 @@ class ModelParams:
 @dataclass
 class TrainState:
     config: ClassifierConfig
+    widths: Tuple[int, int]  # (s1, s2), the mode widths the state was built for
     params: ModelParams
     memories: List[MemoryState]
     m_flat: Array   # Adam's first moment, laid out like params.flat
@@ -247,6 +249,7 @@ def build_state(config: ClassifierConfig, s1: int, s2: int) -> TrainState:
     mrng = Rng(mem_seed).split(0)
     return TrainState(
         config=config,
+        widths=(s1, s2),
         params=params,
         memories=[init_memory(mrng.split(i), config.slots, fp.dim) for i, fp in enumerate(params.fusion_layers)],
         m_flat=np.zeros(flat.size),
@@ -484,30 +487,41 @@ def adam_step(state: TrainState, grads: ModelParams) -> TrainState:
     return state
 
 
-def _as_arrays(dataset, caller: str, classes: int) -> Tuple[Array, Array, Array]:
-    """The (m1, m2, labels) arrays of a dataset with at least one row.
+def checked_dataset(dataset, caller: str, state: TrainState) -> Dataset:
+    """The (m1, m2, labels) dataset as float64 modes and int64 labels,
+    checked against `state` before any work.
 
-    Checks everything about the rows before any work starts: the columns
-    have one row count, and every label is a whole number in
-    [0, classes).  The labels come back as int64.
+    np.asarray(mode, dtype=np.float64) hands a float64 array (a view
+    too) back as itself, never a copy.  Each mode must be 2-D with the
+    width the state was built for, the columns must share a row count of
+    at least 1, and every label must be a whole number in [0, classes).
+    Otherwise ShapeError or ParameterError names `caller` and the column.
     """
     if not (isinstance(dataset, tuple) and len(dataset) == 3):
         raise ParameterError(f"{caller}: dataset must be a (m1, m2, labels) tuple")
-    m1, m2, labels = dataset
+    columns = []
+    for name, column, dtype in zip(("m1", "m2", "labels"), dataset, (np.float64, np.float64, None)):
+        try:
+            columns.append(np.asarray(column, dtype=dtype))
+        except (TypeError, ValueError) as err:
+            raise ParameterError(f"{caller}: {name} is not an array of numbers: {err}") from None
+    m1, m2, labels = columns
+    for name, mode, width in zip(("m1", "m2"), columns, state.widths):
+        if mode.ndim != 2 or mode.shape[1] != width:
+            raise ShapeError(f"{caller}: {name} has shape {mode.shape}, this state takes (rows, {width})")
     n = len(m1)
     if n == 0:
         raise ParameterError(f"{caller}: empty dataset")
     if len(m2) != n:
         raise ShapeError(f"{caller}: m1 has {n} rows, m2 has {len(m2)}")
-    labels = np.asarray(labels)
     if labels.shape != (n,):
         raise ShapeError(f"{caller}: labels {labels.shape} vs {n} rows")
     if labels.dtype is not _INT64:
         labels = as_labels(labels, caller)
     # seen as uint64, a negative label is at least 2**63
-    if labels.view(np.uint64).max() >= classes:
+    if labels.view(np.uint64).max() >= state.config.classes:
         raise ParameterError(f"{caller}: label out of range")
-    return m1, m2, labels
+    return Dataset(m1, m2, labels)
 
 
 def train_epoch(state: TrainState, dataset) -> Tuple[TrainState, float]:
@@ -515,10 +529,11 @@ def train_epoch(state: TrainState, dataset) -> Tuple[TrainState, float]:
 
     The ragged tail (fewer than `batch` examples) is dropped; the memory
     advances through every processed batch.  Returns the mean batch loss.
+    The dataset goes through checked_dataset first, so a malformed one
+    raises before the first step changes the state.
     """
     cfg = state.config
-    # every row is checked before the first step changes the state
-    m1_all, m2_all, y_all = _as_arrays(dataset, "train_epoch", cfg.classes)
+    m1_all, m2_all, y_all = checked_dataset(dataset, "train_epoch", state)
     n = m1_all.shape[0]
     n_batches = n // cfg.batch
     if n_batches == 0:
@@ -566,22 +581,15 @@ def forward_split(
 
     `params` and the memories may be several runs stacked as lanes (see
     ModelParams).  The modes then hold one (rows, s) array per lane, as a
-    sequence or stacked: each lane reads its own rows, and every lane has
-    the same row count and, per mode, the same width.  A block's (lanes, block, s) inputs are gathered
-    from each lane's rows on axis -2, so the whole split is never
-    stacked.  The logits are (lanes, rows, classes), each lane with the
-    bits of its own run's pass over its own rows.
+    sequence or stacked, each lane's own rows; evaluate, the only caller,
+    has checked that they share one row count and widths.  A block's
+    (lanes, block, s) inputs are gathered from each lane's rows on axis
+    -2, so the whole split is never stacked.  The logits are (lanes,
+    rows, classes), each lane with the bits of its own run's pass over
+    its own rows.
     """
     lead = params.head1_w.shape[:-2]  # (lanes,) or ()
-    if lead:
-        n = len(m1[0])
-        if not len(m1) == len(m2) == lead[0] or any(len(m) != n for m in (*m1, *m2)):
-            raise ShapeError(f"forward_split: {lead[0]} lanes need a (rows, s) array per mode each, "
-                             "all with one row count")
-        if len({m.shape for m in m1}) > 1 or len({m.shape for m in m2}) > 1:
-            raise ShapeError("forward_split: the lanes' rows of a mode differ in width")
-    else:
-        n = m1.shape[0]
+    n = len(m1[0]) if lead else len(m1)
     memories = list(memories)
     variants = _layer_variants(config.variant, config.out_dim)
     matmul = functools.partial(batchwise_matmul, batch=config.batch)
@@ -632,73 +640,52 @@ def evaluate(states, datasets):
     """Metrics of each state on its dataset; dropout off.
 
     `states` is one TrainState, which gives one MetricsReport, or a
-    nonempty list of states that share one config, which gives one
-    report per state in order, each with the bits a call on that state
-    alone gives.  `datasets` is one (m1, m2, labels) dataset that every
-    state is scored on, or a list with one dataset per state.
+    nonempty list of states sharing one config, layout and widths, which
+    gives one report per state in order, each with the bits a call on
+    that state alone gives.  `datasets` is one (m1, m2, labels) dataset
+    for every state, or a list with one per state.
 
-    States whose datasets have the same row count and widths are scored
-    in one pass: their parameters and memories are stacked along a
-    leading lane axis, each lane reading its own dataset's rows (see
-    forward_split), so every numpy call of the pass serves all of them.
-    A group of one state runs on 2-D arrays, which is faster than a stack
-    of one.
-
-    Writes follow the config's freeze_eval_writes.  The states' memories
-    go in as they are, since forward_split never mutates them.  Errors
-    come in state order, as calls state by state would raise them: the
-    first state whose dataset is refused, whose pass fails or whose
-    logits are non-finite raises its error, whichever pass ran first.
+    checked_dataset takes every dataset first, in state order, so a
+    malformed one raises before any pass.  States whose datasets share a
+    row count then run as lanes of one forward_split pass, their
+    parameters and memories stacked on a leading axis, so every numpy
+    call serves all of them; a group of one runs on 2-D arrays, faster
+    than a stack of one.  Last, the states are scored in order, and the
+    first with non-finite logits raises NumericError.  Writes follow
+    freeze_eval_writes; forward_split never mutates the given memories.
     """
     one = isinstance(states, TrainState)
     stack = [states] if one else list(states)
     if not stack:
         raise ParameterError("evaluate: no states to score")
+    first = stack[0]
+    cfg, table, widths = first.config, first.params.table, first.widths
+    if any(s.config != cfg or s.params.table != table or s.widths != widths for s in stack[1:]):
+        raise ParameterError("evaluate: stacked states must share one config, parameter layout and widths")
     if not isinstance(datasets, list):
-        datasets = [datasets] * len(stack)
+        checked = [checked_dataset(datasets, "evaluate", first)] * len(stack)
     elif len(datasets) != len(stack):
         raise ParameterError(f"evaluate: {len(datasets)} datasets for {len(stack)} states")
-    cfg, table = stack[0].config, stack[0].params.table
-    if any(s.config != cfg or s.params.table != table for s in stack[1:]):
-        raise ParameterError("evaluate: stacked states must share one config and parameter layout")
-    arrays = [_attempt(_as_arrays, data, "evaluate", cfg.classes) for data in datasets]
-    groups: Dict[tuple, List[int]] = {}
-    for i, checked in enumerate(arrays):
-        if not isinstance(checked, Exception):
-            m1, m2, labels = checked
-            groups.setdefault((len(labels), m1.shape[1:], m2.shape[1:]), []).append(i)
-    # each state's logits, or the error its dataset's check or its pass raised
-    outcomes: List = list(arrays)
+    else:
+        checked = [checked_dataset(data, "evaluate", first) for data in datasets]
+    groups: Dict[int, List[int]] = {}
+    for i, data in enumerate(checked):
+        groups.setdefault(len(data.labels), []).append(i)
+    logits: List[Optional[Array]] = [None] * len(stack)
     for lanes in groups.values():
         if len(lanes) == 1:
             (i,) = lanes
-            params, memories, (m1, m2, _) = stack[i].params, stack[i].memories, arrays[i]
+            params, memories, m1, m2 = stack[i].params, stack[i].memories, checked[i].m1, checked[i].m2
         else:
             params, memories = _stacked([stack[i] for i in lanes])
-            m1, m2 = [arrays[i][0] for i in lanes], [arrays[i][1] for i in lanes]
+            m1, m2 = [checked[i].m1 for i in lanes], [checked[i].m2 for i in lanes]
         if cfg.freeze_eval_writes:
             memories = [m.frozen() for m in memories]
-        out = _attempt(forward_split, cfg, params, memories, m1, m2)
-        if isinstance(out, Exception):
-            lane_logits = [out] * len(lanes)
-        else:
-            lane_logits = out[0] if len(lanes) > 1 else [out[0]]
-        for i, lane in zip(lanes, lane_logits):
-            outcomes[i] = lane
-    reports = []
-    for checked, lane in zip(arrays, outcomes):
-        if isinstance(lane, Exception):
-            raise lane
-        reports.append(_scored(checked[2], lane, cfg.classes))
+        out = forward_split(cfg, params, memories, m1, m2)[0]
+        for i, lane in zip(lanes, out if len(lanes) > 1 else [out]):
+            logits[i] = lane
+    reports = [_scored(data.labels, lane, cfg.classes) for data, lane in zip(checked, logits)]
     return reports[0] if one else reports
-
-
-def _attempt(fn, *args):
-    """fn(*args), or the ValueError (ShapeError, ParameterError) it raised."""
-    try:
-        return fn(*args)
-    except ValueError as err:
-        return err
 
 
 def fit(
@@ -709,30 +696,24 @@ def fit(
 ) -> Tuple[List[dict], Optional[MetricsReport]]:
     """Run config.epochs passes; returns (curves, test report).
 
-    The curves hold one row per epoch.  With a validation set, each row
-    also holds the validation scores of the state as that epoch left it.
-    With a test set, the report scores the state that training left on
-    it; otherwise the report is None.  Every epoch trains first, keeping
-    a snapshot of the state after each (a copy of the parameters and the
-    memory list, whose matrices writes never change); then one evaluate
-    call scores all snapshots on the validation set and the final state
-    on the test set, as lanes of one pass where the row counts agree.
-    With no validation set that call scores the final state alone.
-    The scores are those a validation pass after each epoch and a test
-    pass after training give, and so are the errors: evaluate raises in
-    state order, validations first.  If an epoch raises, the snapshots
-    taken before it are scored first, so an error that a validation pass
-    before that epoch would have raised is the one raised; the test set
-    is then never scored.
+    The curves hold one row per epoch, with the validation scores of the
+    state that epoch left when there is a validation set.  The report
+    scores the final state on the test set, or is None without one.
+
+    checked_dataset takes every split before epoch 1, so a malformed one
+    raises before any step.  The epochs then train, an epoch's error
+    raising as it happens, and each keeps a snapshot (a copy of the
+    parameters and the memory list, whose matrices writes never change).
+    Last, one evaluate call scores the snapshots on the validation set
+    and the final state on the test set, lanes of one pass where the row
+    counts agree, with the bits of a validation pass after each epoch and
+    a test pass after training; non-finite logits raise in that order.
     """
+    train_set, val_set, test_set = (data if data is None else checked_dataset(data, "fit", state)
+                                    for data in (train_set, val_set, test_set))
     curves, snapshots = [], []
     for epoch in range(1, state.config.epochs + 1):
-        try:
-            state, loss = train_epoch(state, train_set)
-        except Exception:
-            if snapshots:
-                evaluate(snapshots, val_set)
-            raise
+        state, loss = train_epoch(state, train_set)
         curves.append({"epoch": epoch, "train_loss": loss})
         if val_set is not None:
             params = ModelParams(state.params.flat.copy(), state.params.table)

@@ -27,8 +27,8 @@ from memfuse.fusion import (
 from memfuse.gradcheck import LayerCheckConfig, check_layer, standard_variants
 from memfuse.kernels import Rng
 from memfuse.metrics import compute_report
-from memfuse.model import ClassifierConfig, build_state, evaluate, fit
-from memfuse.synthdata import TaskConfig, gen_dataset, split, stack
+from memfuse.model import ClassifierConfig, build_state, fit
+from memfuse.synthdata import TaskConfig, gen_dataset, split
 
 from oracle import sl_layer_batch
 
@@ -175,14 +175,12 @@ def test_criterion_6_directional_synthetic_result():
     assert task.length == 10_000
     assert cls_doc["epochs"] == 10
     data = gen_dataset(task)
-    train, val, test = split(data, doc["train_frac"], doc["val_frac"])
-    train_arrays, test_arrays = stack(train), stack(test)
+    train, _, test = split(data, doc["train_frac"], doc["val_frac"])
 
     def run(variant, seed):
         cfg = ClassifierConfig(**{**cls_doc, "variant": variant, "slots": 20, "seed": seed})
         state = build_state(cfg, task.s1, task.s2)
-        fit(state, train_arrays)
-        return evaluate(state, test_arrays).wa
+        return fit(state, train, None, test)[1].wa
 
     memory_wa, naive_wa = [], []
     for seed in doc["seeds"][:5]:

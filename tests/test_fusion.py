@@ -5,10 +5,13 @@ equation is checked on fusion_forward's trace."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memfuse.errors import ParameterError, ShapeError
 from memfuse.fusion import (
     DEFAULT_SLOTS,
+    MEMORY,
     MEMORY_CROSS,
     MEMORY_RESAMPLED,
     MEMORY_SINGLE,
@@ -254,6 +257,33 @@ class TestWrite:
                 add += z[b, j] * h[b]
             add /= 3
             np.testing.assert_allclose(new.matrix[j], mem.matrix[j] * (1 - erase) + add, atol=1e-14)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kind=st.sampled_from([MEMORY, MEMORY_CROSS, MEMORY_SINGLE]),
+        s1=st.integers(1, 6),
+        s2=st.integers(1, 6),
+        slots=st.integers(1, 40),
+        batch=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equal_rows_are_a_fixed_point(self, kind, s1, s2, slots, batch, seed):
+        # equal rows give equal read scores, so every key is 1/k and every
+        # row becomes M(1 - 1/k) + sum_b h_b / (kB): the rows stay equal,
+        # to rounding (products of equal rows may round apart, about 2e-16)
+        rng = Rng(seed)
+        variant = Variant(kind)
+        d = variant.input_dim(s1, s2)
+        row = rng.split(1).normal(d)
+        mem = MemoryState(np.tile(row, (slots, 1)))
+        m1 = rng.split(2).normal(batch * s1).reshape(batch, s1)
+        m2 = rng.split(3).normal(batch * s2).reshape(batch, s2)
+        _, trace, new = fusion_forward(init_params(rng.split(4), d), mem, variant, m1, m2)
+        scale = 1.0 + np.abs(row).max() + np.abs(trace.transformed).max()
+        np.testing.assert_allclose(trace.keys, 1.0 / slots, rtol=1e-14)
+        assert np.ptp(new.matrix, axis=0).max() <= 1e-14 * scale
+        ema = row * (1.0 - 1.0 / slots) + trace.transformed.sum(axis=0) / (slots * batch)
+        np.testing.assert_allclose(new.matrix, np.broadcast_to(ema, (slots, d)), rtol=0, atol=1e-14 * scale)
 
     def test_empty_batch(self):
         mem = MemoryState(np.zeros((2, 2)))

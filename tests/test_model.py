@@ -5,6 +5,7 @@ import copy
 import hashlib
 import importlib
 import pickle
+import re
 import sys
 import tracemalloc
 import warnings
@@ -563,7 +564,7 @@ class TestStepCallBudget:
     # softmax_rows checks a float64 matrix inline, and the identity
     # encoder leaves the modes to the layers' own checks
     PER_STEP = 24
-    PER_EPOCH = 2  # train_epoch itself and _as_arrays
+    PER_EPOCH = 2  # train_epoch itself and checked_dataset
 
     def test_paper_shape_epoch_stays_within_budget(self):
         cfg = tiny_config(variant="memory", slots=20, batch=2, head_hidden=32,
@@ -865,45 +866,46 @@ class TestForwardSplit:
                     assert report.to_dict() == own.to_dict(), (extra, counts)
                     assert report.confusion.tobytes() == own.confusion.tobytes(), (extra, counts)
 
-    def test_errors_come_in_state_order(self):
-        # the passes run by row count, 41 rows before 50, but the errors
-        # come as state-by-state calls raise them
+    def test_errors_come_in_state_order(self, monkeypatch):
+        # the passes run by row count, 41 rows before 50, but non-finite
+        # logits raise as state-by-state calls raise them
         states = self._epochs(tiny_config(variant="memory", head_hidden=6, slots=5, batch=3), 3)
         nan_50, nan_41 = self._lane_data(50, 1), self._lane_data(41, 2)
         nan_50[0][7, 0] = nan_41[0][3, 0] = np.nan
         with pytest.raises(NumericError, match="sample 7 of 50"):
             evaluate(states, [self._lane_data(41, 0), nan_50, nan_41])
-        # a malformed dataset raises in its state's place, as its own call
-        # would: after an earlier state's non-finite logits, before a later's
+        # a malformed dataset raises the error its own call raises, before
+        # any pass, wherever its state stands: after a non-finite lane too
+        passes, real = [], memfuse.model.forward_split
+
+        def counted(*args):
+            passes.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(memfuse.model, "forward_split", counted)
         m1, m2, y = self._lane_data(50, 3)
-        short = (m1, m2[:47], y)
-        with pytest.raises(NumericError, match="sample 3 of 41"):
-            evaluate(states, [self._lane_data(41, 0), nan_41, short])
-        with pytest.raises(ShapeError, match="m2 has 47"):
-            evaluate(states, [self._lane_data(41, 0), short, nan_41])
-        # so does a dataset of the wrong width, which runs as a pass of its own
-        wide = (np.hstack([m1, m1[:, :1]]), m2, y)
-        with pytest.raises(ShapeError) as alone:
-            evaluate(states[2], wide)
-        with pytest.raises(NumericError, match="sample 7 of 50"):
-            evaluate(states, [self._lane_data(50, 0), nan_50, wide])
-        with pytest.raises(ShapeError) as got:
-            evaluate(states, [self._lane_data(50, 0), wide, nan_50])
-        assert str(got.value) == str(alone.value)
+        for malformed in ((m1, m2[:47], y), (np.hstack([m1, m1[:, :1]]), m2, y), (m1, m2, y[:49])):
+            with pytest.raises(ShapeError) as alone:
+                evaluate(states[2], malformed)
+            for datasets in ([self._lane_data(50, 0), nan_50, malformed],
+                             [self._lane_data(50, 0), malformed, nan_50]):
+                with pytest.raises(ShapeError) as got:
+                    evaluate(states, datasets)
+                assert str(got.value) == str(alone.value)
+        assert passes == []
 
     def test_datasets_must_match_the_states(self):
         states = [build_state(tiny_config(variant="memory"), 4, 4)] * 2
-        with pytest.raises(ParameterError, match="3 datasets for 2 states"):
-            evaluate(states, [tiny_data(n=20)] * 3)
-        cfg = tiny_config(variant="memory")
-        params = ModelParams(np.stack([states[0].params.flat] * 2), states[0].params.table)
-        memories = [MemoryState(np.stack([states[0].memories[0].matrix] * 2))]
-        m1, m2, _ = tiny_data(n=20)
-        for lane_m1, lane_m2 in (([m1], [m2]), ([m1, m1[:16]], [m2, m2[:16]]), (m1, m2)):
-            with pytest.raises(ShapeError, match="one row count"):
-                forward_split(cfg, params, memories, lane_m1, lane_m2)
-        with pytest.raises(ShapeError, match="differ in width"):
-            forward_split(cfg, params, memories, [m1, np.hstack([m1, m1[:, :1]])], [m2, m2])
+        m1, m2, y = tiny_data(n=20)
+        for count in (1, 3):
+            with pytest.raises(ParameterError, match=f"{count} datasets for 2 states"):
+                evaluate(states, [(m1, m2, y)] * count)
+        # forward_split trusts its lanes: evaluate's check of each dataset
+        # refuses a lane whose modes differ in row count, or a wider lane
+        with pytest.raises(ShapeError, match="m1 has 20 rows, m2 has 16"):
+            evaluate(states, [(m1, m2, y), (m1, m2[:16], y)])
+        with pytest.raises(ShapeError, match=r"m1 has shape \(20, 5\), this state takes \(rows, 4\)"):
+            evaluate(states, [(m1, m2, y), (np.hstack([m1, m1[:, :1]]), m2, y)])
 
     @pytest.mark.parametrize("variant", ["memory", "memory_single", "naive"])
     def test_fit_curves_equal_a_serial_loop(self, monkeypatch, variant):
@@ -970,8 +972,8 @@ class TestForwardSplit:
         with pytest.raises(NumericError) as got:
             fit(build_state(cfg, 4, 4), train, val)
         assert str(got.value) == str(serial.value)
-        # an epoch that raises after a validation pass that would have
-        # raised: the validation's error comes first
+        # an epoch that raises: its error comes as it happens, and no
+        # validation is scored, not even one that would have raised
         real, epochs = memfuse.model.train_epoch, []
 
         def failing(state, data):
@@ -980,10 +982,12 @@ class TestForwardSplit:
                 raise NumericError("train_epoch: non-finite loss at batch 0")
             return real(state, data)
 
+        scored = []
         monkeypatch.setattr(memfuse.model, "train_epoch", failing)
-        with pytest.raises(NumericError) as got:
+        monkeypatch.setattr(memfuse.model, "evaluate", lambda states, data: scored.append(data))
+        with pytest.raises(NumericError, match="non-finite loss at batch 0"):
             fit(build_state(cfg, 4, 4), train, val)
-        assert str(got.value) == str(serial.value) and epochs == [1, 2]
+        assert epochs == [1, 2] and scored == []
         epochs.clear()
         with pytest.raises(NumericError, match="non-finite loss at batch 0"):
             fit(build_state(cfg, 4, 4), train, tiny_data(n=23, seed=4))
@@ -1017,12 +1021,14 @@ class TestForwardSplit:
         with pytest.raises(NumericError) as got:
             fit(build_state(cfg, 4, 4), train, bad_val, bad_test)
         assert str(got.value) == str(serial_val.value)
-        # a NaN validation row and a test set of the wrong width: the validation raises first
+        # a NaN validation row and a test set of the wrong width: the test
+        # set is refused before epoch 1
         wide_test = (np.hstack([test[0], test[0][:, :1]]), test[1], test[2])
-        with pytest.raises(NumericError) as got:
-            fit(build_state(cfg, 4, 4), train, bad_val, wide_test)
-        assert str(got.value) == str(serial_val.value)
-        # an epoch that raises: the pending validations are scored, the test set never
+        state = build_state(cfg, 4, 4)
+        with pytest.raises(ShapeError, match=r"fit: m1 has shape \(23, 5\), this state takes \(rows, 4\)"):
+            fit(state, train, bad_val, wide_test)
+        assert state.step == 0
+        # an epoch that raises: its error comes as it happens, and nothing is scored
         real_train, real_eval, scored = memfuse.model.train_epoch, memfuse.model.evaluate, []
 
         def failing(state, data):
@@ -1036,11 +1042,10 @@ class TestForwardSplit:
 
         monkeypatch.setattr(memfuse.model, "train_epoch", failing)
         monkeypatch.setattr(memfuse.model, "evaluate", counted)
-        for val_set, match in ((val, "non-finite loss at batch 0"), (bad_val, "sample 6 of 23")):
-            scored.clear()
-            with pytest.raises(NumericError, match=match):
+        for val_set in (val, bad_val):
+            with pytest.raises(NumericError, match="non-finite loss at batch 0"):
                 fit(build_state(cfg, 4, 4), train, val_set, bad_test)
-            assert len(scored) == 1 and scored[0] is val_set
+        assert scored == []
 
     def test_states_must_share_one_config(self):
         data = tiny_data(n=20)
@@ -1050,6 +1055,11 @@ class TestForwardSplit:
                 evaluate([state, build_state(tiny_config(variant="memory", **other), 4, 4)], data)
         with pytest.raises(ParameterError, match="one config"):
             evaluate([state, build_state(tiny_config(variant="memory"), 4, 3)], data)
+        # naive states built for widths (4, 4) and (3, 5) share one parameter layout
+        naive = [build_state(tiny_config(variant="naive"), *widths) for widths in ((4, 4), (3, 5))]
+        assert naive[0].params.table == naive[1].params.table
+        with pytest.raises(ParameterError, match="widths"):
+            evaluate(naive, data)
         with pytest.raises(ParameterError, match="no states"):
             evaluate([], data)
         twin = copy.deepcopy(state)
@@ -1068,15 +1078,21 @@ class TestForwardSplit:
 
 
 class TestDatasetIntake:
-    """A bad dataset is refused before the first step changes anything."""
+    """A bad dataset is refused before the first step or pass, and leaves
+    the state as it was; the forms numpy casts to float64 rows work."""
 
     def _assert_refused(self, data, error, match):
         state = build_state(tiny_config(variant="memory"), 4, 4)
         flat, mem, step = state.params.flat.copy(), state.memories[0].matrix.copy(), state.step
-        with pytest.raises(error, match=match):
-            train_epoch(state, data)
-        with pytest.raises(error, match=match):
-            evaluate(state, data)
+        passes = []
+        with pytest.MonkeyPatch.context() as patch:
+            for name in ("forward_logits", "forward_split"):
+                patch.setattr(memfuse.model, name, lambda *args: passes.append(args))
+            with pytest.raises(error, match=match):
+                train_epoch(state, data)
+            with pytest.raises(error, match=match):
+                evaluate(state, data)
+        assert passes == []
         assert state.params.flat.tobytes() == flat.tobytes()
         assert state.memories[0].matrix.tobytes() == mem.tobytes()
         assert state.step == step
@@ -1109,6 +1125,65 @@ class TestDatasetIntake:
         train_epoch(state, as_float)
         train_epoch(twin, data)
         assert state.params.flat.tobytes() == twin.params.flat.tobytes()
+
+    def test_modes_as_nested_lists_work(self):
+        data = tiny_data(n=20)
+        lists = tuple(column.tolist() for column in data)
+        state = build_state(tiny_config(variant="memory"), 4, 4)
+        twin = copy.deepcopy(state)
+        got, want = evaluate(state, lists), evaluate(state, data)
+        assert got.to_dict() == want.to_dict()
+        assert got.confusion.tobytes() == want.confusion.tobytes()
+        assert train_epoch(state, lists)[1] == train_epoch(twin, data)[1]
+        assert state.params.flat.tobytes() == twin.params.flat.tobytes()
+        assert state.memories[0].matrix.tobytes() == twin.memories[0].matrix.tobytes()
+
+    # each ends in the state's width 4: a row as a vector, and rows in blocks
+    @pytest.mark.parametrize("shape", [(4,), (5, 4, 4)])
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_modes_must_be_two_dimensional(self, column, shape):
+        data = list(tiny_data(n=20))
+        data[column] = data[column].ravel()[:np.prod(shape)].reshape(shape)
+        self._assert_refused(tuple(data), ShapeError,
+                             re.escape(f"m{column + 1} has shape {shape}, this state takes (rows, 4)"))
+
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_a_mode_one_column_too_wide(self, column):
+        data = list(tiny_data(n=20))
+        data[column] = np.hstack([data[column], data[column][:, :1]])
+        self._assert_refused(tuple(data), ShapeError,
+                             re.escape(f"m{column + 1} has shape (20, 5), this state takes (rows, 4)"))
+
+    @pytest.mark.parametrize("kind,column", [("ragged", 0), ("ragged", 1), ("ragged", 2), ("string", 0), ("string", 1)])
+    def test_columns_numpy_will_not_cast(self, kind, column):
+        data = list(tiny_data(n=20))
+        rows = data[column].tolist()
+        if kind == "ragged":
+            rows[3] = [rows[3], 0] if column == 2 else rows[3][:2]
+        else:
+            rows[3] = ["a"] * 4
+        data[column] = rows
+        name = ("m1", "m2", "labels")[column]
+        self._assert_refused(tuple(data), (ShapeError, ParameterError), f"{name} is not an array of numbers")
+
+    @pytest.mark.parametrize("split", ["val_set", "test_set"])
+    @pytest.mark.parametrize("kind", ["short", "wide", "list"])
+    def test_fit_refuses_a_malformed_split_before_epoch_1(self, split, kind):
+        cfg = tiny_config(variant="memory", epochs=2)
+        state = build_state(cfg, 4, 4)
+        flat, mem = state.params.flat.copy(), state.memories[0].matrix.copy()
+        m1, m2, y = tiny_data(n=20, seed=4)
+        malformed, match = {
+            "short": ((m1, m2[:16], y), "fit: m1 has 20 rows, m2 has 16"),
+            "wide": ((m1, np.hstack([m2, m2[:, :1]]), y), re.escape("fit: m2 has shape (20, 5)")),
+            "list": ((m1.tolist()[:19] + [[0.0]], m2, y), "fit: m1 is not an array of numbers"),
+        }[kind]
+        sets = {"val_set": tiny_data(n=20, seed=5), "test_set": tiny_data(n=20, seed=6), split: malformed}
+        with pytest.raises((ShapeError, ParameterError), match=match):
+            fit(state, tiny_data(n=64), **sets)
+        assert state.step == 0
+        assert state.params.flat.tobytes() == flat.tobytes()
+        assert state.memories[0].matrix.tobytes() == mem.tobytes()
 
 
 class TestEvalCallBudget:
