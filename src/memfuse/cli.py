@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import NumericError, ParameterError, ShapeError
-from .fusion import parse_variant, table_views
+from .fusion import MEMORY_SINGLE, parse_variant, table_views
 from .gradcheck import (
     DEFAULT_STEP,
     DEFAULT_THRESHOLD,
@@ -329,7 +329,7 @@ def cmd_gradcheck(args) -> int:
         checked.append((variant, [check_layer(cfg, seed=seed, threshold=args.threshold, step=args.step)
                                   for seed in range(args.seeds)]))
     results = {
-        variant.kind + (f"_mode{variant.mode}" if variant.kind == "memory_single" else ""): {
+        variant.kind + (f"_mode{variant.mode}" if variant.kind == MEMORY_SINGLE else ""): {
             "passed": all(r.passed for r in reports),
             "max_rel": max(r.max_rel for r in reports),
             "seeds": args.seeds,

@@ -54,7 +54,7 @@ MEMORY_CROSS = "memory_cross"
 MEMORY_SINGLE = "memory_single"
 MEMORY_RESAMPLED = "memory_resampled"
 
-_KINDS = (NAIVE, MEMORY, MEMORY_CROSS, MEMORY_SINGLE, MEMORY_RESAMPLED)
+KINDS = (NAIVE, MEMORY, MEMORY_CROSS, MEMORY_SINGLE, MEMORY_RESAMPLED)
 
 
 @dataclass(frozen=True)
@@ -71,8 +71,8 @@ class Variant:
     out_dim: int = 0
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ParameterError(f"unknown variant {self.kind!r}; expected one of {_KINDS}")
+        if self.kind not in KINDS:
+            raise ParameterError(f"unknown variant {self.kind!r}; expected one of {KINDS}")
         if self.kind == MEMORY_SINGLE and self.mode not in (1, 2):
             raise ParameterError(f"single-mode index must be 1 or 2, got {self.mode}")
         if self.kind == MEMORY_RESAMPLED and self.out_dim < 1:

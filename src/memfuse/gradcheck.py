@@ -25,8 +25,8 @@ import numpy as np
 
 from .errors import NumericError, ParameterError
 from .fusion import (
+    KINDS,
     MEMORY_RESAMPLED,
-    MEMORY_SINGLE,
     NAIVE,
     FusionParams,
     Variant,
@@ -245,15 +245,10 @@ def check_layer(
 
 
 def standard_variants(out_dim: int = 4) -> list[Variant]:
-    """The five layer variants, with both single-mode sides covered."""
-    return [
-        Variant(NAIVE),
-        Variant(),
-        Variant("memory_cross"),
-        Variant(MEMORY_SINGLE, mode=1),
-        Variant(MEMORY_SINGLE, mode=2),
-        Variant(MEMORY_RESAMPLED, out_dim=out_dim),
-    ]
+    """The naive case, then the fusion layers of a classifier of each kind
+    in KINDS order: both single-mode sides are covered."""
+    configs = (ClassifierConfig(variant=kind, out_dim=out_dim) for kind in KINDS)
+    return [Variant(NAIVE), *(variant for cfg in configs for variant in cfg.layer_variants())]
 
 
 def check_classifier(seed: int, variant: Variant = Variant(), threshold: float = DEFAULT_THRESHOLD, step: float = DEFAULT_STEP) -> GradReport:

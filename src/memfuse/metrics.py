@@ -9,7 +9,7 @@ weighted-average recall identical to wa.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import List, Sequence
 
 import numpy as np
@@ -26,12 +26,7 @@ class ClassScores:
     support: int
 
     def to_dict(self) -> dict:
-        return {
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "support": self.support,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -45,15 +40,7 @@ class MetricsReport:
     missing_classes: List[int]            # classes with zero support, excluded from ua
 
     def to_dict(self) -> dict:
-        return {
-            "wa": self.wa,
-            "ua": self.ua,
-            "per_class": [c.to_dict() for c in self.per_class],
-            "weighted_avg": self.weighted_avg.to_dict(),
-            "confusion": self.confusion.tolist(),
-            "empty_prediction_classes": self.empty_prediction_classes,
-            "missing_classes": self.missing_classes,
-        }
+        return {**asdict(self), "confusion": self.confusion.tolist()}
 
 
 def confusion_matrix(true_labels: Sequence[int], predicted_labels: Sequence[int], classes: int) -> Array:
@@ -87,52 +74,28 @@ def compute_report(confusion) -> MetricsReport:
     if total == 0:
         raise ParameterError("compute_report: empty confusion matrix")
 
-    classes = counts.shape[0]
-    support = counts.sum(axis=1)
-    predicted = counts.sum(axis=0)
-    diag = np.diag(counts)
-
-    wa = float(diag.sum() / total)
-
-    per_class = []
-    recalls = []
-    missing = []
-    empty_pred = []
-    for c in range(classes):
-        prec = float(diag[c] / predicted[c]) if predicted[c] > 0 else 0.0
-        if predicted[c] == 0:
-            empty_pred.append(c)
-        if support[c] > 0:
-            rec = float(diag[c] / support[c])
-            recalls.append(rec)
-        else:
-            rec = 0.0
-            missing.append(c)
-        f1 = 2.0 * prec * rec / (prec + rec) if prec + rec > 0 else 0.0
-        per_class.append(ClassScores(prec, rec, f1, int(support[c])))
-
+    # the three margins as Python ints; every score below is a Python float
+    support = counts.sum(axis=1).tolist()
+    predicted = counts.sum(axis=0).tolist()
+    diag = counts.diagonal().tolist()
+    precision = [d / p if p > 0 else 0.0 for d, p in zip(diag, predicted)]
+    recall = [d / s if s > 0 else 0.0 for d, s in zip(diag, support)]
+    f1 = [2.0 * p * r / (p + r) if p + r > 0 else 0.0 for p, r in zip(precision, recall)]
+    missing = [c for c, s in enumerate(support) if s == 0]
     if missing:
         warnings.warn(
             f"compute_report: classes {missing} have no true samples; excluded from ua",
             stacklevel=2,
         )
-    ua = float(np.mean(recalls))
-
-    weights = support / total
-    weighted = ClassScores(
-        precision=float(sum(w * c.precision for w, c in zip(weights, per_class))),
-        recall=float(sum(w * c.recall for w, c in zip(weights, per_class))),
-        f1=float(sum(w * c.f1 for w, c in zip(weights, per_class))),
-        support=total,
-    )
-
+    weights = [s / total for s in support]
+    weighted = (sum(w * x for w, x in zip(weights, xs)) for xs in (precision, recall, f1))
     return MetricsReport(
         confusion=counts,
-        wa=wa,
-        ua=ua,
-        per_class=per_class,
-        weighted_avg=weighted,
-        empty_prediction_classes=empty_pred,
+        wa=sum(diag) / total,
+        ua=float(np.mean([r for r, s in zip(recall, support) if s > 0])),
+        per_class=[ClassScores(*scores) for scores in zip(precision, recall, f1, support)],
+        weighted_avg=ClassScores(*weighted, total),
+        empty_prediction_classes=[c for c, p in enumerate(predicted) if p == 0],
         missing_classes=missing,
     )
 

@@ -492,17 +492,25 @@ def checked_dataset(dataset, caller: str, state: TrainState) -> Dataset:
     checked against `state` before any work.
 
     np.asarray(mode, dtype=np.float64) hands a float64 array (a view
-    too) back as itself, never a copy.  Each mode must be 2-D with the
-    width the state was built for, the columns must share a row count of
-    at least 1, and every label must be a whole number in [0, classes).
-    Otherwise ShapeError or ParameterError names `caller` and the column.
+    too) back as itself, never a copy.  No column may be complex, each
+    mode must be 2-D with the width the state was built for, the columns
+    must share a row count of at least 1, and every label must be a whole
+    number in [0, classes).  Otherwise ShapeError or ParameterError names
+    `caller` and the column.  Last, a mode holding NaN or an infinity (a
+    None in a list becomes NaN) raises NumericError naming its first
+    such row.
     """
     if not (isinstance(dataset, tuple) and len(dataset) == 3):
         raise ParameterError(f"{caller}: dataset must be a (m1, m2, labels) tuple")
     columns = []
     for name, column, dtype in zip(("m1", "m2", "labels"), dataset, (np.float64, np.float64, None)):
         try:
-            columns.append(np.asarray(column, dtype=dtype))
+            # a list is converted once; the cast would keep a complex
+            # array's real part and drop the rest
+            array = np.asarray(column)
+            if array.dtype.kind == "c":
+                raise TypeError("it holds complex values")
+            columns.append(np.asarray(array, dtype=dtype))
         except (TypeError, ValueError) as err:
             raise ParameterError(f"{caller}: {name} is not an array of numbers: {err}") from None
     m1, m2, labels = columns
@@ -521,6 +529,11 @@ def checked_dataset(dataset, caller: str, state: TrainState) -> Dataset:
     # seen as uint64, a negative label is at least 2**63
     if labels.view(np.uint64).max() >= state.config.classes:
         raise ParameterError(f"{caller}: label out of range")
+    for name, mode in zip(("m1", "m2"), (m1, m2)):
+        # a NaN reaches both min and max, which allocate nothing
+        if not (math.isfinite(mode.min()) and math.isfinite(mode.max())):
+            row = int(np.argmin(np.isfinite(mode).all(axis=1)))
+            raise NumericError(f"{caller}: {name} has a non-finite value in row {row}")
     return Dataset(m1, m2, labels)
 
 

@@ -5,6 +5,7 @@ written directly from the layer's defining equations and sharing no
 code with the package internals.  Softmax is the plain exp-normalize
 form (fine for the small scores these tests use), so even the numerics
 take a different path than the vectorized implementation.
+loop_report is the metrics report written as one per-class loop.
 """
 
 import math
@@ -157,3 +158,60 @@ def per_batch_forward(forward_logits, config, params, memories, m1, m2):
         logits[rows], cache = forward_logits(config, params, memories, m1[rows], m2[rows])
         memories = cache.new_memories
     return logits, list(memories)
+
+
+def loop_report(confusion):
+    """The metrics report of a confusion matrix as a to_dict document,
+    built class by class in one loop with the scores kept as numpy
+    scalars until the end: the form compute_report had before it read
+    the matrix's margins as Python lists.  Imports nothing from the
+    package; missing classes warn with the package's text.
+    """
+    import warnings
+
+    import numpy as np
+
+    counts = np.asarray(confusion, dtype=np.int64)
+    total = int(counts.sum())
+    classes = counts.shape[0]
+    support = counts.sum(axis=1)
+    predicted = counts.sum(axis=0)
+    diag = np.diag(counts)
+
+    wa = float(diag.sum() / total)
+
+    per_class = []
+    recalls = []
+    missing = []
+    empty_pred = []
+    for c in range(classes):
+        prec = float(diag[c] / predicted[c]) if predicted[c] > 0 else 0.0
+        if predicted[c] == 0:
+            empty_pred.append(c)
+        if support[c] > 0:
+            rec = float(diag[c] / support[c])
+            recalls.append(rec)
+        else:
+            rec = 0.0
+            missing.append(c)
+        f1 = 2.0 * prec * rec / (prec + rec) if prec + rec > 0 else 0.0
+        per_class.append({"precision": prec, "recall": rec, "f1": f1, "support": int(support[c])})
+
+    if missing:
+        warnings.warn(f"compute_report: classes {missing} have no true samples; excluded from ua")
+    ua = float(np.mean(recalls))
+
+    weights = support / total
+    weighted = {
+        name: float(sum(w * c[name] for w, c in zip(weights, per_class)))
+        for name in ("precision", "recall", "f1")
+    }
+    return {
+        "wa": wa,
+        "ua": ua,
+        "per_class": per_class,
+        "weighted_avg": {**weighted, "support": total},
+        "confusion": counts.tolist(),
+        "empty_prediction_classes": empty_pred,
+        "missing_classes": missing,
+    }

@@ -259,8 +259,6 @@ def test_every_name_matched_field_is_still_read_only_by_name():
 # methods and properties only callers outside the package read; the
 # benchmark's output checks call them, so deleting one breaks every round
 KEPT_METHODS = {
-    # bench/checks.py's fusion_pairs: one reference layer per variant
-    "ClassifierConfig.layer_variants",
     # bench/checks.py's adam_pairs: Adam's moments by block against textbook Adam
     "TrainState.adam_m",
     "TrainState.adam_v",

@@ -1,9 +1,15 @@
 """Metrics-module contracts."""
 
+import json
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from oracle import loop_report
 
 from memfuse.errors import ParameterError
 from memfuse.metrics import (
@@ -112,6 +118,30 @@ class TestComputeReport:
     def test_non_square_rejected(self):
         with pytest.raises(ParameterError):
             compute_report(np.zeros((2, 3), dtype=int))
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data(), classes=st.integers(1, 8))
+    def test_same_bits_as_the_per_class_loop(self, data, classes):
+        # any counts up to 1e6, with some whole rows (missing classes) and
+        # whole columns (classes never predicted) zeroed
+        count = st.one_of(st.integers(0, 10**6), st.integers(0, 10), st.just(0))
+        counts = data.draw(arrays(np.int64, (classes, classes), elements=count))
+        zeroed = arrays(np.bool_, classes, elements=st.sampled_from([False, False, False, True]))
+        counts[data.draw(zeroed)] = 0
+        counts[:, data.draw(zeroed)] = 0
+        if counts.sum() == 0:
+            counts[data.draw(st.integers(0, classes - 1)), data.draw(st.integers(0, classes - 1))] = 1
+        with warnings.catch_warnings(record=True) as want_warned:
+            warnings.simplefilter("always")
+            want = loop_report(counts)
+        with warnings.catch_warnings(record=True) as got_warned:
+            warnings.simplefilter("always")
+            got = compute_report(counts).to_dict()
+        assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+        assert [str(w.message) for w in got_warned] == [str(w.message) for w in want_warned]
+        for scores in got["per_class"] + [got["weighted_avg"]]:
+            assert [type(scores[k]) for k in ("precision", "recall", "f1", "support")] == [float] * 3 + [int]
+        assert type(got["wa"]) is float and type(got["ua"]) is float
 
 
 class TestHelpers:

@@ -470,10 +470,10 @@ class TestEvaluate:
         with pytest.raises(NumericError, match="sample 0 of 24"):
             evaluate(state, tiny_data(n=24))
 
-    def test_non_finite_logits_named_by_first_sample(self):
+    def test_non_finite_logits_named_by_first_sample(self, monkeypatch):
         state = self._state_with_onehot_readout()
         m1, m2, y = np.zeros((9, 4)), np.zeros((9, 3)), np.arange(9) % 3
-        m2[6, 0] = np.nan
+        _nan_logits(monkeypatch, {id(m1): 6})
         with pytest.raises(NumericError, match="sample 6 of 9"):
             evaluate(state, (m1, m2, y))
 
@@ -754,6 +754,23 @@ def _patch_block(monkeypatch, block):
         monkeypatch.setattr(memfuse.model, "_EVAL_BLOCK", block)
 
 
+def _nan_logits(monkeypatch, rows):
+    """Patch forward_split so that the logits of a lane whose m1 is the
+    array `a` are NaN in row rows[id(a)].  The data gate refuses
+    non-finite features, so this is how a test gives a pass non-finite
+    logits at a row of its choosing."""
+    real = memfuse.model.forward_split
+
+    def poisoned(config, params, memories, m1, m2):
+        logits, memories = real(config, params, memories, m1, m2)
+        for mode, lane in zip(m1, logits) if logits.ndim == 3 else [(m1, logits)]:
+            if id(mode) in rows:
+                lane[rows[id(mode)], 0] = np.nan
+        return logits, memories
+
+    monkeypatch.setattr(memfuse.model, "forward_split", poisoned)
+
+
 class TestForwardSplit:
     """forward_split against the per-batch loop over forward_logits, bit for bit.
 
@@ -871,7 +888,7 @@ class TestForwardSplit:
         # logits raise as state-by-state calls raise them
         states = self._epochs(tiny_config(variant="memory", head_hidden=6, slots=5, batch=3), 3)
         nan_50, nan_41 = self._lane_data(50, 1), self._lane_data(41, 2)
-        nan_50[0][7, 0] = nan_41[0][3, 0] = np.nan
+        _nan_logits(monkeypatch, {id(nan_50[0]): 7, id(nan_41[0]): 3})
         with pytest.raises(NumericError, match="sample 7 of 50"):
             evaluate(states, [self._lane_data(41, 0), nan_50, nan_41])
         # a malformed dataset raises the error its own call raises, before
@@ -960,10 +977,8 @@ class TestForwardSplit:
     def test_fit_raises_the_serial_loops_error(self, monkeypatch):
         cfg = tiny_config(variant="memory", epochs=3)
         train = tiny_data(n=64, seed=3)
-        m1, m2, y = tiny_data(n=23, seed=4)
-        m2 = m2.copy()
-        m2[6, 0] = np.nan
-        val = (m1, m2, y)
+        val = tiny_data(n=23, seed=4)
+        _nan_logits(monkeypatch, {id(val[0]): 6})
         # the serial loop raises at epoch 1's validation pass
         state = build_state(cfg, 4, 4)
         train_epoch(state, train)
@@ -992,18 +1007,12 @@ class TestForwardSplit:
         with pytest.raises(NumericError, match="non-finite loss at batch 0"):
             fit(build_state(cfg, 4, 4), train, tiny_data(n=23, seed=4))
 
-    @staticmethod
-    def _with_nan(data, row):
-        m1, m2, y = data
-        m1 = m1.copy()
-        m1[row, 1] = np.nan
-        return m1, m2, y
-
     def test_fit_raises_the_serial_loops_error_with_a_test_lane(self, monkeypatch):
         cfg = tiny_config(variant="memory", epochs=3)
         train = tiny_data(n=64, seed=3)
         val, test = tiny_data(n=23, seed=4), tiny_data(n=23, seed=5)
-        bad_val, bad_test = self._with_nan(val, 6), self._with_nan(test, 17)
+        bad_val, bad_test = tiny_data(n=23, seed=4), tiny_data(n=23, seed=5)
+        _nan_logits(monkeypatch, {id(bad_val[0]): 6, id(bad_test[0]): 17})
         # the serial loop: the test pass raises after training, naming its sample
         state = build_state(cfg, 4, 4)
         for _ in range(3):
@@ -1013,7 +1022,7 @@ class TestForwardSplit:
         with pytest.raises(NumericError) as got:
             fit(build_state(cfg, 4, 4), train, val, bad_test)
         assert str(got.value) == str(serial_test.value)
-        # NaNs in both: the first epoch's validation raises first
+        # non-finite logits in both: the first epoch's validation raises first
         state = build_state(cfg, 4, 4)
         train_epoch(state, train)
         with pytest.raises(NumericError, match="sample 6 of 23") as serial_val:
@@ -1021,8 +1030,8 @@ class TestForwardSplit:
         with pytest.raises(NumericError) as got:
             fit(build_state(cfg, 4, 4), train, bad_val, bad_test)
         assert str(got.value) == str(serial_val.value)
-        # a NaN validation row and a test set of the wrong width: the test
-        # set is refused before epoch 1
+        # a validation set with non-finite logits and a test set of the
+        # wrong width: the test set is refused before epoch 1
         wide_test = (np.hstack([test[0], test[0][:, :1]]), test[1], test[2])
         state = build_state(cfg, 4, 4)
         with pytest.raises(ShapeError, match=r"fit: m1 has shape \(23, 5\), this state takes \(rows, 4\)"):
@@ -1166,21 +1175,57 @@ class TestDatasetIntake:
         name = ("m1", "m2", "labels")[column]
         self._assert_refused(tuple(data), (ShapeError, ParameterError), f"{name} is not an array of numbers")
 
-    @pytest.mark.parametrize("split", ["val_set", "test_set"])
-    @pytest.mark.parametrize("kind", ["short", "wide", "list"])
+    # a None in a nested list becomes NaN under the float64 cast
+    @pytest.mark.parametrize("form,bad", [(form, bad) for form in ("array", "list") for bad in (np.nan, np.inf, -np.inf)]
+                             + [("list", None)])
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_non_finite_features(self, column, bad, form):
+        data = list(tiny_data(n=20))
+        mode = data[column] = data[column].copy()
+        mode[13, 2] = mode[17, 0] = np.nan if bad is None else bad
+        if form == "list":
+            data[column] = mode.tolist()
+            if bad is None:
+                data[column][13][2] = data[column][17][0] = None
+        self._assert_refused(tuple(data), NumericError, f"m{column + 1} has a non-finite value in row 13")
+
+    @pytest.mark.parametrize("form", ["array", "list"])
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_complex_modes(self, column, form):
+        # refused before the cast, which would keep only the real part
+        data = list(tiny_data(n=20))
+        data[column] = data[column] + 0j
+        data[column][4, 1] += 2j
+        if form == "list":
+            data[column] = data[column].tolist()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self._assert_refused(tuple(data), ParameterError,
+                                 f"m{column + 1} is not an array of numbers: it holds complex values")
+
+    @pytest.mark.parametrize("split", ["train_set", "val_set", "test_set"])
+    @pytest.mark.parametrize("kind", ["short", "wide", "list", "nan", "inf", "-inf list", "complex"])
     def test_fit_refuses_a_malformed_split_before_epoch_1(self, split, kind):
         cfg = tiny_config(variant="memory", epochs=2)
         state = build_state(cfg, 4, 4)
         flat, mem = state.params.flat.copy(), state.memories[0].matrix.copy()
         m1, m2, y = tiny_data(n=20, seed=4)
+        nan_m1, inf_m2 = m1.copy(), m2.copy()
+        nan_m1[11, 3] = np.nan
+        inf_m2[7, 0] = np.inf
         malformed, match = {
             "short": ((m1, m2[:16], y), "fit: m1 has 20 rows, m2 has 16"),
             "wide": ((m1, np.hstack([m2, m2[:, :1]]), y), re.escape("fit: m2 has shape (20, 5)")),
             "list": ((m1.tolist()[:19] + [[0.0]], m2, y), "fit: m1 is not an array of numbers"),
+            "nan": ((nan_m1, m2, y), "fit: m1 has a non-finite value in row 11"),
+            "inf": ((m1, inf_m2, y), "fit: m2 has a non-finite value in row 7"),
+            "-inf list": ((m1, (-inf_m2).tolist(), y), "fit: m2 has a non-finite value in row 7"),
+            "complex": ((m1 * 1j, m2, y), "fit: m1 is not an array of numbers: it holds complex values"),
         }[kind]
-        sets = {"val_set": tiny_data(n=20, seed=5), "test_set": tiny_data(n=20, seed=6), split: malformed}
-        with pytest.raises((ShapeError, ParameterError), match=match):
-            fit(state, tiny_data(n=64), **sets)
+        sets = {"train_set": tiny_data(n=64), "val_set": tiny_data(n=20, seed=5), "test_set": tiny_data(n=20, seed=6),
+                split: malformed}
+        with pytest.raises((ShapeError, ParameterError, NumericError), match=match):
+            fit(state, **sets)
         assert state.step == 0
         assert state.params.flat.tobytes() == flat.tobytes()
         assert state.memories[0].matrix.tobytes() == mem.tobytes()
