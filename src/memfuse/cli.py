@@ -205,7 +205,7 @@ def task_splits(exp: ExperimentConfig):
     return split(data, exp.train_frac, exp.val_frac)
 
 
-def run_single(exp: ExperimentConfig, seed: int, splits=None, **overrides):
+def run_single(exp: ExperimentConfig, seed: int, splits=None, trained: Optional[dict] = None, **overrides):
     """Train one cell; returns (state, curves, report).
 
     The cell's classifier is exp.classifier with this seed and with the
@@ -215,9 +215,35 @@ def run_single(exp: ExperimentConfig, seed: int, splits=None, **overrides):
     cell runs no validation pass (its curves carry no val_wa / val_ua)
     and its one evaluation is the test pass.  fit scores the validation
     passes and the test pass in one evaluate call.
+
+    `trained` is a dict that a sweep passes to every call.  With it, the
+    call for the first of exp.seeds trains the cell at every seed of
+    exp.seeds as lanes of one fit (see model.fit) and files the other
+    seeds' (state, curves, report) in it, keyed by their classifier
+    config; the call for a later seed returns its entry, with the bits
+    that training it alone gives.  The sweep still makes one call per
+    cell, and the benchmark takes each call's return value as that
+    cell's run.  When the lanes' fit raises, the seeds train one call at
+    a time instead, so the sweep raises what a serial loop raises.
     """
     cls = dataclasses.replace(exp.classifier, seed=seed, **overrides)
     train, val, test = task_splits(exp) if splits is None else splits
+    if trained is not None:
+        key = dataclasses.astuple(cls)
+        if key in trained:
+            return trained.pop(key)
+        seeds = list(dict.fromkeys(exp.seeds))
+        if len(seeds) > 1 and seed == seeds[0]:
+            configs = [dataclasses.replace(cls, seed=s) for s in seeds]
+            try:
+                states = [build_state(c, exp.task.s1, exp.task.s2) for c in configs]
+                results = fit(states, train, val, test)
+            except (NumericError, ParameterError, ShapeError, MemoryError):
+                pass  # this call and the group's later ones train alone, below
+            else:
+                for c, state, result in zip(configs[1:], states[1:], results[1:]):
+                    trained[dataclasses.astuple(c)] = (state, *result)
+                return (states[0], *results[0])
     state = build_state(cls, exp.task.s1, exp.task.s2)
     curves, report = fit(state, train, val, test)
     return state, curves, report
@@ -290,13 +316,14 @@ def cmd_ablate(args) -> int:
     # cell reports only its test scores, so it runs no validation pass
     train, _, test = task_splits(exp)
     splits = (train, None, test)
-    # a cell that two studies name with the same config is trained once
-    scores = {}
+    # a cell that two studies name with the same config is trained once,
+    # and a cell's seeds train in lockstep (run_single)
+    scores, trained = {}, {}
     for study, cells in keyed.items():
         doc[study] = []
         for cell, seed, key in cells:
             if key not in scores:
-                _, _, report = run_single(exp, seed, splits=splits, **cell)
+                _, _, report = run_single(exp, seed, splits=splits, trained=trained, **cell)
                 scores[key] = {"wa": report.wa, "ua": report.ua}
             row = {**cell, "seed": seed, **scores[key]}
             doc[study].append(row)

@@ -23,12 +23,14 @@ ufunc overhead; a product of the caller's array as given (a single-mode
 layer's input) keeps np.matmul, as ndarray.dot copies some strided
 layouts first and may then round differently.
 
-fusion_rows also takes several runs of one shape at once, as lanes:
-their parameter blocks and memories stacked along a leading axis (see
-table_views), the inputs stacked likewise.  The equations are
-written over leading axes, so the lanes go through the same code; their
-products go through np.matmul, which gives every lane the bits of its
-own 2-D product.
+The layer's forward and backward also take several runs of one shape
+at once, as lanes: their parameter blocks and memories stacked along a
+leading axis (see table_views), the inputs stacked likewise or shared.
+Evaluation stacks runs this way (fusion_rows), and so does training in
+lockstep (fusion_forward and the backward).  The equations are written over leading axes, so the
+lanes go through the same code; their products go through np.matmul,
+which gives every lane the bits of its own 2-D product, and a sum over
+the batch runs on axis -2 into each lane's own row.
 """
 
 from __future__ import annotations
@@ -334,7 +336,8 @@ def _layer_inputs(params: FusionParams, mem: MemoryState, variant: Variant, batc
     checked; mapped = fused @ w_read + b_read, the product by `matmul`.
 
     With stacked lanes (3-D blocks) the modes are stacked too, each
-    lane's own rows.  The naive variant has no layer: it is naive_fusion
+    lane's own rows, or are one (rows, s) batch that every lane reads.
+    The naive variant has no layer: it is naive_fusion
     / naive_backward alone, and is refused here once the shapes are
     checked.
     """
@@ -366,6 +369,9 @@ def _layer_inputs(params: FusionParams, mem: MemoryState, variant: Variant, batc
         raise ShapeError(f"fusion_forward: params dim {params.dim} vs input dim {d}")
     mapped = matmul(fused, params.w_read)
     mapped += params.b_read
+    if query.ndim < mapped.ndim:
+        # lanes reading one shared batch: the composer takes the query in each lane's rows
+        query = np.broadcast_to(query, mapped.shape)
     return fused, query, mapped, s1, s2
 
 
@@ -419,10 +425,15 @@ def fusion_forward(
     or (B, s) arrays.  Every example reads the same pre-step memory; one
     aggregated write produces the returned state.  The naive variant has
     no layer (see naive_fusion) and raises ParameterError.
+
+    With stacked lanes (3-D parameter blocks and memory) the inputs are
+    (lanes, B, s), each lane's own batch, or one (B, s) batch that every
+    lane reads, and every lane gets the bits of its own call.
     """
     fused, query, mapped, s1, s2 = _layer_inputs(params, mem, variant, batch_m1, batch_m2)
-    chain = _memory_chain(params, mem.matrix, mapped, query)
-    out, out_raw = _layer_output(variant, fused, chain[-1], proj)
+    matmul = np.matmul if mem.matrix.ndim == 3 else np.ndarray.dot
+    chain = _memory_chain(params, mem.matrix, mapped, query, matmul)
+    out, out_raw = _layer_output(variant, fused, chain[-1], proj, matmul)
     trace = ForwardTrace(variant, s1, s2, fused, query, *chain, out, out_raw)
     return out, trace, write_memory(mem, chain[0], chain[-1])
 
@@ -472,7 +483,7 @@ def fusion_rows(
 def _softmax_vjp(soft: Array, grad: Array) -> Array:
     # rows of soft are softmax outputs; standard Jacobian-transpose product,
     # made in place in grad (a temporary of the caller's)
-    grad -= np.add.reduce(grad * soft, axis=1, keepdims=True)
+    grad -= np.add.reduce(grad * soft, axis=-1, keepdims=True)
     grad *= soft
     return grad
 
@@ -493,12 +504,19 @@ def fusion_backward(
     parameter gradients are written into `out` (for example views of one
     flat gradient vector), or into fresh arrays when it is None.  The
     input gradients are left to fusion_input_grads.
+
+    With stacked lanes (3-D parameter blocks and memory) the trace and
+    the output cotangent carry the lane axis too, and every lane gets the
+    bits of its own 2-D call: the products are then np.matmul, and each
+    sum over the batch runs on axis -2 into the lane's (1, n) row.
     """
     if trace is None:
         raise ParameterError(
             "naive fusion has no trace; use naive_backward to split the gradient"
         )
-    grad_out = as_batch(batch_grad_out)
+    lanes = mem_prev.matrix.ndim == 3
+    matmul = np.matmul if lanes else np.ndarray.dot
+    grad_out = as_batch(batch_grad_out, lanes)
 
     if grad_out.shape != trace.out.shape:
         raise ShapeError(
@@ -511,13 +529,13 @@ def fusion_backward(
     if trace.variant.kind == MEMORY_RESAMPLED:
         if proj is None:
             raise ParameterError("resampled variant needs its projection matrix")
-        grad_proj = trace.out_raw.T.dot(grad_out)
-        grad_out = grad_out.dot(proj.T)
+        grad_proj = matmul(trace.out_raw.mT, grad_out)
+        grad_out = matmul(grad_out, proj.mT)
 
     # out = fused + transformed: both take grad_out unchanged
     # transformed = relu(gated * w_scale)
     grad_pre = grad_out * (trace.pre_act > ZERO)
-    np.add.reduce(grad_pre * trace.gated, axis=0, out=out.w_scale)
+    np.add.reduce(grad_pre * trace.gated, axis=-2, keepdims=lanes, out=out.w_scale)
     grad_gated = grad_pre
     grad_gated *= params.w_scale
 
@@ -527,19 +545,19 @@ def fusion_backward(
     grad_scores += grad_gated
 
     # scores = mlp_in @ w_comp + b_comp
-    trace.mlp_in.T.dot(grad_scores, out=out.w_comp)
-    np.add.reduce(grad_scores, axis=0, out=out.b_comp)
+    matmul(trace.mlp_in.mT, grad_scores, out=out.w_comp)
+    np.add.reduce(grad_scores, axis=-2, keepdims=lanes, out=out.b_comp)
     # the recalled half of mlp_in's cotangent; fusion_input_grads takes the query half
-    grad_recalled = grad_scores.dot(params.w_comp[trace.fused.shape[1] :].T)
+    grad_recalled = matmul(grad_scores, params.w_comp[..., trace.fused.shape[-1] :, :].mT)
 
     # recalled = keys @ M, keys = softmax(mapped @ M^T); M constant
     matrix = mem_prev.matrix
-    grad_keys = grad_recalled.dot(matrix.T)
-    grad_mapped = _softmax_vjp(trace.keys, grad_keys).dot(matrix)
+    grad_keys = matmul(grad_recalled, matrix.mT)
+    grad_mapped = matmul(_softmax_vjp(trace.keys, grad_keys), matrix)
 
     # mapped = fused @ w_read + b_read
-    np.matmul(trace.fused.T, grad_mapped, out=out.w_read)
-    np.add.reduce(grad_mapped, axis=0, out=out.b_read)
+    np.matmul(trace.fused.mT, grad_mapped, out=out.w_read)
+    np.add.reduce(grad_mapped, axis=-2, keepdims=lanes, out=out.b_read)
 
     return FusionBackward(out, grad_proj, grad_out, grad_scores, grad_mapped)
 
@@ -549,25 +567,28 @@ def fusion_input_grads(params: FusionParams, trace: ForwardTrace, bwd: FusionBac
 
     Only a model that trains something upstream of the layer (encoders)
     needs these; the mode a single-mode layer ignores gets exact zeros.
+    Stacked lanes give each lane's cotangents stacked likewise.
     """
     variant = trace.variant
     s1, s2 = trace.s1, trace.s2
-    grad_fused = bwd.grad_out + bwd.grad_mapped.dot(params.w_read.T)
-    grad_query = bwd.grad_scores.dot(params.w_comp[: grad_fused.shape[1]].T)
+    matmul = np.matmul if bwd.grad_out.ndim == 3 else np.ndarray.dot
+    grad_fused = bwd.grad_out + matmul(bwd.grad_mapped, params.w_read.mT)
+    grad_query = matmul(bwd.grad_scores, params.w_comp[..., : grad_fused.shape[-1], :].mT)
     if variant.kind == MEMORY_SINGLE:
         # the query is the fused input itself
         grad_single = grad_fused + grad_query
-        batch = grad_fused.shape[0]
+        rows = grad_fused.shape[:-1]
         if variant.mode == 1:
-            return grad_single, np.zeros((batch, s2))
-        return np.zeros((batch, s1)), grad_single
+            return grad_single, np.zeros(rows + (s2,))
+        return np.zeros(rows + (s1,)), grad_single
     if variant.kind == MEMORY_CROSS:
         # query = [m2, m1]
-        return grad_fused[:, :s1] + grad_query[:, s2:], grad_fused[:, s1:] + grad_query[:, :s2]
-    return grad_fused[:, :s1] + grad_query[:, :s1], grad_fused[:, s1:] + grad_query[:, s1:]
+        return grad_fused[..., :s1] + grad_query[..., s2:], grad_fused[..., s1:] + grad_query[..., :s2]
+    return grad_fused[..., :s1] + grad_query[..., :s1], grad_fused[..., s1:] + grad_query[..., s1:]
 
 
-def naive_backward(grad_out, s1: int) -> tuple[Array, Array]:
-    """Backward of naive fusion: pure slicing of the output gradient."""
-    grad_out = as_batch(grad_out)
-    return grad_out[:, :s1].copy(), grad_out[:, s1:].copy()
+def naive_backward(grad_out, s1: int, lanes: bool = False) -> tuple[Array, Array]:
+    """Backward of naive fusion: pure slicing of the output gradient; with
+    `lanes` it may be stacked along a leading lane axis."""
+    grad_out = as_batch(grad_out, lanes)
+    return grad_out[..., :s1].copy(), grad_out[..., s1:].copy()

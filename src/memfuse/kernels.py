@@ -56,10 +56,10 @@ def as_batch(x, lanes: bool = False) -> Array:
     A 2-D float64 ndarray comes back as the same object with no numpy
     call, which keeps per-step input checks cheap.  A higher rank raises
     ShapeError, except that with `lanes` a 3-D array (rows of each lane
-    along a leading lane axis) is taken too.
+    along a leading lane axis) is taken too, and comes back likewise.
     """
     ndim = 3 if lanes else 2
-    if type(x) is np.ndarray and x.dtype is _FLOAT64 and x.ndim == ndim:
+    if type(x) is np.ndarray and x.dtype is _FLOAT64 and 2 <= x.ndim <= ndim:
         return x
     batch = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if batch.ndim > ndim:

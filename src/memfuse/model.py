@@ -15,6 +15,7 @@ ndarray.dot and the encoders' (the caller's arrays) np.matmul.
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 import sys
@@ -334,7 +335,14 @@ def forward_logits(
     m2: Array,
     drop_mask: Optional[Array] = None,
 ) -> Tuple[Array, BatchCache]:
-    """Pure forward pass over one batch; never mutates the given memories."""
+    """Pure forward pass over one batch; never mutates the given memories.
+
+    With several runs' parameters and memories stacked as lanes (see
+    ModelParams) the logits, the cache and the dropout mask are (lanes,
+    B, ...), and the modes are one (B, s) batch that every lane reads;
+    every lane gets the bits of its own call.
+    """
+    lanes = params.head1_w.ndim == 3
     enc1, enc2, pre1, pre2 = encode(params, m1, m2)
     outs, traces, new_memories = [], [], []
     variants = _layer_variants(config.variant, config.out_dim)
@@ -343,20 +351,28 @@ def forward_logits(
         outs.append(out)
         traces.append(trace)
         new_memories.append(new_mem)
-    fused_out = _head_input(outs, enc1, enc2)
-    logits, hid_pre, _, hid_dropped = head_forward(params, fused_out, drop_mask)
+    fused_out = _head_input(outs, enc1, enc2, lanes)
+    logits, hid_pre, _, hid_dropped = head_forward(params, fused_out, drop_mask,
+                                                   np.matmul if lanes else np.ndarray.dot)
     cache = BatchCache(enc1, pre1, pre2, traces, list(memories), new_memories,
                        fused_out, hid_pre, drop_mask, hid_dropped)
     return logits, cache
 
 
-def cross_entropy_batch(logits: Array, labels: Array) -> Tuple[float, Array]:
-    """Mean cross-entropy over a batch and the gradient of that mean."""
-    logits = as_batch(logits)
+def cross_entropy_batch(logits: Array, labels: Array):
+    """Mean cross-entropy over a batch and the gradient of that mean.
+
+    Logits of several runs stacked as lanes, (lanes, batch, classes),
+    share the labels and give one mean per lane, an array, each with the
+    bits of its lane's own call; the sums over a lane's rows are the same
+    contiguous reductions.
+    """
+    lanes = isinstance(logits, np.ndarray) and logits.ndim == 3
+    logits = as_batch(logits, lanes)
     # training's int64 labels skip the call; as_labels refuses 2.9 rather than truncate it
     if not (type(labels) is np.ndarray and labels.dtype is _INT64):
         labels = as_labels(labels, "cross_entropy_batch")
-    batch, classes = logits.shape
+    batch, classes = logits.shape[-2:]
     if batch == 0:
         raise ParameterError("cross_entropy_batch: empty batch")
     if labels.shape != (batch,):
@@ -367,19 +383,23 @@ def cross_entropy_batch(logits: Array, labels: Array) -> Tuple[float, Array]:
         picked = np.ravel_multi_index((np.arange(batch), labels), (batch, classes))
     except ValueError:
         raise ParameterError("cross_entropy_batch: label out of range") from None
+    if lanes:
+        # lane i's entries sit i * batch * classes further on
+        picked = np.add.outer(np.arange(0, logits.size, batch * classes), picked)
     # the ufunc reductions are what .max and .sum call, minus numpy's Python layer
-    shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
-    log_z = np.log(np.add.reduce(np.exp(shifted), axis=1))
+    shifted = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+    log_z = np.log(np.add.reduce(np.exp(shifted), axis=-1))
     # the sum divided by the batch size: the same bits as np.mean
-    loss = float(np.add.reduce(log_z - shifted.take(picked)) / batch)
-    grad = np.exp(shifted - log_z[:, None])
+    loss = np.add.reduce(log_z - shifted.take(picked), axis=-1) / batch
+    if not lanes:
+        loss = float(loss)
+    grad = np.exp(shifted - log_z[..., None])
     grad.put(picked, grad.take(picked) - ONE)
     grad /= batch
     return loss, grad
 
 
 def backward_batch(
-    config: ClassifierConfig,
     params: ModelParams,
     cache: BatchCache,
     grad_logits: Array,
@@ -387,17 +407,25 @@ def backward_batch(
     m2: Array,
     grads: ModelParams,
 ) -> ModelParams:
-    """Gradients of the batch loss, written into `grads` (laid out like params)."""
-    cache.hid_dropped.T.dot(grad_logits, out=grads.head2_w)
-    np.add.reduce(grad_logits, axis=0, out=grads.head2_b)
+    """Gradients of the batch loss, written into `grads` (laid out like params).
+
+    With stacked lanes every array carries the lane axis first, and each
+    lane's gradients have the bits of its own call: the products are
+    np.matmul, and each sum over the batch runs on axis -2 into the
+    lane's (1, n) row of a vector block (see table_views).
+    """
+    lanes = grad_logits.ndim == 3
+    matmul = np.matmul if lanes else np.ndarray.dot
+    matmul(cache.hid_dropped.mT, grad_logits, out=grads.head2_w)
+    np.add.reduce(grad_logits, axis=-2, keepdims=lanes, out=grads.head2_b)
     # the hidden layer's cotangent, masked in place (the same bits as a product into a new array)
-    grad_hid = grad_logits.dot(params.head2_w.T)
+    grad_hid = matmul(grad_logits, params.head2_w.mT)
     if cache.drop_mask is not None:
         grad_hid *= cache.drop_mask
     grad_hid *= cache.hid_pre > ZERO
-    cache.fused_out.T.dot(grad_hid, out=grads.head1_w)
-    np.add.reduce(grad_hid, axis=0, out=grads.head1_b)
-    grad_fused = grad_hid.dot(params.head1_w.T)
+    matmul(cache.fused_out.mT, grad_hid, out=grads.head1_w)
+    np.add.reduce(grad_hid, axis=-2, keepdims=lanes, out=grads.head1_b)
+    grad_fused = matmul(grad_hid, params.head1_w.mT)
 
     # the input gradients only matter when there are encoders to train
     encoders = params.enc1_w is not None
@@ -405,8 +433,8 @@ def backward_batch(
     # each layer reads its own columns of the fused output and adds to both inputs
     start = 0
     for layer, out, trace, mem in zip(params.fusion_layers, grads.fusion_layers, cache.traces, cache.mem_prev):
-        stop = start + trace.out.shape[1]
-        bwd = fusion_backward(layer, trace, mem, grad_fused[:, start:stop], params.proj, out)
+        stop = start + trace.out.shape[-1]
+        bwd = fusion_backward(layer, trace, mem, grad_fused[..., start:stop], params.proj, out)
         start = stop
         if bwd.grad_proj is not None:
             grads.proj[...] = bwd.grad_proj
@@ -415,14 +443,14 @@ def backward_batch(
 
     if encoders:
         if not grads_in:
-            grads_in.append(naive_backward(grad_fused, cache.enc1.shape[1]))
+            grads_in.append(naive_backward(grad_fused, cache.enc1.shape[-1], lanes))
         grad_enc1, grad_enc2 = (functools.reduce(np.add, g) for g in zip(*grads_in))
         grad_pre1 = grad_enc1 * (cache.pre1 > 0.0)
-        np.matmul(np.asarray(m1, dtype=np.float64).T, grad_pre1, out=grads.enc1_w)
-        np.add.reduce(grad_pre1, axis=0, out=grads.enc1_b)
+        np.matmul(np.asarray(m1, dtype=np.float64).mT, grad_pre1, out=grads.enc1_w)
+        np.add.reduce(grad_pre1, axis=-2, keepdims=lanes, out=grads.enc1_b)
         grad_pre2 = grad_enc2 * (cache.pre2 > 0.0)
-        np.matmul(np.asarray(m2, dtype=np.float64).T, grad_pre2, out=grads.enc2_w)
-        np.add.reduce(grad_pre2, axis=0, out=grads.enc2_b)
+        np.matmul(np.asarray(m2, dtype=np.float64).mT, grad_pre2, out=grads.enc2_w)
+        np.add.reduce(grad_pre2, axis=-2, keepdims=lanes, out=grads.enc2_b)
 
     return grads
 
@@ -435,7 +463,7 @@ def loss_and_grads(state: TrainState, m1: Array, m2: Array, labels: Array):
     """
     logits, cache = forward_logits(state.config, state.params, state.memories, m1, m2)
     loss, grad_logits = cross_entropy_batch(logits, labels)
-    grads = backward_batch(state.config, state.params, cache, grad_logits, m1, m2, state.grads)
+    grads = backward_batch(state.params, cache, grad_logits, m1, m2, state.grads)
     return loss, grads, cache
 
 
@@ -462,7 +490,10 @@ def adam_step(state: TrainState, grads: ModelParams) -> TrainState:
 
     The gradients are laid out like the parameters, so the update is a
     few whole-vector operations on `grads.flat`, done in place through
-    two temporaries.
+    two temporaries.  A state of several runs stacked as lanes, flat
+    vectors of shape (lanes, size) sharing one step count, takes the
+    same operations, elementwise, so each lane gets the bits of its own
+    update.
     """
     params = state.params
     if grads.table is not params.table and grads.table != params.table:
@@ -537,16 +568,36 @@ def checked_dataset(dataset, caller: str, state: TrainState) -> Dataset:
     return Dataset(m1, m2, labels)
 
 
-def train_epoch(state: TrainState, dataset) -> Tuple[TrainState, float]:
+def train_epoch(states, dataset):
     """One pass over the stream in order, full batches only.
 
     The ragged tail (fewer than `batch` examples) is dropped; the memory
-    advances through every processed batch.  Returns the mean batch loss.
-    The dataset goes through checked_dataset first, so a malformed one
-    raises before the first step changes the state.
+    advances through every processed batch.  `states` is one TrainState,
+    which gives (state, mean batch loss).  The dataset goes through
+    checked_dataset first, so a malformed one raises before the first
+    step changes the state.
+
+    `states` may also be a nonempty list of distinct states whose configs
+    are equal up to seed, with one parameter layout, widths and step
+    count; it gives (states, [each one's mean batch loss]).  They train
+    in lockstep on the one dataset: their parameters, Adam moments and
+    memories are stacked as lanes on a leading axis, so every numpy call
+    of a step serves them all, and each state ends the epoch with the
+    bits a call on it alone gives, drawing its dropout masks from its own
+    drop_rng.  A list of one runs on 2-D arrays, faster than a stack of
+    one.  A lane whose loss turns non-finite leaves the stack as it stood
+    before that batch, as a serial loop over the states leaves it; the
+    lanes after it stay as they were given, and the lanes before it
+    finish the epoch.  Then its NumericError is raised, with `losses`,
+    the mean losses of the lanes that finished, as an attribute.
     """
-    cfg = state.config
-    m1_all, m2_all, y_all = checked_dataset(dataset, "train_epoch", state)
+    one = isinstance(states, TrainState)
+    runs = [states] if one else list(states)
+    if not runs:
+        raise ParameterError("train_epoch: no states to train")
+    first: TrainState = runs[0]
+    cfg = first.config
+    m1_all, m2_all, y_all = checked_dataset(dataset, "train_epoch", first)
     n = m1_all.shape[0]
     n_batches = n // cfg.batch
     if n_batches == 0:
@@ -554,24 +605,55 @@ def train_epoch(state: TrainState, dataset) -> Tuple[TrainState, float]:
             f"train_epoch: dataset of {n} smaller than one batch of {cfg.batch}"
         )
 
+    lanes = len(runs) > 1
+    if lanes:
+        _check_lanes(runs, "train_epoch")
+        if len({id(state) for state in runs}) < len(runs) or len({state.step for state in runs}) > 1:
+            raise ParameterError("train_epoch: lanes must be distinct states that share one step count")
+        stack, rngs = _training_stack(runs), [copy.copy(state.drop_rng) for state in runs]
+    else:
+        stack, rngs = first, [first.drop_rng]
     batch, rate = cfg.batch, cfg.dropout_rate
-    params, grads = state.params, state.grads
-    total = 0.0
+    total = np.zeros(len(runs)) if lanes else 0.0
+    error = None
     for start in range(0, n_batches * batch, batch):
         stop = start + batch
-        m1, m2 = m1_all[start:stop], m2_all[start:stop]
+        m1, m2, labels = m1_all[start:stop], m2_all[start:stop], y_all[start:stop]
         drop_mask = None
         if rate > 0.0:
-            keep = state.drop_rng.fill_uniform(np.empty((batch, cfg.head_hidden))) >= rate
-            drop_mask = keep / (1.0 - rate)
-        logits, cache = forward_logits(cfg, params, state.memories, m1, m2, drop_mask)
-        loss, grad_logits = cross_entropy_batch(logits, y_all[start:stop])
-        if not math.isfinite(loss):
-            raise NumericError(f"train_epoch: non-finite loss at batch {start // batch}")
-        adam_step(state, backward_batch(cfg, params, cache, grad_logits, m1, m2, grads))
-        state.memories = cache.new_memories
+            keep = np.empty(stack.params.flat.shape[:-1] + (batch, cfg.head_hidden))
+            for rng, lane in zip(rngs, keep.reshape(-1, batch, cfg.head_hidden)):
+                rng.fill_uniform(lane)
+            drop_mask = (keep >= rate) / (1.0 - rate)
+        logits, cache = forward_logits(cfg, stack.params, stack.memories, m1, m2, drop_mask)
+        loss, grad_logits = cross_entropy_batch(logits, labels)
+        if not math.isfinite(loss.max() if lanes else loss):
+            error = NumericError(f"train_epoch: non-finite loss at batch {start // batch}")
+            if not lanes:
+                raise error
+            # the first failing lane leaves as it stands; the lanes before
+            # it run this batch again as a smaller stack, with the same bits
+            failed = int(np.argmin(np.isfinite(loss)))
+            _unstack(stack, runs[: failed + 1], rngs)
+            runs, rngs, total = runs[:failed], rngs[:failed], total[:failed]
+            if not runs:
+                break
+            stack = _training_stack(runs)
+            drop_mask = None if drop_mask is None else drop_mask[:failed]
+            logits, cache = forward_logits(cfg, stack.params, stack.memories, m1, m2, drop_mask)
+            loss, grad_logits = cross_entropy_batch(logits, labels)
+        adam_step(stack, backward_batch(stack.params, cache, grad_logits, m1, m2, stack.grads))
+        stack.memories = cache.new_memories
         total += loss
-    return state, total / n_batches
+    if lanes:
+        _unstack(stack, runs, rngs)
+        losses = (total / n_batches).tolist()
+        if error is not None:
+            error.losses = losses
+            raise error
+        return states, losses
+    loss = total / n_batches
+    return (states, loss) if one else (states, [loss])
 
 
 def forward_split(
@@ -623,19 +705,55 @@ def forward_split(
     return logits, memories
 
 
-def _stacked(states: List[TrainState]) -> Tuple[ModelParams, List[MemoryState]]:
+def _check_lanes(states: List[TrainState], caller: str) -> None:
+    """Refuse states that cannot run as lanes of one stack: their configs
+    must be equal up to seed, with one parameter layout and widths."""
+    first = states[0]
+    cfg, table, widths = first.config, first.params.table, first.widths
+    if any((s.config is not cfg and replace(s.config, seed=cfg.seed) != cfg)
+           or s.params.table != table or s.widths != widths for s in states[1:]):
+        raise ParameterError(f"{caller}: stacked states must share one config up to seed, "
+                             "parameter layout and widths")
+
+
+def _stacked(states: List[TrainState], caller: str) -> Tuple[ModelParams, List[MemoryState]]:
     """The states' parameters and memories stacked as lanes, one lane per
-    state in order.  The states share one layout (evaluate checks it);
-    each memory must share its write flag across them, otherwise
+    state in order.  The states share one layout (_check_lanes); each
+    memory must share its write flag across them, otherwise
     ParameterError."""
     params = ModelParams(np.stack([state.params.flat for state in states]), states[0].params.table)
     memories = []
     for lane_mems in zip(*(state.memories for state in states)):
         writes = {mem.writes_enabled for mem in lane_mems}
         if len(writes) > 1:
-            raise ParameterError("evaluate: stacked states' memories differ in their write flag")
+            raise ParameterError(f"{caller}: stacked states' memories differ in their write flag")
         memories.append(MemoryState(np.stack([mem.matrix for mem in lane_mems]), writes.pop()))
     return params, memories
+
+
+def _training_stack(states: List[TrainState]) -> TrainState:
+    """The states as one TrainState of lanes: parameters, memories, Adam
+    moments and gradients stacked on a leading axis, at the states'
+    shared step.  Its config and dropout stream are the first state's;
+    train_epoch keeps each lane's stream apart."""
+    params, memories = _stacked(states, "train_epoch")
+    return replace(states[0], params=params, memories=memories,
+                   m_flat=np.stack([state.m_flat for state in states]),
+                   v_flat=np.stack([state.v_flat for state in states]),
+                   grads=ModelParams(np.stack([state.grads.flat for state in states]), params.table))
+
+
+def _unstack(stack: TrainState, states: List[TrainState], rngs: List[Rng]) -> None:
+    """Hand lane i of `stack` back to states[i], for each state given:
+    its parameters, moments and gradients into the state's own vectors,
+    its memories (views of the lane), the step count and rngs[i] as its
+    dropout stream."""
+    for lane, (state, rng) in enumerate(zip(states, rngs)):
+        for own, stacked in ((state.params.flat, stack.params.flat), (state.m_flat, stack.m_flat),
+                             (state.v_flat, stack.v_flat), (state.grads.flat, stack.grads.flat)):
+            own[...] = stacked[lane]
+        state.memories = [MemoryState(mem.matrix[lane], mem.writes_enabled) for mem in stack.memories]
+        state.step, state.drop_rng = stack.step, rng
 
 
 def _scored(labels: Array, logits: Array, classes: int) -> MetricsReport:
@@ -653,10 +771,11 @@ def evaluate(states, datasets):
     """Metrics of each state on its dataset; dropout off.
 
     `states` is one TrainState, which gives one MetricsReport, or a
-    nonempty list of states sharing one config, layout and widths, which
-    gives one report per state in order, each with the bits a call on
-    that state alone gives.  `datasets` is one (m1, m2, labels) dataset
-    for every state, or a list with one per state.
+    nonempty list of states whose configs are equal up to seed, with one
+    layout and widths, which gives one report per state in order, each
+    with the bits a call on that state alone gives.  `datasets` is one
+    (m1, m2, labels) dataset for every state, or a list with one per
+    state.
 
     checked_dataset takes every dataset first, in state order, so a
     malformed one raises before any pass.  States whose datasets share a
@@ -672,9 +791,8 @@ def evaluate(states, datasets):
     if not stack:
         raise ParameterError("evaluate: no states to score")
     first = stack[0]
-    cfg, table, widths = first.config, first.params.table, first.widths
-    if any(s.config != cfg or s.params.table != table or s.widths != widths for s in stack[1:]):
-        raise ParameterError("evaluate: stacked states must share one config, parameter layout and widths")
+    cfg = first.config
+    _check_lanes(stack, "evaluate")
     if not isinstance(datasets, list):
         checked = [checked_dataset(datasets, "evaluate", first)] * len(stack)
     elif len(datasets) != len(stack):
@@ -690,7 +808,7 @@ def evaluate(states, datasets):
             (i,) = lanes
             params, memories, m1, m2 = stack[i].params, stack[i].memories, checked[i].m1, checked[i].m2
         else:
-            params, memories = _stacked([stack[i] for i in lanes])
+            params, memories = _stacked([stack[i] for i in lanes], "evaluate")
             m1, m2 = [checked[i].m1 for i in lanes], [checked[i].m2 for i in lanes]
         if cfg.freeze_eval_writes:
             memories = [m.frozen() for m in memories]
@@ -701,44 +819,74 @@ def evaluate(states, datasets):
     return reports[0] if one else reports
 
 
-def fit(
-    state: TrainState,
-    train_set,
-    val_set=None,
-    test_set=None,
-) -> Tuple[List[dict], Optional[MetricsReport]]:
+def fit(states, train_set, val_set=None, test_set=None):
     """Run config.epochs passes; returns (curves, test report).
 
     The curves hold one row per epoch, with the validation scores of the
     state that epoch left when there is a validation set.  The report
     scores the final state on the test set, or is None without one.
+    `states` may also be a list of states whose configs are equal up to
+    seed, trained in lockstep on the one train set (see train_epoch); it
+    gives one (curves, report) per state, in order, each with the bits
+    of a call on that state alone.
 
     checked_dataset takes every split before epoch 1, so a malformed one
-    raises before any step.  The epochs then train, an epoch's error
-    raising as it happens, and each keeps a snapshot (a copy of the
-    parameters and the memory list, whose matrices writes never change).
-    Last, one evaluate call scores the snapshots on the validation set
-    and the final state on the test set, lanes of one pass where the row
-    counts agree, with the bits of a validation pass after each epoch and
-    a test pass after training; non-finite logits raise in that order.
+    raises before any step.  The epochs then train, and each keeps a
+    snapshot of every state (a copy of the parameters and the memory
+    list, whose matrices writes never change).  Last, one evaluate call
+    scores, state by state, the snapshots on the validation set and the
+    final state on the test set, lanes of one pass where the row counts
+    agree, with the bits of a validation pass after each epoch and a test
+    pass after training.
+
+    The errors are a serial loop's over the states.  A training error of
+    the first state raises as it happens.  When a later state's loss
+    turns non-finite, the states before it train on and are scored, so
+    that their non-finite logits raise first, in state order; then the
+    training error is raised.
     """
-    train_set, val_set, test_set = (data if data is None else checked_dataset(data, "fit", state)
+    one = isinstance(states, TrainState)
+    runs = [states] if one else list(states)
+    if not runs:
+        raise ParameterError("fit: no states to train")
+    train_set, val_set, test_set = (data if data is None else checked_dataset(data, "fit", runs[0])
                                     for data in (train_set, val_set, test_set))
-    curves, snapshots = [], []
-    for epoch in range(1, state.config.epochs + 1):
-        state, loss = train_epoch(state, train_set)
-        curves.append({"epoch": epoch, "train_loss": loss})
-        if val_set is not None:
-            params = ModelParams(state.params.flat.copy(), state.params.table)
-            snapshots.append(replace(state, params=params, memories=list(state.memories)))
-    states, datasets = snapshots, [val_set] * len(snapshots)
-    if test_set is not None:
-        states, datasets = states + [state], datasets + [test_set]
-    # with no validation set the one state shares the test set, passed as
+    curves = [[] for _ in runs]
+    snapshots = [[] for _ in runs]
+    live, error = runs, None
+    for epoch in range(1, runs[0].config.epochs + 1):
+        try:
+            losses = (train_epoch(live, train_set)[1] if len(live) > 1
+                      else [train_epoch(live[0], train_set)[1]])
+        except NumericError as err:
+            # the lanes before a failing one finished the epoch (see train_epoch)
+            losses = getattr(err, "losses", [])
+            if not losses:
+                raise
+            error, live = err, live[: len(losses)]
+        for state, loss, rows, snaps in zip(live, losses, curves, snapshots):
+            rows.append({"epoch": epoch, "train_loss": loss})
+            if val_set is not None:
+                params = ModelParams(state.params.flat.copy(), state.params.table)
+                snaps.append(replace(state, params=params, memories=list(state.memories)))
+    per_run = len(snapshots[0]) + (test_set is not None)
+    scored, datasets = [], []
+    for state, snaps in zip(live, snapshots):
+        scored += snaps
+        datasets += [val_set] * len(snaps)
+        if test_set is not None:
+            scored.append(state)
+            datasets.append(test_set)
+    # with no validation set the states share the test set, passed as
     # one dataset: a sweep cell's call sees the test split itself
-    reports = evaluate(states, datasets if snapshots else test_set) if states else []
-    for row, rep in zip(curves, reports[:len(snapshots)]):
-        row["val_wa"] = rep.wa
-        row["val_ua"] = rep.ua
-    report = reports[-1] if test_set is not None else None
-    return curves, report
+    reports = evaluate(scored, datasets if snapshots[0] else test_set) if scored else []
+    if error is not None:
+        raise error
+    results = []
+    for i, rows in enumerate(curves):
+        own = reports[i * per_run : (i + 1) * per_run]
+        for row, rep in zip(rows, own[: len(snapshots[i])]):
+            row["val_wa"] = rep.wa
+            row["val_ua"] = rep.ua
+        results.append((rows, own[-1] if test_set is not None else None))
+    return results[0] if one else results

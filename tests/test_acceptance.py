@@ -177,15 +177,13 @@ def test_criterion_6_directional_synthetic_result():
     data = gen_dataset(task)
     train, _, test = split(data, doc["train_frac"], doc["val_frac"])
 
-    def run(variant, seed):
-        cfg = ClassifierConfig(**{**cls_doc, "variant": variant, "slots": 20, "seed": seed})
-        state = build_state(cfg, task.s1, task.s2)
-        return fit(state, train, None, test)[1].wa
+    def run(variant):
+        # the five seeds train in lockstep, each with the bits of its own run
+        states = [build_state(ClassifierConfig(**{**cls_doc, "variant": variant, "slots": 20, "seed": seed}),
+                              task.s1, task.s2) for seed in doc["seeds"][:5]]
+        return [report.wa for _, report in fit(states, train, None, test)]
 
-    memory_wa, naive_wa = [], []
-    for seed in doc["seeds"][:5]:
-        memory_wa.append(run("memory", seed))
-        naive_wa.append(run("naive", seed))
+    memory_wa, naive_wa = run("memory"), run("naive")
     wins = sum(m > n for m, n in zip(memory_wa, naive_wa))
     assert np.mean(memory_wa) >= np.mean(naive_wa), (memory_wa, naive_wa)
     assert wins >= 4, (memory_wa, naive_wa)

@@ -244,7 +244,7 @@ class TestAblate:
         slots, out_dim, seed) keys and of splits it was called with."""
         cells, given_splits = [], []
 
-        def fake_run_single(exp, seed, splits=None, **cell):
+        def fake_run_single(exp, seed, splits=None, trained=None, **cell):
             cls = dataclasses.replace(exp.classifier, **cell)
             cells.append((cls.variant, cls.slots, cls.out_dim, seed))
             given_splits.append(splits)
@@ -349,6 +349,40 @@ class TestAblate:
         got = hashlib.sha256((tmp_path / "abl" / "ablation.json").read_bytes()).hexdigest()
         assert got == "8abb3a6703a3aa70d47b56c7e5cbf123b61d8fc449f2d8eb37e02a89d92b008d"
 
+    def test_a_group_that_raises_trains_its_seeds_one_at_a_time(self, tmp_path, monkeypatch, capsys):
+        # seed 1 of memory_cross stops at batch 1: Adam's first step spreads
+        # the NaN in its moment into the parameters
+        real_build, real_run, real_fit = cli.build_state, cli.run_single, cli.fit
+        group_fits = []
+
+        def poisoned(cfg, s1, s2):
+            state = real_build(cfg, s1, s2)
+            if cfg.variant == "memory_cross" and cfg.seed == 1:
+                state.m_flat[0] = np.nan
+            return state
+
+        def counted(states, *splits):
+            group_fits.append(isinstance(states, list))
+            return real_fit(states, *splits)
+
+        monkeypatch.setattr(cli, "build_state", poisoned)
+        monkeypatch.setattr(cli, "fit", counted)
+        sweep = {"slots": [2, 4], "variants": ["memory", "memory_cross"], "out_dims": [4]}
+        cfg = write_config(tmp_path, tiny_experiment(tmp_path / "abl", seeds=(0, 1), sweep=sweep))
+        assert main(["ablate", "--config", cfg]) == 3
+        lockstep = capsys.readouterr()
+        # the two memory groups and the failing one trained as lanes; then
+        # memory_cross trained seed 0 and seed 1 alone
+        assert group_fits == [True, True, True, False, False]
+        # the serial loop: every cell trained alone
+        monkeypatch.setattr(cli, "run_single", lambda exp, seed, splits=None, trained=None, **cell:
+                            real_run(exp, seed, splits, **cell))
+        assert main(["ablate", "--config", cfg]) == 3
+        assert capsys.readouterr() == lockstep
+        rows = lockstep.out.splitlines()
+        assert len(rows) == 5 and rows[-1].startswith("[memory_size] variant=memory_cross slots=2 seed=0")
+        assert lockstep.err == "numeric error: train_epoch: non-finite loss at batch 1\n"
+
     def test_dataset_built_once_per_sweep(self, tmp_path, monkeypatch):
         built = []
 
@@ -420,6 +454,31 @@ class TestRunSingle:
         assert report.to_dict() == again.to_dict()
         assert report.confusion.tobytes() == again.confusion.tobytes()
         assert all("val_wa" in row for row in curves)
+
+
+class TestSeedGroup:
+    def test_the_first_seed_trains_the_group_as_lanes(self, tmp_path, monkeypatch):
+        exp = load_experiment(write_config(tmp_path, tiny_experiment(tmp_path / "run", seeds=(3, 1, 3))))
+        splits = cli.task_splits(exp)
+        alone = {seed: cli.run_single(exp, seed, splits, variant="memory_cross") for seed in (3, 1)}
+        fits, real_fit = [], cli.fit
+
+        def counted(states, *args):
+            fits.append(len(states) if isinstance(states, list) else 1)
+            return real_fit(states, *args)
+
+        monkeypatch.setattr(cli, "fit", counted)
+        trained = {}
+        first = cli.run_single(exp, 3, splits, trained=trained, variant="memory_cross")
+        # one fit of the distinct seeds; seed 1's run waits in the dict
+        assert fits == [2] and len(trained) == 1
+        second = cli.run_single(exp, 1, splits, trained=trained, variant="memory_cross")
+        assert fits == [2] and trained == {}
+        for seed, (state, curves, report) in ((3, first), (1, second)):
+            state_alone, curves_alone, report_alone = alone[seed]
+            assert state.config.seed == seed
+            assert state.params.flat.tobytes() == state_alone.params.flat.tobytes()
+            assert curves == curves_alone and report.to_dict() == report_alone.to_dict()
 
 
 class TestSetupCallBudget:

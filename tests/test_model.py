@@ -9,6 +9,7 @@ import re
 import sys
 import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -1059,9 +1060,13 @@ class TestForwardSplit:
     def test_states_must_share_one_config(self):
         data = tiny_data(n=20)
         state = build_state(tiny_config(variant="memory"), 4, 4)
-        for other in (dict(slots=6), dict(seed=6), dict(freeze_eval_writes=True)):
+        for other in (dict(slots=6), dict(freeze_eval_writes=True)):
             with pytest.raises(ParameterError, match="one config"):
                 evaluate([state, build_state(tiny_config(variant="memory", **other), 4, 4)], data)
+        # configs equal up to seed run as lanes, each with its own call's bits
+        seeded = build_state(tiny_config(variant="memory", seed=6), 4, 4)
+        reports = evaluate([state, seeded], data)
+        assert [r.to_dict() for r in reports] == [evaluate(s, data).to_dict() for s in (state, seeded)]
         with pytest.raises(ParameterError, match="one config"):
             evaluate([state, build_state(tiny_config(variant="memory"), 4, 3)], data)
         # naive states built for widths (4, 4) and (3, 5) share one parameter layout
@@ -1321,3 +1326,229 @@ class TestEvalMemory:
         per_row = 3 * cfg.classes * 8 + 24
         assert large - small <= per_row * (2048 - 512), (small, large)
 
+
+
+def _state_bytes(state):
+    """Everything training leaves in a state: its vectors and memories as
+    bytes, the memories' write flags, the step and the dropout stream."""
+    arrays = [state.params.flat, state.m_flat, state.v_flat, state.grads.flat]
+    arrays += [mem.matrix for mem in state.memories]
+    return ([a.tobytes() for a in arrays], [mem.writes_enabled for mem in state.memories],
+            state.step, int(state.drop_rng.seed), state.drop_rng.counter)
+
+
+def _serial(states, *splits):
+    """fit on each state in turn, as a serial loop runs them: the results
+    up to the first error, and that error (None when every run fits)."""
+    results = []
+    for state in states:
+        try:
+            results.append(fit(state, *splits))
+        except NumericError as err:
+            return results, err
+    return results, None
+
+
+def _poison_lanes(monkeypatch, flats):
+    """Patch forward_split so that a pass's logits are NaN in row 2 of each
+    lane whose parameter vector has bytes in `flats`: non-finite logits for
+    chosen runs at chosen epochs, found by their bits."""
+    real = memfuse.model.forward_split
+
+    def poisoned(config, params, memories, m1, m2):
+        logits, memories = real(config, params, memories, m1, m2)
+        flat = params.flat.reshape(-1, params.flat.shape[-1])
+        for lane, vector in zip(logits.reshape(-1, *logits.shape[-2:]), flat):
+            if vector.tobytes() in flats:
+                lane[2, 0] = np.nan
+        return logits, memories
+
+    monkeypatch.setattr(memfuse.model, "forward_split", poisoned)
+
+
+class TestLockstep:
+    """Runs whose configs differ only in seed, trained as lanes of one
+    stack by fit (and train_epoch), against the same runs trained one
+    after another: every lane's parameters, Adam moments, gradients,
+    memories, step, dropout stream, curves and reports, bit for bit.
+
+    The train set has a ragged tail (but at batch 1) and hands the modes
+    over as strided column views; the validation and test sets have
+    their own row counts, so they run as two stacked passes.  Batch 16
+    takes the batch sums past numpy's eight-way unrolled block.
+    """
+
+    @staticmethod
+    def _runs(cfg, lanes):
+        """Fresh states of `cfg` at seeds 2, 3, ... and a twin of each."""
+        states = [build_state(replace(cfg, seed=2 + lane), 3, 4) for lane in range(lanes)]
+        return states, copy.deepcopy(states)
+
+    @staticmethod
+    def _splits(batch, val=True):
+        def data(rows, seed):
+            block = Rng(seed).normal(12 * rows).reshape(rows, 12)
+            return block[:, 1:4], block[:, 6:10], Rng(seed + 50).integers(rows, 3)
+
+        return data(5 * batch - 1, 1), data(11, 5) if val else None, data(7, 3)
+
+    @pytest.mark.parametrize("batch", [1, 3, 16])
+    @pytest.mark.parametrize("lanes", [2, 3])
+    @pytest.mark.parametrize("variant", ["naive", "memory", "memory_cross", "memory_single", "memory_resampled"])
+    def test_lanes_match_serial_runs(self, variant, lanes, batch):
+        for extra in ({}, {"encoder_hidden": 5, "dropout_rate": 0.3}):
+            cfg = tiny_config(variant=variant, out_dim=3, head_hidden=6, slots=5, batch=batch, epochs=2,
+                              lr=0.05, **extra)
+            states, twins = self._runs(cfg, lanes)
+            splits = self._splits(batch)
+            got = fit(states, *splits)
+            want, error = _serial(twins, *splits)
+            assert error is None and len(got) == len(want) == lanes
+            for (curves, report), (w_curves, w_report), state, twin in zip(got, want, states, twins):
+                assert repr(curves) == repr(w_curves), extra
+                assert report.to_dict() == w_report.to_dict(), extra
+                assert report.confusion.tobytes() == w_report.confusion.tobytes(), extra
+                assert _state_bytes(state) == _state_bytes(twin), extra
+            # the runs differ, so each lane is its own run
+            assert len({repr(curves) for curves, _ in got}) == lanes, extra
+
+    def test_a_list_of_one_runs_on_2d_arrays(self, monkeypatch):
+        cfg = tiny_config(variant="memory", head_hidden=6, slots=5, batch=3, encoder_hidden=5, dropout_rate=0.3)
+        (state,), (twin,) = self._runs(cfg, 1)
+        shapes, real = [], memfuse.model.forward_logits
+
+        def recorded(config, params, *args):
+            shapes.append(params.flat.ndim)
+            return real(config, params, *args)
+
+        monkeypatch.setattr(memfuse.model, "forward_logits", recorded)
+        splits = self._splits(3)
+        [(curves, report)] = fit([state], *splits)
+        w_curves, w_report = fit(twin, *splits)
+        assert set(shapes) == {1}
+        assert repr(curves) == repr(w_curves) and report.to_dict() == w_report.to_dict()
+        assert _state_bytes(state) == _state_bytes(twin)
+        assert train_epoch([state], splits[0])[1] == [train_epoch(twin, splits[0])[1]]
+
+    def test_lanes_must_be_distinct_states_at_one_step(self):
+        cfg = tiny_config(variant="memory")
+        states, _ = self._runs(cfg, 2)
+        train = self._splits(cfg.batch)[0]
+        with pytest.raises(ParameterError, match="distinct states"):
+            train_epoch([states[0], states[0]], train)
+        train_epoch(states[1], train)
+        with pytest.raises(ParameterError, match="one step count"):
+            train_epoch(states, train)
+        other = build_state(replace(cfg, slots=6), 3, 4)
+        with pytest.raises(ParameterError, match="one config up to seed"):
+            fit([states[0], other], train)
+        with pytest.raises(ParameterError, match="no states"):
+            fit([], train)
+
+    @pytest.mark.parametrize("lane, block, batch_index", [
+        (0, "params", 0),   # the serial loop raises before any run trains
+        (1, "params", 0),   # lane 0 trains and is scored first
+        (1, "moment", 1),   # Adam's first step spreads the NaN: lane 1 fails mid-epoch
+        (2, "moment", 1),
+    ])
+    def test_a_non_finite_loss_raises_as_a_serial_loop_does(self, lane, block, batch_index):
+        cfg = tiny_config(variant="memory_single", head_hidden=6, slots=5, batch=3, encoder_hidden=5,
+                          dropout_rate=0.3)
+        states, twins = self._runs(cfg, 3)
+        for state in (states[lane], twins[lane]):
+            (state.params.flat if block == "params" else state.m_flat)[0] = np.nan
+        splits = self._splits(3)
+        want, serial = _serial(twins, *splits)
+        assert len(want) == lane and str(serial) == f"train_epoch: non-finite loss at batch {batch_index}"
+        with pytest.raises(NumericError) as got:
+            fit(states, *splits)
+        assert str(got.value) == str(serial)
+        # the lanes before it trained, it stopped where the serial run
+        # stopped, and the lanes after it are as they were given
+        for state, twin in zip(states, twins):
+            assert _state_bytes(state) == _state_bytes(twin)
+        # two epochs of four batches
+        assert [state.step for state in states] == [8] * lane + [batch_index] + [0] * (2 - lane)
+
+    def test_train_epoch_over_lanes_raises_as_a_serial_loop_does(self):
+        cfg = tiny_config(variant="memory", head_hidden=6, slots=5, batch=3, dropout_rate=0.3)
+        states, twins = self._runs(cfg, 3)
+        for state in (states[1], twins[1]):
+            state.m_flat[0] = np.nan
+        train = self._splits(3)[0]
+        _, loss = train_epoch(twins[0], train)
+        with pytest.raises(NumericError) as serial:
+            train_epoch(twins[1], train)
+        with pytest.raises(NumericError) as got:
+            train_epoch(states, train)
+        assert str(got.value) == str(serial.value)
+        assert got.value.losses == [loss]
+        for state, twin in zip(states, twins):
+            assert _state_bytes(state) == _state_bytes(twin)
+
+    def test_non_finite_logits_of_an_earlier_run_raise_first(self, monkeypatch):
+        cfg = tiny_config(variant="memory", head_hidden=6, slots=5, batch=3)
+        splits = self._splits(3)
+        # the bits each run's parameters have after epoch 1 and after training
+        clean, _ = self._runs(cfg, 3)
+        after_epoch_1 = [train_epoch(copy.deepcopy(state), splits[0])[0].params.flat.tobytes() for state in clean]
+        final = [train_epoch(train_epoch(state, splits[0])[0], splits[0])[0].params.flat.tobytes()
+                 for state in clean]
+        cases = [
+            # lane 0's test pass, no validation set: it raises before lane 1's training error
+            ((splits[0], None, splits[2]), {final[0]}, 1, "sample 2 of 7"),
+            # lane 1's first validation pass: it raises before lane 2's training error
+            (splits, {after_epoch_1[1]}, 2, "sample 2 of 11"),
+            # no training error: lane 1's validation raises before lane 2's
+            (splits, {after_epoch_1[1], after_epoch_1[2]}, None, "sample 2 of 11"),
+        ]
+        for case_splits, flats, failing, message in cases:
+            with monkeypatch.context() as patch:
+                _poison_lanes(patch, flats)
+                states, twins = self._runs(cfg, 3)
+                if failing is not None:
+                    for state in (states[failing], twins[failing]):
+                        state.m_flat[0] = np.nan
+                _, serial = _serial(twins, *case_splits)
+                with pytest.raises(NumericError, match=message) as got:
+                    fit(states, *case_splits)
+                assert str(got.value) == str(serial)
+
+
+class TestLockstepCallBudget:
+    """Lanes share every call of a step: the calls per lockstep step,
+    numpy's and the standard library's included, do not grow with the
+    lane count.
+
+    Counts every call event, of Python and C functions alike, with
+    sys.setprofile over lockstep epochs of two lengths at the paper shape
+    (d = 8, batch 2, k = 20); their difference is the steps' own calls,
+    without the per-epoch stacking, which takes a few calls per lane.
+    Dropout, which draws each lane's mask from its own stream, is off.
+    No timing, so it cannot flake.
+    """
+
+    @staticmethod
+    def _calls(lanes, rows, variant):
+        cfg = tiny_config(variant=variant, out_dim=4, slots=20, batch=2, head_hidden=32,
+                          read_bias_init=0.0, transform_gain=1.0)
+        states = [build_state(replace(cfg, seed=seed), 4, 4) for seed in range(lanes)]
+        data = tiny_data(n=rows)
+        train_epoch(states, data)  # first calls may fill caches
+        calls = []
+
+        def count(frame, event, arg):
+            if event in ("call", "c_call"):
+                calls.append(event)
+
+        sys.setprofile(count)
+        try:
+            train_epoch(states, data)
+        finally:
+            sys.setprofile(None)
+        return len(calls)
+
+    @pytest.mark.parametrize("variant", ["naive", "memory", "memory_single", "memory_resampled"])
+    def test_calls_per_step_do_not_grow_with_lanes(self, variant):
+        per_step = {lanes: self._calls(lanes, 120, variant) - self._calls(lanes, 40, variant) for lanes in (2, 5)}
+        assert per_step[2] == per_step[5] > 0, per_step
