@@ -36,6 +36,7 @@ from .model import (
     evaluate,
     fit,
     head_input_dim,
+    lockstep_key,
 )
 from .serialize import load_arrays, save_arrays
 from .synthdata import TaskConfig, gen_dataset, split, to_csv
@@ -216,37 +217,51 @@ def run_single(exp: ExperimentConfig, seed: int, splits=None, trained: Optional[
     and its one evaluation is the test pass.  fit scores the validation
     passes and the test pass in one evaluate call.
 
-    `trained` is a dict that a sweep passes to every call.  With it, the
-    call for the first of exp.seeds trains the cell at every seed of
-    exp.seeds as lanes of one fit (see model.fit) and files the other
-    seeds' (state, curves, report) in it, keyed by their classifier
-    config; the call for a later seed returns its entry, with the bits
-    that training it alone gives.  The sweep still makes one call per
-    cell, and the benchmark takes each call's return value as that
-    cell's run.  When the lanes' fit raises, the seeds train one call at
-    a time instead, so the sweep raises what a serial loop raises.
+    `trained` is a dict that a sweep passes to every call, keyed by the
+    cells' classifier configs (dataclasses.astuple); lockstep_groups
+    fills it.  A key's entry is first the list of its group's configs:
+    the group's first call trains them all as lanes of one fit (see
+    model.fit), returns its own run and files each other config's
+    (state, curves, report) under its key, and a later call returns its
+    entry, with the bits that training it alone gives.  A key with no
+    entry trains alone.  The sweep still makes one call per cell, and
+    the benchmark takes each call's return value as that cell's run.
+    When the lanes' fit raises, the group's entries are dropped and its
+    cells train one call at a time, so the sweep raises what a serial
+    loop raises.
     """
     cls = dataclasses.replace(exp.classifier, seed=seed, **overrides)
     train, val, test = task_splits(exp) if splits is None else splits
-    if trained is not None:
-        key = dataclasses.astuple(cls)
-        if key in trained:
-            return trained.pop(key)
-        seeds = list(dict.fromkeys(exp.seeds))
-        if len(seeds) > 1 and seed == seeds[0]:
-            configs = [dataclasses.replace(cls, seed=s) for s in seeds]
-            try:
-                states = [build_state(c, exp.task.s1, exp.task.s2) for c in configs]
-                results = fit(states, train, val, test)
-            except (NumericError, ParameterError, ShapeError, MemoryError):
-                pass  # this call and the group's later ones train alone, below
-            else:
-                for c, state, result in zip(configs[1:], states[1:], results[1:]):
-                    trained[dataclasses.astuple(c)] = (state, *result)
-                return (states[0], *results[0])
+    group = None if trained is None else trained.pop(dataclasses.astuple(cls), None)
+    if isinstance(group, tuple):
+        return group
+    if group is not None:
+        try:
+            states = [build_state(c, exp.task.s1, exp.task.s2) for c in group]
+            results = fit(states, train, val, test)
+        except (NumericError, ParameterError, ShapeError, MemoryError):
+            for c in group:  # this call and the group's later ones train alone, below
+                trained.pop(dataclasses.astuple(c), None)
+        else:
+            for c, state, result in zip(group, states, results):
+                trained[dataclasses.astuple(c)] = (state, *result)
+            return trained.pop(dataclasses.astuple(cls))
     state = build_state(cls, exp.task.s1, exp.task.s2)
     curves, report = fit(state, train, val, test)
     return state, curves, report
+
+
+def lockstep_groups(configs) -> dict:
+    """run_single's `trained` dict for distinct classifier configs: each
+    config's key (dataclasses.astuple) holds the list of the configs
+    equal to it up to seed and query order (model.lockstep_key), in the
+    given order, which train as lanes of one fit.  A config alone in its
+    group gets no entry, so it trains through the one-run path."""
+    groups: dict = {}
+    for config in configs:
+        groups.setdefault(lockstep_key(config), []).append(config)
+    return {dataclasses.astuple(config): group
+            for group in groups.values() if len(group) > 1 for config in group}
 
 
 def metrics_doc(exp: ExperimentConfig, seed: int, report, curves) -> dict:
@@ -307,21 +322,24 @@ def cmd_ablate(args) -> int:
     }
     doc = {"native_output_dim": head_input_dim(
         dataclasses.replace(exp.classifier, variant="memory", out_dim=0), exp.task.s1, exp.task.s2)}
-    # study -> its (cell, seed, key) triples; building every key checks every
-    # cell's config, so a bad sweep value exits before any data is built
-    keyed = {study: [(cell, seed, dataclasses.astuple(dataclasses.replace(exp.classifier, seed=seed, **cell)))
-                     for cell in cells for seed in exp.seeds]
-             for study, cells in studies.items()}
+    # study -> its (cell, seed, config) triples; building every config checks
+    # every cell, so a bad sweep value exits before any data is built
+    configured = {study: [(cell, seed, dataclasses.replace(exp.classifier, seed=seed, **cell))
+                          for cell in cells for seed in exp.seeds]
+                  for study, cells in studies.items()}
     # every cell trains on the same task, so the dataset is built once; a
     # cell reports only its test scores, so it runs no validation pass
     train, _, test = task_splits(exp)
     splits = (train, None, test)
-    # a cell that two studies name with the same config is trained once,
-    # and a cell's seeds train in lockstep (run_single)
-    scores, trained = {}, {}
-    for study, cells in keyed.items():
+    # a cell that two studies name with the same config is trained once, and
+    # the cells equal up to seed and query order train in lockstep (run_single)
+    distinct = {dataclasses.astuple(config): config
+                for cells in configured.values() for _, _, config in cells}
+    scores, trained = {}, lockstep_groups(distinct.values())
+    for study, cells in configured.items():
         doc[study] = []
-        for cell, seed, key in cells:
+        for cell, seed, config in cells:
+            key = dataclasses.astuple(config)
             if key not in scores:
                 _, _, report = run_single(exp, seed, splits=splits, trained=trained, **cell)
                 scores[key] = {"wa": report.wa, "ua": report.ua}

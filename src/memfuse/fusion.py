@@ -26,11 +26,15 @@ layouts first and may then round differently.
 The layer's forward and backward also take several runs of one shape
 at once, as lanes: their parameter blocks and memories stacked along a
 leading axis (see table_views), the inputs stacked likewise or shared.
-Evaluation stacks runs this way (fusion_rows), and so does training in
-lockstep (fusion_forward and the backward).  The equations are written over leading axes, so the
-lanes go through the same code; their products go through np.matmul,
-which gives every lane the bits of its own 2-D product, and a sum over
-the batch runs on axis -2 into each lane's own row.
+Evaluation stacks runs this way (fusion_rows), and so does training
+in lockstep (fusion_forward and the backward).  The equations are
+written over leading axes, so the lanes go through the same code; their
+products go through np.matmul, which gives every lane the bits of its
+own 2-D product, and a sum over the batch runs on axis -2 into each
+lane's own row.  Lanes may also differ in the composer query's mode
+order, memory ([m1, m2]) beside memory_cross ([m2, m1]): the query is
+the fused input's columns in each lane's order (query_order), one
+gather for every lane.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass, replace
-from typing import Optional, Tuple
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -139,26 +143,32 @@ class FusionParams:
 class ForwardTrace:
     """Per-batch intermediates cached for the backward pass.
 
-    All arrays have the batch index first.  query equals fused except for
-    the cross-attention path; out_raw is the pre-projection output and is
-    None unless the variant resamples.  keys to transformed are
-    _memory_chain's results, in its order.
+    Every array has the batch index on axis -2.  The shapes below are a
+    stack's: one run's arrays have no lane axis L, and a stack's fused
+    input stays one (B, d) batch when every lane reads the same modes.
+    variant is the Variant given, or the tuple of each lane's.  query is
+    fused with its columns in order[0], and order[1] takes them back
+    (query_order); order is None when the query is fused itself.
+    out_raw is the pre-projection output and is None unless the variant
+    resamples.  keys to transformed are _memory_chain's results, in its
+    order.
     """
 
-    variant: Variant
+    variant: Union[Variant, Tuple[Variant, ...]]
     s1: int
     s2: int
-    fused: Array        # (B, d)   concatenated (or single-mode) input
-    query: Array        # (B, d)   composer query
-    keys: Array         # (B, k)   softmax attention over slots
-    recalled: Array     # (B, d)   attention-weighted slot readout
-    mlp_in: Array       # (B, 2d)  [query, recalled]
-    scores: Array       # (B, d)   composer MLP pre-attention output
-    attn: Array         # (B, d)   softmax of scores
-    gated: Array        # (B, d)   attn * scores
-    pre_act: Array      # (B, d)   gated * w_scale, before the ReLU
-    transformed: Array  # (B, d)   ReLU(pre_act); also the write content
-    out: Array          # (B, d) or (B, out_dim)
+    fused: Array        # (B, d) or (L, B, d)  concatenated (or single-mode) input
+    query: Array        # (L, B, d)            composer query
+    order: Optional[Tuple[Array, Array]]  # (d,) or (L, d) each
+    keys: Array         # (L, B, k)            softmax attention over slots
+    recalled: Array     # (L, B, d)            attention-weighted slot readout
+    mlp_in: Array       # (L, B, 2d)           [query, recalled]
+    scores: Array       # (L, B, d)            composer MLP pre-attention output
+    attn: Array         # (L, B, d)            softmax of scores
+    gated: Array        # (L, B, d)            attn * scores
+    pre_act: Array      # (L, B, d)            gated * w_scale, before the ReLU
+    transformed: Array  # (L, B, d)            ReLU(pre_act); also the write content
+    out: Array          # (L, B, d) or (L, B, out_dim)
     out_raw: Optional[Array] = None
 
 
@@ -331,15 +341,56 @@ def param_count_actual(params: FusionParams) -> int:
     return sum(block.size for block in vars(params).values())
 
 
-def _layer_inputs(params: FusionParams, mem: MemoryState, variant: Variant, batch_m1, batch_m2, matmul=np.matmul):
-    """(fused, query, mapped, s1, s2) for rows of the two modes, shapes
-    checked; mapped = fused @ w_read + b_read, the product by `matmul`.
+@functools.lru_cache(maxsize=None)
+def query_order(kinds: Tuple[str, ...], s1: int, s2: int) -> Tuple[str, Optional[Tuple[Array, Array]]]:
+    """(kind, order) of a layer whose lanes have the given variant kinds,
+    over modes of widths s1 and s2 (one run is one lane).
+
+    The composer's query is the fused input [m1, m2] with its columns in
+    order[0]; order[1] is the inverse order, which takes the query's
+    columns back.  order is None when every lane's query is the fused
+    input itself.  memory_cross's query is [m2, m1], so memory_cross and
+    memory lanes run as one memory layer: `kind` is memory, and the order
+    is [m2, m1]'s, a (d,) array, when every lane is memory_cross, else a
+    (lanes, d) array with each lane's.  Several lanes of other kinds
+    raise ParameterError.  The arrays are read-only.
+    """
+    if len(kinds) > 1 and not set(kinds) <= {MEMORY, MEMORY_CROSS}:
+        raise ParameterError(f"lanes of one layer may differ only in query order, got kinds {kinds}")
+    if MEMORY_CROSS not in kinds:
+        return kinds[0], None
+    same = np.arange(s1 + s2)
+    cross = np.array([kind == MEMORY_CROSS for kind in kinds])[:, None]
+    order = tuple(np.where(cross, np.roll(same, -width), same) for width in (s1, s2))
+    if cross.all():
+        order = tuple(lanes[0] for lanes in order)
+    for columns in order:
+        columns.flags.writeable = False
+    return MEMORY, order
+
+
+def _in_order(rows: Array, order: Array) -> Array:
+    """`rows` with their columns in `order`: a (d,) order for every row,
+    or a (lanes, d) order with each lane's, which takes lanes' rows
+    (lanes, B, d), or one (B, d) batch that every lane reads, to
+    (lanes, B, d).  A copy, so every value keeps its bits."""
+    if order.ndim == 1:
+        return rows[..., order]
+    if rows.ndim == 2:
+        return rows.T[order].mT
+    return rows[np.arange(len(order))[:, None], :, order].mT
+
+
+def _layer_inputs(params: FusionParams, mem: MemoryState, variant, batch_m1, batch_m2, matmul=np.matmul):
+    """(kind, fused, query, order, mapped, s1, s2) for rows of the two
+    modes, shapes checked: the kind and query order query_order gives the
+    variant, and mapped = fused @ w_read + b_read, the product by `matmul`.
 
     With stacked lanes (3-D blocks) the modes are stacked too, each
-    lane's own rows, or are one (rows, s) batch that every lane reads.
-    The naive variant has no layer: it is naive_fusion
-    / naive_backward alone, and is refused here once the shapes are
-    checked.
+    lane's own rows, or are one (rows, s) batch that every lane reads;
+    `variant` is one Variant for every lane, or a tuple of each lane's.
+    The naive variant has no layer: it is naive_fusion / naive_backward
+    alone, and is refused here once the shapes are checked.
     """
     lanes = params.w_read.ndim == 3
     m1 = as_batch(batch_m1, lanes)
@@ -353,14 +404,14 @@ def _layer_inputs(params: FusionParams, mem: MemoryState, variant: Variant, batc
     if s1 == 0 or s2 == 0:
         raise ShapeError("fusion_forward: empty mode features")
 
-    kind = variant.kind
+    kinds = (variant.kind,) if isinstance(variant, Variant) else tuple([v.kind for v in variant])
+    kind, order = query_order(kinds, s1, s2)
     if kind == NAIVE:
         raise ParameterError("the naive variant has no fusion layer; use naive_fusion")
     if kind == MEMORY_SINGLE:
-        fused = query = m1 if variant.mode == 1 else m2
+        fused = m1 if variant.mode == 1 else m2
     else:
         fused = np.concatenate([m1, m2], axis=-1)
-        query = np.concatenate([m2, m1], axis=-1) if kind == MEMORY_CROSS else fused
 
     d = fused.shape[-1]
     if mem.matrix.shape[-1] != d:
@@ -369,10 +420,11 @@ def _layer_inputs(params: FusionParams, mem: MemoryState, variant: Variant, batc
         raise ShapeError(f"fusion_forward: params dim {params.dim} vs input dim {d}")
     mapped = matmul(fused, params.w_read)
     mapped += params.b_read
+    query = fused if order is None else _in_order(fused, order[0])
     if query.ndim < mapped.ndim:
         # lanes reading one shared batch: the composer takes the query in each lane's rows
         query = np.broadcast_to(query, mapped.shape)
-    return fused, query, mapped, s1, s2
+    return kind, fused, query, order, mapped, s1, s2
 
 
 def _memory_chain(params: FusionParams, matrix: Array, mapped: Array, query: Array, matmul=np.ndarray.dot):
@@ -397,12 +449,12 @@ def _memory_chain(params: FusionParams, matrix: Array, mapped: Array, query: Arr
     return keys, recalled, mlp_in, scores, attn, gated, pre_act, transformed
 
 
-def _layer_output(variant: Variant, fused: Array, transformed: Array, proj: Optional[Array], matmul=np.ndarray.dot):
+def _layer_output(kind: str, fused: Array, transformed: Array, proj: Optional[Array], matmul=np.ndarray.dot):
     """(out, out_raw): the residual sum fused + transformed, which the
-    resampled variant projects through `proj` (keeping the sum as
-    out_raw; None for the other variants)."""
+    resampled kind projects through `proj` (keeping the sum as out_raw;
+    None for the other kinds)."""
     out = fused + transformed
-    if variant.kind != MEMORY_RESAMPLED:
+    if kind != MEMORY_RESAMPLED:
         return out, None
     if proj is None:
         raise ParameterError("resampled variant needs a projection matrix")
@@ -428,13 +480,15 @@ def fusion_forward(
 
     With stacked lanes (3-D parameter blocks and memory) the inputs are
     (lanes, B, s), each lane's own batch, or one (B, s) batch that every
-    lane reads, and every lane gets the bits of its own call.
+    lane reads, and every lane gets the bits of its own call.  `variant`
+    is then one Variant for every lane, or a tuple of each lane's, whose
+    kinds may be memory and memory_cross (see query_order).
     """
-    fused, query, mapped, s1, s2 = _layer_inputs(params, mem, variant, batch_m1, batch_m2)
+    kind, fused, query, order, mapped, s1, s2 = _layer_inputs(params, mem, variant, batch_m1, batch_m2)
     matmul = np.matmul if mem.matrix.ndim == 3 else np.ndarray.dot
     chain = _memory_chain(params, mem.matrix, mapped, query, matmul)
-    out, out_raw = _layer_output(variant, fused, chain[-1], proj, matmul)
-    trace = ForwardTrace(variant, s1, s2, fused, query, *chain, out, out_raw)
+    out, out_raw = _layer_output(kind, fused, chain[-1], proj, matmul)
+    trace = ForwardTrace(variant, s1, s2, fused, query, order, *chain, out, out_raw)
     return out, trace, write_memory(mem, chain[0], chain[-1])
 
 
@@ -459,12 +513,13 @@ def fusion_rows(
 
     With stacked lanes (3-D parameter blocks and memory matrix, see
     table_views) every lane runs its own chain and memory, and each
-    lane's outputs and memory have the bits that lane gets on its own.
-    The chain's products are then np.matmul, which ndarray.dot is not
-    for stacked arrays.
+    lane's outputs and memory have the bits that lane gets on its own;
+    `variant` may be a tuple of each lane's, as in fusion_forward.  The
+    chain's products are then np.matmul, which ndarray.dot is not for
+    stacked arrays.
     """
     matmul = functools.partial(batchwise_matmul, batch=batch)
-    fused, query, mapped, _, _ = _layer_inputs(params, mem, variant, m1, m2, matmul)
+    kind, fused, query, _, mapped, _, _ = _layer_inputs(params, mem, variant, m1, m2, matmul)
     if mem.writes_enabled:
         chain = np.matmul if mem.matrix.ndim == 3 else np.ndarray.dot
         written = []
@@ -477,7 +532,7 @@ def fusion_rows(
         transformed = written[0] if len(written) == 1 else np.concatenate(written, axis=-2)
     else:
         transformed = _memory_chain(params, mem.matrix, mapped, query, matmul)[-1]
-    return _layer_output(variant, fused, transformed, proj, matmul)[0], mem
+    return _layer_output(kind, fused, transformed, proj, matmul)[0], mem
 
 
 def _softmax_vjp(soft: Array, grad: Array) -> Array:
@@ -526,7 +581,7 @@ def fusion_backward(
         out = FusionParams(*(np.empty_like(block) for block in vars(params).values()))
 
     grad_proj = None
-    if trace.variant.kind == MEMORY_RESAMPLED:
+    if trace.out_raw is not None:
         if proj is None:
             raise ParameterError("resampled variant needs its projection matrix")
         grad_proj = matmul(trace.out_raw.mT, grad_out)
@@ -567,24 +622,21 @@ def fusion_input_grads(params: FusionParams, trace: ForwardTrace, bwd: FusionBac
 
     Only a model that trains something upstream of the layer (encoders)
     needs these; the mode a single-mode layer ignores gets exact zeros.
-    Stacked lanes give each lane's cotangents stacked likewise.
+    Stacked lanes give each lane's cotangents stacked likewise.  The
+    query's cotangent reaches the fused input through the query's
+    inverse column order (trace.order).
     """
-    variant = trace.variant
     s1, s2 = trace.s1, trace.s2
     matmul = np.matmul if bwd.grad_out.ndim == 3 else np.ndarray.dot
     grad_fused = bwd.grad_out + matmul(bwd.grad_mapped, params.w_read.mT)
-    grad_query = matmul(bwd.grad_scores, params.w_comp[..., : grad_fused.shape[-1], :].mT)
-    if variant.kind == MEMORY_SINGLE:
-        # the query is the fused input itself
-        grad_single = grad_fused + grad_query
-        rows = grad_fused.shape[:-1]
-        if variant.mode == 1:
-            return grad_single, np.zeros(rows + (s2,))
-        return np.zeros(rows + (s1,)), grad_single
-    if variant.kind == MEMORY_CROSS:
-        # query = [m2, m1]
-        return grad_fused[..., :s1] + grad_query[..., s2:], grad_fused[..., s1:] + grad_query[..., :s2]
-    return grad_fused[..., :s1] + grad_query[..., :s1], grad_fused[..., s1:] + grad_query[..., s1:]
+    d = grad_fused.shape[-1]
+    grad_query = matmul(bwd.grad_scores, params.w_comp[..., :d, :].mT)
+    grad_fused += grad_query if trace.order is None else _in_order(grad_query, trace.order[1])
+    if d == s1 + s2:
+        return grad_fused[..., :s1], grad_fused[..., s1:]
+    # a single-mode layer's input is its mode alone
+    zeros = np.zeros(grad_fused.shape[:-1] + (s1 + s2 - d,))
+    return (grad_fused, zeros) if trace.variant.mode == 1 else (zeros, grad_fused)
 
 
 def naive_backward(grad_out, s1: int, lanes: bool = False) -> tuple[Array, Array]:

@@ -19,7 +19,7 @@ import copy
 import functools
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -27,6 +27,8 @@ import numpy as np
 from .errors import NumericError, ParameterError, ShapeError
 from .fusion import (
     DEFAULT_SLOTS,
+    MEMORY,
+    MEMORY_CROSS,
     MEMORY_RESAMPLED,
     MEMORY_SINGLE,
     NAIVE,
@@ -108,8 +110,15 @@ class ClassifierConfig:
 
 
 @functools.lru_cache(maxsize=None)
-def _layer_variants(variant: str, out_dim: int) -> Tuple[Variant, ...]:
-    # built once per (variant, out_dim); Variant is frozen, so the tuple is safe to share
+def _layer_variants(variant, out_dim: int) -> tuple:
+    """One Variant per fusion layer of `variant`, a kind; or, for a tuple of
+    stacked lanes' kinds, per layer the Variant every lane runs, or where
+    the lanes differ (memory beside memory_cross) the tuple of each
+    lane's.  Built once per argument pair; Variant is frozen, so the tuple
+    is safe to share."""
+    if not isinstance(variant, str):
+        layers = zip(*(_layer_variants(kind, out_dim) for kind in variant))
+        return tuple(lanes[0] if len(set(lanes)) == 1 else lanes for lanes in layers)
     if variant == NAIVE:
         return ()
     if variant == MEMORY_SINGLE:
@@ -340,12 +349,17 @@ def forward_logits(
     With several runs' parameters and memories stacked as lanes (see
     ModelParams) the logits, the cache and the dropout mask are (lanes,
     B, ...), and the modes are one (B, s) batch that every lane reads;
-    every lane gets the bits of its own call.
+    every lane gets the bits of its own call.  `config` is then one
+    config for every lane, or a list of each lane's, equal up to seed
+    and query order (see _check_lanes).
     """
     lanes = params.head1_w.ndim == 3
     enc1, enc2, pre1, pre2 = encode(params, m1, m2)
     outs, traces, new_memories = [], [], []
-    variants = _layer_variants(config.variant, config.out_dim)
+    if isinstance(config, ClassifierConfig):
+        variants = _layer_variants(config.variant, config.out_dim)
+    else:
+        variants = _layer_variants(tuple([c.variant for c in config]), config[0].out_dim)
     for layer, mem, variant in zip(params.fusion_layers, memories, variants, strict=True):
         out, trace, new_mem = fusion_forward(layer, mem, variant, enc1, enc2, params.proj)
         outs.append(out)
@@ -577,19 +591,21 @@ def train_epoch(states, dataset):
     checked_dataset first, so a malformed one raises before the first
     step changes the state.
 
-    `states` may also be a nonempty list of distinct states whose configs
-    are equal up to seed, with one parameter layout, widths and step
-    count; it gives (states, [each one's mean batch loss]).  They train
-    in lockstep on the one dataset: their parameters, Adam moments and
+    `states` may also be a nonempty list of distinct states whose
+    configs are equal up to seed and query order (memory beside
+    memory_cross), with one parameter layout, widths and step count; it
+    gives (states, [each one's mean batch loss]).  They train in
+    lockstep on the one dataset: their parameters, Adam moments and
     memories are stacked as lanes on a leading axis, so every numpy call
     of a step serves them all, and each state ends the epoch with the
-    bits a call on it alone gives, drawing its dropout masks from its own
-    drop_rng.  A list of one runs on 2-D arrays, faster than a stack of
-    one.  A lane whose loss turns non-finite leaves the stack as it stood
-    before that batch, as a serial loop over the states leaves it; the
-    lanes after it stay as they were given, and the lanes before it
-    finish the epoch.  Then its NumericError is raised, with `losses`,
-    the mean losses of the lanes that finished, as an attribute.
+    bits a call on it alone gives, running its own config's layer
+    variant and drawing its dropout masks from its own drop_rng.  A list
+    of one runs on 2-D arrays, faster than a stack of one.  A lane whose
+    loss turns non-finite leaves the stack as it stood before that
+    batch, as a serial loop over the states leaves it; the lanes after
+    it stay as they were given, and the lanes before it finish the
+    epoch.  Then its NumericError is raised, with `losses`, the mean
+    losses of the lanes that finished, as an attribute.
     """
     one = isinstance(states, TrainState)
     runs = [states] if one else list(states)
@@ -611,8 +627,9 @@ def train_epoch(states, dataset):
         if len({id(state) for state in runs}) < len(runs) or len({state.step for state in runs}) > 1:
             raise ParameterError("train_epoch: lanes must be distinct states that share one step count")
         stack, rngs = _training_stack(runs), [copy.copy(state.drop_rng) for state in runs]
+        configs = [state.config for state in runs]
     else:
-        stack, rngs = first, [first.drop_rng]
+        stack, rngs, configs = first, [first.drop_rng], cfg
     batch, rate = cfg.batch, cfg.dropout_rate
     total = np.zeros(len(runs)) if lanes else 0.0
     error = None
@@ -625,7 +642,7 @@ def train_epoch(states, dataset):
             for rng, lane in zip(rngs, keep.reshape(-1, batch, cfg.head_hidden)):
                 rng.fill_uniform(lane)
             drop_mask = (keep >= rate) / (1.0 - rate)
-        logits, cache = forward_logits(cfg, stack.params, stack.memories, m1, m2, drop_mask)
+        logits, cache = forward_logits(configs, stack.params, stack.memories, m1, m2, drop_mask)
         loss, grad_logits = cross_entropy_batch(logits, labels)
         if not math.isfinite(loss.max() if lanes else loss):
             error = NumericError(f"train_epoch: non-finite loss at batch {start // batch}")
@@ -635,12 +652,12 @@ def train_epoch(states, dataset):
             # it run this batch again as a smaller stack, with the same bits
             failed = int(np.argmin(np.isfinite(loss)))
             _unstack(stack, runs[: failed + 1], rngs)
-            runs, rngs, total = runs[:failed], rngs[:failed], total[:failed]
+            runs, rngs, configs, total = runs[:failed], rngs[:failed], configs[:failed], total[:failed]
             if not runs:
                 break
             stack = _training_stack(runs)
             drop_mask = None if drop_mask is None else drop_mask[:failed]
-            logits, cache = forward_logits(cfg, stack.params, stack.memories, m1, m2, drop_mask)
+            logits, cache = forward_logits(configs, stack.params, stack.memories, m1, m2, drop_mask)
             loss, grad_logits = cross_entropy_batch(logits, labels)
         adam_step(stack, backward_batch(stack.params, cache, grad_logits, m1, m2, stack.grads))
         stack.memories = cache.new_memories
@@ -675,18 +692,23 @@ def forward_split(
     forward_logits run batch by batch.
 
     `params` and the memories may be several runs stacked as lanes (see
-    ModelParams).  The modes then hold one (rows, s) array per lane, as a
-    sequence or stacked, each lane's own rows; evaluate, the only caller,
-    has checked that they share one row count and widths.  A block's
-    (lanes, block, s) inputs are gathered from each lane's rows on axis
-    -2, so the whole split is never stacked.  The logits are (lanes,
-    rows, classes), each lane with the bits of its own run's pass over
-    its own rows.
+    ModelParams), and `config` one config for every lane or a list of
+    each lane's (see forward_logits).  The modes then hold one (rows, s)
+    array per lane, as a sequence or stacked, each lane's own rows;
+    evaluate, the only caller, has checked that they share one row count
+    and widths.  A block's (lanes, block, s) inputs are gathered from
+    each lane's rows on axis -2, so the whole split is never stacked.
+    The logits are (lanes, rows, classes), each lane with the bits of
+    its own run's pass over its own rows.
     """
     lead = params.head1_w.shape[:-2]  # (lanes,) or ()
     n = len(m1[0]) if lead else len(m1)
     memories = list(memories)
-    variants = _layer_variants(config.variant, config.out_dim)
+    if isinstance(config, ClassifierConfig):
+        variants = _layer_variants(config.variant, config.out_dim)
+    else:
+        variants = _layer_variants(tuple([c.variant for c in config]), config[0].out_dim)
+        config = config[0]
     matmul = functools.partial(batchwise_matmul, batch=config.batch)
     block = max(_EVAL_BLOCK // config.batch, 1) * config.batch
     logits = np.empty(lead + (n, config.classes))
@@ -705,15 +727,25 @@ def forward_split(
     return logits, memories
 
 
+def lockstep_key(config: ClassifierConfig) -> tuple:
+    """The config's fields up to seed and query order: runs whose keys are
+    equal train and score as lanes of one stack.  memory and memory_cross
+    share a key, since their layers differ only in the composer query's
+    mode order (fusion.query_order)."""
+    kind = MEMORY if config.variant == MEMORY_CROSS else config.variant
+    return astuple(replace(config, seed=0, variant=kind))
+
+
 def _check_lanes(states: List[TrainState], caller: str) -> None:
     """Refuse states that cannot run as lanes of one stack: their configs
-    must be equal up to seed, with one parameter layout and widths."""
+    must be equal up to seed and query order (lockstep_key), with one
+    parameter layout and widths."""
     first = states[0]
-    cfg, table, widths = first.config, first.params.table, first.widths
-    if any((s.config is not cfg and replace(s.config, seed=cfg.seed) != cfg)
-           or s.params.table != table or s.widths != widths for s in states[1:]):
-        raise ParameterError(f"{caller}: stacked states must share one config up to seed, "
-                             "parameter layout and widths")
+    key, table, widths = lockstep_key(first.config), first.params.table, first.widths
+    if any(lockstep_key(s.config) != key or s.params.table != table or s.widths != widths
+           for s in states[1:]):
+        raise ParameterError(f"{caller}: stacked states must share one config up to seed and "
+                             "query order, parameter layout and widths")
 
 
 def _stacked(states: List[TrainState], caller: str) -> Tuple[ModelParams, List[MemoryState]]:
@@ -735,7 +767,7 @@ def _training_stack(states: List[TrainState]) -> TrainState:
     """The states as one TrainState of lanes: parameters, memories, Adam
     moments and gradients stacked on a leading axis, at the states'
     shared step.  Its config and dropout stream are the first state's;
-    train_epoch keeps each lane's stream apart."""
+    train_epoch keeps each lane's config and stream apart."""
     params, memories = _stacked(states, "train_epoch")
     return replace(states[0], params=params, memories=memories,
                    m_flat=np.stack([state.m_flat for state in states]),
@@ -771,11 +803,11 @@ def evaluate(states, datasets):
     """Metrics of each state on its dataset; dropout off.
 
     `states` is one TrainState, which gives one MetricsReport, or a
-    nonempty list of states whose configs are equal up to seed, with one
-    layout and widths, which gives one report per state in order, each
-    with the bits a call on that state alone gives.  `datasets` is one
-    (m1, m2, labels) dataset for every state, or a list with one per
-    state.
+    nonempty list of states whose configs are equal up to seed and query
+    order, with one layout and widths, which gives one report per state
+    in order, each with the bits a call on that state alone gives.
+    `datasets` is one (m1, m2, labels) dataset for every state, or a
+    list with one per state.
 
     checked_dataset takes every dataset first, in state order, so a
     malformed one raises before any pass.  States whose datasets share a
@@ -806,13 +838,15 @@ def evaluate(states, datasets):
     for lanes in groups.values():
         if len(lanes) == 1:
             (i,) = lanes
-            params, memories, m1, m2 = stack[i].params, stack[i].memories, checked[i].m1, checked[i].m2
+            config, params, memories = stack[i].config, stack[i].params, stack[i].memories
+            m1, m2 = checked[i].m1, checked[i].m2
         else:
+            config = [stack[i].config for i in lanes]
             params, memories = _stacked([stack[i] for i in lanes], "evaluate")
             m1, m2 = [checked[i].m1 for i in lanes], [checked[i].m2 for i in lanes]
         if cfg.freeze_eval_writes:
             memories = [m.frozen() for m in memories]
-        out = forward_split(cfg, params, memories, m1, m2)[0]
+        out = forward_split(config, params, memories, m1, m2)[0]
         for i, lane in zip(lanes, out if len(lanes) > 1 else [out]):
             logits[i] = lane
     reports = [_scored(data.labels, lane, cfg.classes) for data, lane in zip(checked, logits)]
@@ -826,9 +860,9 @@ def fit(states, train_set, val_set=None, test_set=None):
     state that epoch left when there is a validation set.  The report
     scores the final state on the test set, or is None without one.
     `states` may also be a list of states whose configs are equal up to
-    seed, trained in lockstep on the one train set (see train_epoch); it
-    gives one (curves, report) per state, in order, each with the bits
-    of a call on that state alone.
+    seed and query order, trained in lockstep on the one train set (see
+    train_epoch); it gives one (curves, report) per state, in order,
+    each with the bits of a call on that state alone.
 
     checked_dataset takes every split before epoch 1, so a malformed one
     raises before any step.  The epochs then train, and each keeps a

@@ -291,9 +291,10 @@ class TestAblate:
         datasets = []
         orig = model.evaluate
 
-        def counting(state, dataset):
-            datasets.append(dataset)
-            return orig(state, dataset)
+        def counting(states, dataset):
+            # a lockstep group scores its cells as lanes of one call
+            datasets.extend([dataset] * (len(states) if isinstance(states, list) else 1))
+            return orig(states, dataset)
 
         for name, mod in list(sys.modules.items()):
             if name == "memfuse" or name.startswith("memfuse."):
@@ -330,7 +331,7 @@ class TestAblate:
         assert err.startswith("error: ") and named in err, err
         assert not (out / "ablation.json").exists()
 
-    def test_bench_sweep_document_is_pinned(self, tmp_path):
+    def test_bench_sweep_document_is_pinned(self, tmp_path, monkeypatch):
         # the values of bench/configs/ablate_sweep.json, inline so that this
         # pin does not move with the benchmark's config
         doc = {
@@ -345,9 +346,20 @@ class TestAblate:
             "out_dir": str(tmp_path / "abl"),
             "sweep": {"slots": [20, 100], "variants": ["memory", "memory_cross"], "out_dims": [8]},
         }
+        lane_fits, real_fit = [], cli.fit
+
+        def counted(states, *splits):
+            if isinstance(states, list):
+                lane_fits.append(sorted({(s.config.variant, s.config.slots) for s in states}))
+            return real_fit(states, *splits)
+
+        monkeypatch.setattr(cli, "fit", counted)
         assert main(["ablate", "--config", write_config(tmp_path, doc)]) == 0
         got = hashlib.sha256((tmp_path / "abl" / "ablation.json").read_bytes()).hexdigest()
         assert got == "8abb3a6703a3aa70d47b56c7e5cbf123b61d8fc449f2d8eb37e02a89d92b008d"
+        # memory and memory_cross train as one stack at each slot count: 5 lane fits, not 7
+        assert lane_fits == [[("memory", 20), ("memory_cross", 20)], [("memory", 100), ("memory_cross", 100)],
+                             [("memory_single", 20)], [("memory_resampled", 20)], [("naive", 20)]]
 
     def test_a_group_that_raises_trains_its_seeds_one_at_a_time(self, tmp_path, monkeypatch, capsys):
         # seed 1 of memory_cross stops at batch 1: Adam's first step spreads
@@ -371,9 +383,10 @@ class TestAblate:
         cfg = write_config(tmp_path, tiny_experiment(tmp_path / "abl", seeds=(0, 1), sweep=sweep))
         assert main(["ablate", "--config", cfg]) == 3
         lockstep = capsys.readouterr()
-        # the two memory groups and the failing one trained as lanes; then
-        # memory_cross trained seed 0 and seed 1 alone
-        assert group_fits == [True, True, True, False, False]
+        # memory and memory_cross train as one group per slot count, and
+        # memory_cross seed 1 fails in both: each group's lanes raise, so its
+        # cells train alone, until memory_cross seed 1 at 2 slots raises
+        assert group_fits == [True, False, False, True, False, False, False, False]
         # the serial loop: every cell trained alone
         monkeypatch.setattr(cli, "run_single", lambda exp, seed, splits=None, trained=None, **cell:
                             real_run(exp, seed, splits, **cell))
@@ -457,10 +470,14 @@ class TestRunSingle:
 
 
 class TestSeedGroup:
-    def test_the_first_seed_trains_the_group_as_lanes(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("variants", [["memory_cross"], ["memory", "memory_cross"]])
+    def test_the_groups_first_call_trains_it_as_lanes(self, tmp_path, monkeypatch, variants):
+        # seed 3 twice is one run; memory beside memory_cross is a mixed
+        # group, whose lanes differ in seed and in the query's mode order
         exp = load_experiment(write_config(tmp_path, tiny_experiment(tmp_path / "run", seeds=(3, 1, 3))))
         splits = cli.task_splits(exp)
-        alone = {seed: cli.run_single(exp, seed, splits, variant="memory_cross") for seed in (3, 1)}
+        cells = [(variant, seed) for variant in variants for seed in (3, 1)]
+        alone = {cell: cli.run_single(exp, cell[1], splits, variant=cell[0]) for cell in cells}
         fits, real_fit = [], cli.fit
 
         def counted(states, *args):
@@ -468,17 +485,37 @@ class TestSeedGroup:
             return real_fit(states, *args)
 
         monkeypatch.setattr(cli, "fit", counted)
-        trained = {}
-        first = cli.run_single(exp, 3, splits, trained=trained, variant="memory_cross")
-        # one fit of the distinct seeds; seed 1's run waits in the dict
-        assert fits == [2] and len(trained) == 1
-        second = cli.run_single(exp, 1, splits, trained=trained, variant="memory_cross")
-        assert fits == [2] and trained == {}
-        for seed, (state, curves, report) in ((3, first), (1, second)):
-            state_alone, curves_alone, report_alone = alone[seed]
-            assert state.config.seed == seed
+        trained = cli.lockstep_groups([dataclasses.replace(exp.classifier, variant=variant, seed=seed)
+                                       for variant, seed in cells])
+        assert len(trained) == len(cells)
+        # the group's first call need not be its first config's
+        calls = cells[::-1]
+        got = {calls[0]: cli.run_single(exp, calls[0][1], splits, trained=trained, variant=calls[0][0])}
+        # one fit of every distinct run; the others wait in the dict
+        assert fits == [len(cells)] and len(trained) == len(cells) - 1
+        for variant, seed in calls[1:]:
+            got[variant, seed] = cli.run_single(exp, seed, splits, trained=trained, variant=variant)
+        assert fits == [len(cells)] and trained == {}
+        for cell, (state, curves, report) in got.items():
+            state_alone, curves_alone, report_alone = alone[cell]
+            assert (state.config.variant, state.config.seed) == cell
             assert state.params.flat.tobytes() == state_alone.params.flat.tobytes()
+            assert [m.matrix.tobytes() for m in state.memories] == [m.matrix.tobytes() for m in state_alone.memories]
             assert curves == curves_alone and report.to_dict() == report_alone.to_dict()
+
+    def test_groups_are_equal_up_to_seed_and_query_order(self, tmp_path):
+        exp = load_experiment(write_config(tmp_path, tiny_experiment(tmp_path / "run")))
+        cells = [{"variant": "memory"}, {"variant": "memory_cross"}, {"variant": "memory", "slots": 2},
+                 {"variant": "memory_single"}, {"variant": "memory_resampled", "out_dim": 3},
+                 {"variant": "naive"}, {"variant": "memory", "seed": 1}, {"variant": "naive", "seed": 1}]
+        configs = [dataclasses.replace(exp.classifier, **cell) for cell in cells]
+        trained = cli.lockstep_groups(configs)
+        groups = {key: [(c.variant, c.slots, c.seed) for c in group] for key, group in trained.items()}
+        mixed = [("memory", 4, 0), ("memory_cross", 4, 0), ("memory", 4, 1)]
+        naive = [("naive", 4, 0), ("naive", 4, 1)]
+        # a config alone in its group has no entry and trains alone
+        assert groups == {dataclasses.astuple(configs[i]): group
+                          for i, group in ((0, mixed), (1, mixed), (6, mixed), (5, naive), (7, naive))}
 
 
 class TestSetupCallBudget:

@@ -28,7 +28,11 @@ from memfuse.fusion import (
     naive_fusion,
     param_count_actual,
     param_count_formula,
+    param_shapes,
+    param_table,
     parse_variant,
+    table_size,
+    table_views,
     write_memory,
 )
 from memfuse.kernels import Rng
@@ -345,6 +349,44 @@ class TestNaiveAndSwap:
         _, plain, _ = fusion_forward(params, mem, Variant(), m1, m2)
         np.testing.assert_array_equal(swapped.query, plain.query)
         np.testing.assert_array_equal(swapped.query, np.concatenate([m1, m2], axis=1))
+
+    def test_lanes_take_their_own_query_order(self):
+        """Stacked lanes of memory and memory_cross, given as a tuple of each
+        lane's variant, match separate calls bit for bit: outputs, queries,
+        written memories and both input cotangents, whose query half goes
+        back through each lane's inverse order.  The lanes read one shared
+        batch, and then each its own rows."""
+        kinds = (MEMORY_CROSS, MEMORY, MEMORY_CROSS)
+        table = param_table(param_shapes(5))
+        flat = np.empty((3, table_size(table)))
+        for lane, row in enumerate(flat):
+            init_params(Rng(7 + lane), 5, out=row)
+        stacked = FusionParams(**table_views(table, flat))
+        mems = [init_memory(Rng(lane), 4, 5) for lane in range(3)]
+        stacked_mem = MemoryState(np.stack([mem.matrix for mem in mems]))
+        rng = np.random.default_rng(6)
+        m1, m2 = rng.standard_normal((3, 2)), rng.standard_normal((3, 3))
+        for inputs in ((m1, m2), (np.stack([m1] * 3), np.stack([m2] * 3))):
+            out, trace, new = fusion_forward(stacked, stacked_mem, tuple(map(Variant, kinds)), *inputs)
+            grad_out = rng.standard_normal(out.shape)
+            grads = fusion_input_grads(stacked, trace, fusion_backward(stacked, trace, stacked_mem, grad_out))
+            for lane, (kind, mem) in enumerate(zip(kinds, mems)):
+                params = FusionParams(**table_views(table, flat[lane]))
+                want_out, want, want_new = fusion_forward(params, mem, Variant(kind), m1, m2)
+                want_grads = fusion_input_grads(params, want, fusion_backward(params, want, mem, grad_out[lane]))
+                assert out[lane].tobytes() == want_out.tobytes()
+                assert np.ascontiguousarray(trace.query[lane]).tobytes() == want.query.tobytes()
+                assert new.matrix[lane].tobytes() == want_new.matrix.tobytes()
+                for got, grad in zip(grads, want_grads):
+                    assert np.ascontiguousarray(got[lane]).tobytes() == np.ascontiguousarray(grad).tobytes()
+
+    def test_lanes_may_differ_only_in_query_order(self):
+        table = param_table(param_shapes(5))
+        params = FusionParams(**table_views(table, np.zeros((2, table_size(table)))))
+        mem = MemoryState(np.zeros((2, 4, 5)))
+        variants = (Variant(MEMORY), Variant(MEMORY_SINGLE))
+        with pytest.raises(ParameterError, match="only in query order"):
+            fusion_forward(params, mem, variants, np.zeros((2, 2)), np.zeros((2, 3)))
 
 
 class TestResample:

@@ -100,9 +100,11 @@ class TestCheckLayer:
             np.testing.assert_array_equal(relative_errors(getattr(bwd.params, name), fd[name]), 0.0)
 
     def test_all_variants_pass(self):
-        for variant in standard_variants():
-            rep = check_layer(LayerCheckConfig(variant=variant), seed=7)
-            assert rep.passed, (variant.kind, rep.max_rel, rep.worst_block())
+        # unequal mode widths: memory_cross's query order [m2, m1] is then not its own inverse
+        for s1, s2 in ((3, 3), (2, 4)):
+            for variant in standard_variants():
+                rep = check_layer(LayerCheckConfig(s1=s1, s2=s2, variant=variant), seed=7)
+                assert rep.passed, (s1, s2, variant.kind, variant.mode, rep.max_rel, rep.worst_block())
 
     def test_hundred_seeds_plain_variant(self):
         for seed in range(100):

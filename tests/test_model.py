@@ -2,6 +2,7 @@
 
 import collections
 import copy
+import gc
 import hashlib
 import importlib
 import pickle
@@ -1367,10 +1368,11 @@ def _poison_lanes(monkeypatch, flats):
 
 
 class TestLockstep:
-    """Runs whose configs differ only in seed, trained as lanes of one
-    stack by fit (and train_epoch), against the same runs trained one
-    after another: every lane's parameters, Adam moments, gradients,
-    memories, step, dropout stream, curves and reports, bit for bit.
+    """Runs whose configs differ only in seed and query order (memory
+    beside memory_cross), trained as lanes of one stack by fit (and
+    train_epoch), against the same runs trained one after another: every
+    lane's parameters, Adam moments, gradients, memories, step, dropout
+    stream, curves and reports, bit for bit.
 
     The train set has a ragged tail (but at batch 1) and hands the modes
     over as strided column views; the validation and test sets have
@@ -1379,9 +1381,11 @@ class TestLockstep:
     """
 
     @staticmethod
-    def _runs(cfg, lanes):
-        """Fresh states of `cfg` at seeds 2, 3, ... and a twin of each."""
-        states = [build_state(replace(cfg, seed=2 + lane), 3, 4) for lane in range(lanes)]
+    def _runs(cfg, lanes, cross=()):
+        """Fresh states of `cfg` at seeds 2, 3, ..., the lanes in `cross`
+        as memory_cross, and a twin of each."""
+        states = [build_state(replace(cfg, seed=2 + lane, variant="memory_cross" if lane in cross else cfg.variant),
+                              3, 4) for lane in range(lanes)]
         return states, copy.deepcopy(states)
 
     @staticmethod
@@ -1396,10 +1400,19 @@ class TestLockstep:
     @pytest.mark.parametrize("lanes", [2, 3])
     @pytest.mark.parametrize("variant", ["naive", "memory", "memory_cross", "memory_single", "memory_resampled"])
     def test_lanes_match_serial_runs(self, variant, lanes, batch):
+        self._match_serial_runs(variant, lanes, batch)
+
+    @pytest.mark.parametrize("batch", [1, 3, 16])
+    @pytest.mark.parametrize("lanes, cross", [(2, (1,)), (3, (0, 1)), (4, (2, 3))])
+    def test_memory_and_memory_cross_lanes_match_serial_runs(self, lanes, cross, batch):
+        # the encoders' case takes the query's cotangent back through each lane's order
+        self._match_serial_runs("memory", lanes, batch, cross)
+
+    def _match_serial_runs(self, variant, lanes, batch, cross=()):
         for extra in ({}, {"encoder_hidden": 5, "dropout_rate": 0.3}):
             cfg = tiny_config(variant=variant, out_dim=3, head_hidden=6, slots=5, batch=batch, epochs=2,
                               lr=0.05, **extra)
-            states, twins = self._runs(cfg, lanes)
+            states, twins = self._runs(cfg, lanes, cross)
             splits = self._splits(batch)
             got = fit(states, *splits)
             want, error = _serial(twins, *splits)
@@ -1444,6 +1457,45 @@ class TestLockstep:
             fit([states[0], other], train)
         with pytest.raises(ParameterError, match="no states"):
             fit([], train)
+
+    @pytest.mark.parametrize("other", [
+        {"variant": "memory_single"},
+        {"variant": "memory_resampled", "out_dim": 3},
+        {"variant": "naive"},
+        {"slots": 6},
+        {"out_dim": 3},
+        {"variant": "memory_cross", "slots": 6},
+    ])
+    def test_lanes_may_differ_only_in_seed_and_query_order(self, other):
+        cfg = tiny_config(variant="memory", head_hidden=6, slots=5, batch=3)
+        state, odd = build_state(cfg, 3, 4), build_state(replace(cfg, seed=3, **other), 3, 4)
+        train, _, test = self._splits(3)
+        refused = "stacked states must share one config up to seed and query order"
+        with pytest.raises(ParameterError, match=refused):
+            train_epoch([state, odd], train)
+        with pytest.raises(ParameterError, match=refused):
+            fit([odd, state], train)
+        with pytest.raises(ParameterError, match=refused):
+            evaluate([state, odd], test)
+        assert state.step == odd.step == 0
+
+    @pytest.mark.parametrize("lane", [1, 2])
+    def test_a_memory_cross_lanes_non_finite_loss_raises_as_a_serial_loop_does(self, lane):
+        # lanes memory, memory_cross, memory_cross; the failing lane's NaN
+        # moment reaches its parameters at Adam's first step
+        cfg = tiny_config(variant="memory", head_hidden=6, slots=5, batch=3, encoder_hidden=5, dropout_rate=0.3)
+        states, twins = self._runs(cfg, 3, cross=(1, 2))
+        for state in (states[lane], twins[lane]):
+            state.m_flat[0] = np.nan
+        splits = self._splits(3)
+        want, serial = _serial(twins, *splits)
+        assert len(want) == lane and str(serial) == "train_epoch: non-finite loss at batch 1"
+        with pytest.raises(NumericError) as got:
+            fit(states, *splits)
+        assert str(got.value) == str(serial)
+        for state, twin in zip(states, twins):
+            assert _state_bytes(state) == _state_bytes(twin)
+        assert [state.step for state in states] == [8] * lane + [1] + [0] * (2 - lane)
 
     @pytest.mark.parametrize("lane, block, batch_index", [
         (0, "params", 0),   # the serial loop raises before any run trains
@@ -1525,14 +1577,19 @@ class TestLockstepCallBudget:
     (d = 8, batch 2, k = 20); their difference is the steps' own calls,
     without the per-epoch stacking, which takes a few calls per lane.
     Dropout, which draws each lane's mask from its own stream, is off.
-    No timing, so it cannot flake.
+    The garbage collector is off while counting: a collection runs
+    whatever gc.callbacks hold (hypothesis installs one), and when it
+    falls depends on the allocations of every test before.  No timing,
+    so it cannot flake.
     """
 
     @staticmethod
     def _calls(lanes, rows, variant):
-        cfg = tiny_config(variant=variant, out_dim=4, slots=20, batch=2, head_hidden=32,
-                          read_bias_init=0.0, transform_gain=1.0)
-        states = [build_state(replace(cfg, seed=seed), 4, 4) for seed in range(lanes)]
+        # "a+b": the lanes take the kinds a, b, a, ... in turn
+        kinds = variant.split("+")
+        cfg = tiny_config(out_dim=4, slots=20, batch=2, head_hidden=32, read_bias_init=0.0, transform_gain=1.0)
+        states = [build_state(replace(cfg, seed=seed, variant=kinds[seed % len(kinds)]), 4, 4)
+                  for seed in range(lanes)]
         data = tiny_data(n=rows)
         train_epoch(states, data)  # first calls may fill caches
         calls = []
@@ -1541,14 +1598,19 @@ class TestLockstepCallBudget:
             if event in ("call", "c_call"):
                 calls.append(event)
 
+        collecting = gc.isenabled()
+        gc.disable()
         sys.setprofile(count)
         try:
             train_epoch(states, data)
         finally:
             sys.setprofile(None)
+            if collecting:
+                gc.enable()
         return len(calls)
 
-    @pytest.mark.parametrize("variant", ["naive", "memory", "memory_single", "memory_resampled"])
+    @pytest.mark.parametrize("variant", ["naive", "memory", "memory_cross", "memory_single", "memory_resampled",
+                                         "memory+memory_cross"])
     def test_calls_per_step_do_not_grow_with_lanes(self, variant):
         per_step = {lanes: self._calls(lanes, 120, variant) - self._calls(lanes, 40, variant) for lanes in (2, 5)}
         assert per_step[2] == per_step[5] > 0, per_step
