@@ -226,9 +226,10 @@ def run_single(exp: ExperimentConfig, seed: int, splits=None, trained: Optional[
     entry, with the bits that training it alone gives.  A key with no
     entry trains alone.  The sweep still makes one call per cell, and
     the benchmark takes each call's return value as that cell's run.
-    When the lanes' fit raises, the group's entries are dropped and its
-    cells train one call at a time, so the sweep raises what a serial
-    loop raises.
+    When the lanes' fit raises, the runs of the lanes before the failing
+    one are filed all the same (fit hands them back with a NumericError)
+    and the other cells' entries are dropped, so that those cells train
+    one call at a time and the sweep raises what a serial loop raises.
     """
     cls = dataclasses.replace(exp.classifier, seed=seed, **overrides)
     train, val, test = task_splits(exp) if splits is None else splits
@@ -236,16 +237,20 @@ def run_single(exp: ExperimentConfig, seed: int, splits=None, trained: Optional[
     if isinstance(group, tuple):
         return group
     if group is not None:
+        states, results = [], []
         try:
             states = [build_state(c, exp.task.s1, exp.task.s2) for c in group]
             results = fit(states, train, val, test)
-        except (NumericError, ParameterError, ShapeError, MemoryError):
-            for c in group:  # this call and the group's later ones train alone, below
-                trained.pop(dataclasses.astuple(c), None)
-        else:
-            for c, state, result in zip(group, states, results):
-                trained[dataclasses.astuple(c)] = (state, *result)
-            return trained.pop(dataclasses.astuple(cls))
+        except (NumericError, ParameterError, ShapeError, MemoryError) as err:
+            # the lanes that finished keep their runs; the others train alone, below
+            results = getattr(err, "results", [])
+        for c in group:
+            trained.pop(dataclasses.astuple(c), None)
+        for c, state, result in zip(group, states, results):
+            trained[dataclasses.astuple(c)] = (state, *result)
+        own = trained.pop(dataclasses.astuple(cls), None)
+        if own is not None:
+            return own
     state = build_state(cls, exp.task.s1, exp.task.s2)
     curves, report = fit(state, train, val, test)
     return state, curves, report
@@ -254,11 +259,13 @@ def run_single(exp: ExperimentConfig, seed: int, splits=None, trained: Optional[
 def lockstep_groups(configs) -> dict:
     """run_single's `trained` dict for distinct classifier configs: each
     config's key (dataclasses.astuple) holds the list of the configs
-    equal to it up to seed and query order (model.lockstep_key), in the
-    given order, which train as lanes of one fit.  A config alone in its
-    group gets no entry, so it trains through the one-run path."""
+    equal to it up to seed, query order and slot count
+    (model.lockstep_key), which train as lanes of one fit.  A list is in
+    the given order by slot count, so that each slot count is one run of
+    lanes (fusion.slot_groups).  A config alone in its group gets no
+    entry, so it trains through the one-run path."""
     groups: dict = {}
-    for config in configs:
+    for config in sorted(configs, key=lambda config: config.slots):
         groups.setdefault(lockstep_key(config), []).append(config)
     return {dataclasses.astuple(config): group
             for group in groups.values() if len(group) > 1 for config in group}
@@ -332,7 +339,7 @@ def cmd_ablate(args) -> int:
     train, _, test = task_splits(exp)
     splits = (train, None, test)
     # a cell that two studies name with the same config is trained once, and
-    # the cells equal up to seed and query order train in lockstep (run_single)
+    # the cells equal up to seed, query order and slot count train in lockstep (run_single)
     distinct = {dataclasses.astuple(config): config
                 for cells in configured.values() for _, _, config in cells}
     scores, trained = {}, lockstep_groups(distinct.values())

@@ -34,7 +34,12 @@ own 2-D product, and a sum over the batch runs on axis -2 into each
 lane's own row.  Lanes may also differ in the composer query's mode
 order, memory ([m1, m2]) beside memory_cross ([m2, m1]): the query is
 the fused input's columns in each lane's order (query_order), one
-gather for every lane.
+gather for every lane.  And they may differ in slot count: the memory
+is then one (lanes_k, k, d) block per slot group, a run of lanes that
+share k (slot_groups), and only the ops that touch the memory run once
+per group, each on its lanes' slice of the stack's arrays: the read,
+the write and, in the backward, the products through M and the keys'
+softmax.
 """
 
 from __future__ import annotations
@@ -100,16 +105,20 @@ def parse_variant(name: str, mode: int = 1, out_dim: int = 0) -> Variant:
 class MemoryState:
     """The slot matrix plus its write policy.
 
-    matrix is (slots, dim); each row is one slot.  When writes_enabled
-    is false, write_memory returns the state unchanged.
+    matrix is (slots, dim); each row is one slot.  Several runs stacked
+    as lanes hold (lanes, slots, dim), or, when their slot counts
+    differ, a tuple with one (lanes_k, slots_k, dim) block per slot
+    group (slot_groups).  When writes_enabled is false, write_memory
+    returns the state unchanged.
     """
 
-    matrix: Array
+    matrix: Union[Array, Tuple[Array, ...]]
     writes_enabled: bool = True
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[-1]
+        block = self.matrix[0] if type(self.matrix) is tuple else self.matrix
+        return block.shape[-1]
 
     def frozen(self) -> "MemoryState":
         return replace(self, writes_enabled=False)
@@ -150,17 +159,20 @@ class ForwardTrace:
     fused with its columns in order[0], and order[1] takes them back
     (query_order); order is None when the query is fused itself.
     out_raw is the pre-projection output and is None unless the variant
-    resamples.  keys to transformed are _memory_chain's results, in its
-    order.
+    resamples.  query to transformed are _memory_chain's results, in its
+    order; the query of lanes that read one shared batch is a view of
+    mlp_in's first half.  keys holds one array per slot group: a tuple
+    of each group's (L_k, B, k) keys when the memory holds several (see
+    MemoryState).
     """
 
     variant: Union[Variant, Tuple[Variant, ...]]
     s1: int
     s2: int
     fused: Array        # (B, d) or (L, B, d)  concatenated (or single-mode) input
-    query: Array        # (L, B, d)            composer query
     order: Optional[Tuple[Array, Array]]  # (d,) or (L, d) each
-    keys: Array         # (L, B, k)            softmax attention over slots
+    query: Array        # (L, B, d)            composer query
+    keys: Union[Array, Tuple[Array, ...]]  # (L, B, k)  softmax attention over slots
     recalled: Array     # (L, B, d)            attention-weighted slot readout
     mlp_in: Array       # (L, B, 2d)           [query, recalled]
     scores: Array       # (L, B, d)            composer MLP pre-attention output
@@ -274,7 +286,21 @@ def init_memory(rng: Rng, slots: int, dim: int) -> MemoryState:
     return MemoryState(matrix=matrix, writes_enabled=True)
 
 
-def write_memory(mem: MemoryState, batch_keys: Array, batch_values: Array) -> MemoryState:
+def slot_groups(matrix):
+    """(lanes, block) for each slot group of a memory matrix, in lane
+    order: the matrix itself with every lane (slice(None)), or each
+    block of a tuple with the slice of the stack's lanes it holds."""
+    if type(matrix) is not tuple:
+        yield slice(None), matrix
+        return
+    start = 0
+    for block in matrix:
+        stop = start + block.shape[0]
+        yield slice(start, stop), block
+        start = stop
+
+
+def write_memory(mem: MemoryState, batch_keys, batch_values: Array) -> MemoryState:
     """Erase-then-add update, aggregated over the batch by the mean.
 
     Row j of the new memory is M[j] * (1 - mean_b keys[b, j]) +
@@ -284,8 +310,15 @@ def write_memory(mem: MemoryState, batch_keys: Array, batch_values: Array) -> Me
 
     A memory of stacked lanes, (lanes, slots, dim), takes the keys and
     values of its lanes stacked likewise and writes each lane's batch
-    into that lane's matrix.
+    into that lane's matrix.  A memory of several slot groups takes a
+    tuple of each group's keys, and each group writes its lanes' values
+    with a call of its own.
     """
+    if type(mem.matrix) is tuple:
+        values = as_batch(batch_values, True)
+        blocks = [write_memory(MemoryState(block, mem.writes_enabled), keys, values[lanes]).matrix
+                  for (lanes, block), keys in zip(slot_groups(mem.matrix), batch_keys, strict=True)]
+        return MemoryState(tuple(blocks), mem.writes_enabled)
     lanes = mem.matrix.ndim == 3
     keys = as_batch(batch_keys, lanes)
     values = as_batch(batch_values, lanes)
@@ -414,39 +447,56 @@ def _layer_inputs(params: FusionParams, mem: MemoryState, variant, batch_m1, bat
         fused = np.concatenate([m1, m2], axis=-1)
 
     d = fused.shape[-1]
-    if mem.matrix.shape[-1] != d:
+    matrix = mem.matrix[0] if type(mem.matrix) is tuple else mem.matrix
+    if matrix.shape[-1] != d:
         raise ShapeError(f"fusion_forward: memory dim {mem.dim} vs input dim {d}")
     if params.b_read.shape[-1] != d:
         raise ShapeError(f"fusion_forward: params dim {params.dim} vs input dim {d}")
     mapped = matmul(fused, params.w_read)
     mapped += params.b_read
     query = fused if order is None else _in_order(fused, order[0])
-    if query.ndim < mapped.ndim:
-        # lanes reading one shared batch: the composer takes the query in each lane's rows
-        query = np.broadcast_to(query, mapped.shape)
     return kind, fused, query, order, mapped, s1, s2
 
 
-def _memory_chain(params: FusionParams, matrix: Array, mapped: Array, query: Array, matmul=np.ndarray.dot):
+def _memory_chain(params: FusionParams, matrix, mapped: Array, query: Array, matmul=np.ndarray.dot):
     """Read, compose and transform: the steps that depend on the memory.
 
-    Returns (keys, recalled, mlp_in, scores, attn, gated, pre_act,
-    transformed), one row per input row; every row reads `matrix`.
-    `matmul` computes every product, so the same equations serve one
-    batch and a run of batches read against one memory.  A 3-D `matrix`
-    is one memory per lane, each read by that lane's rows.
+    Returns (query, keys, recalled, mlp_in, scores, attn, gated,
+    pre_act, transformed), one row per input row; every row reads
+    `matrix`.  `matmul` computes every product, so the same equations
+    serve one batch and a run of batches read against one memory.  With
+    stacked lanes (3-D `mapped`) a 3-D `matrix` is one memory per lane,
+    each read by that lane's rows, and a tuple is one block per slot
+    group, each read by its group's lanes; `query` may be one 2-D batch
+    that every lane shares, and the query returned is then mlp_in's
+    first half.
     """
-    lanes = matrix.ndim == 3
-    keys = softmax_rows(matmul(mapped, matrix.mT), lanes)    # (B, k)
-    recalled = matmul(keys, matrix)                          # (B, d)
-    mlp_in = np.concatenate([query, recalled], axis=-1)      # (B, 2d)
-    scores = matmul(mlp_in, params.w_comp)                   # (B, d)
+    lanes = mapped.ndim == 3
+    if type(matrix) is tuple:
+        keys, recalled = [], np.empty_like(mapped)
+        for rows, block in slot_groups(matrix):
+            keys.append(softmax_rows(matmul(mapped[rows], block.mT), lanes))
+            recalled[rows] = matmul(keys[-1], block)
+        keys = tuple(keys)
+    else:
+        keys = softmax_rows(matmul(mapped, matrix.mT), lanes)  # (B, k)
+        recalled = matmul(keys, matrix)                        # (B, d)
+    if query.ndim < mapped.ndim:
+        # lanes reading one shared batch: each lane's query half is filled by broadcasting
+        d = query.shape[-1]
+        mlp_in = np.empty(mapped.shape[:-1] + (2 * d,))
+        mlp_in[..., :d] = query
+        mlp_in[..., d:] = recalled
+        query = mlp_in[..., :d]
+    else:
+        mlp_in = np.concatenate([query, recalled], axis=-1)    # (B, 2d)
+    scores = matmul(mlp_in, params.w_comp)                     # (B, d)
     scores += params.b_comp
     attn = softmax_rows(scores, lanes)
     gated = attn * scores
     pre_act = gated * params.w_scale
     transformed = np.maximum(pre_act, ZERO)
-    return keys, recalled, mlp_in, scores, attn, gated, pre_act, transformed
+    return query, keys, recalled, mlp_in, scores, attn, gated, pre_act, transformed
 
 
 def _layer_output(kind: str, fused: Array, transformed: Array, proj: Optional[Array], matmul=np.ndarray.dot):
@@ -482,14 +532,15 @@ def fusion_forward(
     (lanes, B, s), each lane's own batch, or one (B, s) batch that every
     lane reads, and every lane gets the bits of its own call.  `variant`
     is then one Variant for every lane, or a tuple of each lane's, whose
-    kinds may be memory and memory_cross (see query_order).
+    kinds may be memory and memory_cross (see query_order), and the
+    memory may hold one block per slot group (see MemoryState).
     """
     kind, fused, query, order, mapped, s1, s2 = _layer_inputs(params, mem, variant, batch_m1, batch_m2)
-    matmul = np.matmul if mem.matrix.ndim == 3 else np.ndarray.dot
+    matmul = np.matmul if params.w_read.ndim == 3 else np.ndarray.dot
     chain = _memory_chain(params, mem.matrix, mapped, query, matmul)
     out, out_raw = _layer_output(kind, fused, chain[-1], proj, matmul)
-    trace = ForwardTrace(variant, s1, s2, fused, query, order, *chain, out, out_raw)
-    return out, trace, write_memory(mem, chain[0], chain[-1])
+    trace = ForwardTrace(variant, s1, s2, fused, order, *chain, out, out_raw)
+    return out, trace, write_memory(mem, chain[1], chain[-1])
 
 
 def fusion_rows(
@@ -514,19 +565,19 @@ def fusion_rows(
     With stacked lanes (3-D parameter blocks and memory matrix, see
     table_views) every lane runs its own chain and memory, and each
     lane's outputs and memory have the bits that lane gets on its own;
-    `variant` may be a tuple of each lane's, as in fusion_forward.  The
-    chain's products are then np.matmul, which ndarray.dot is not for
-    stacked arrays.
+    `variant` may be a tuple of each lane's, and the memory one block
+    per slot group, as in fusion_forward.  The chain's products are then
+    np.matmul, which ndarray.dot is not for stacked arrays.
     """
     matmul = functools.partial(batchwise_matmul, batch=batch)
     kind, fused, query, _, mapped, _, _ = _layer_inputs(params, mem, variant, m1, m2, matmul)
     if mem.writes_enabled:
-        chain = np.matmul if mem.matrix.ndim == 3 else np.ndarray.dot
+        chain = np.matmul if params.w_read.ndim == 3 else np.ndarray.dot
         written = []
         for start in range(0, fused.shape[-2], batch):
             rows = slice(start, start + batch)
-            keys, *_, transformed = _memory_chain(params, mem.matrix, mapped[..., rows, :],
-                                                  query[..., rows, :], chain)
+            _, keys, *_, transformed = _memory_chain(params, mem.matrix, mapped[..., rows, :],
+                                                     query[..., rows, :], chain)
             mem = write_memory(mem, keys, transformed)
             written.append(transformed)
         transformed = written[0] if len(written) == 1 else np.concatenate(written, axis=-2)
@@ -563,13 +614,15 @@ def fusion_backward(
     With stacked lanes (3-D parameter blocks and memory) the trace and
     the output cotangent carry the lane axis too, and every lane gets the
     bits of its own 2-D call: the products are then np.matmul, and each
-    sum over the batch runs on axis -2 into the lane's (1, n) row.
+    sum over the batch runs on axis -2 into the lane's (1, n) row.  A
+    memory of several slot groups takes the products through M and the
+    keys' softmax once per group, on its lanes' rows.
     """
     if trace is None:
         raise ParameterError(
             "naive fusion has no trace; use naive_backward to split the gradient"
         )
-    lanes = mem_prev.matrix.ndim == 3
+    lanes = params.w_read.ndim == 3
     matmul = np.matmul if lanes else np.ndarray.dot
     grad_out = as_batch(batch_grad_out, lanes)
 
@@ -607,8 +660,14 @@ def fusion_backward(
 
     # recalled = keys @ M, keys = softmax(mapped @ M^T); M constant
     matrix = mem_prev.matrix
-    grad_keys = matmul(grad_recalled, matrix.mT)
-    grad_mapped = matmul(_softmax_vjp(trace.keys, grad_keys), matrix)
+    if type(matrix) is tuple:
+        grad_mapped = np.empty_like(grad_recalled)
+        for (rows, block), keys in zip(slot_groups(matrix), trace.keys, strict=True):
+            grad_keys = matmul(grad_recalled[rows], block.mT)
+            matmul(_softmax_vjp(keys, grad_keys), block, out=grad_mapped[rows])
+    else:
+        grad_keys = matmul(grad_recalled, matrix.mT)
+        grad_mapped = matmul(_softmax_vjp(trace.keys, grad_keys), matrix)
 
     # mapped = fused @ w_read + b_read
     np.matmul(trace.fused.mT, grad_mapped, out=out.w_read)

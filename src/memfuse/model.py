@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import copy
 import functools
+import itertools
 import math
 import sys
 from dataclasses import astuple, dataclass, replace
@@ -48,6 +49,7 @@ from .fusion import (
     param_shapes,
     param_table,
     parse_variant,
+    slot_groups,
     table_size,
     table_views,
 )
@@ -350,8 +352,8 @@ def forward_logits(
     ModelParams) the logits, the cache and the dropout mask are (lanes,
     B, ...), and the modes are one (B, s) batch that every lane reads;
     every lane gets the bits of its own call.  `config` is then one
-    config for every lane, or a list of each lane's, equal up to seed
-    and query order (see _check_lanes).
+    config for every lane, or a list of each lane's, equal up to seed,
+    query order and slot count (see _check_lanes).
     """
     lanes = params.head1_w.ndim == 3
     enc1, enc2, pre1, pre2 = encode(params, m1, m2)
@@ -592,20 +594,22 @@ def train_epoch(states, dataset):
     step changes the state.
 
     `states` may also be a nonempty list of distinct states whose
-    configs are equal up to seed and query order (memory beside
-    memory_cross), with one parameter layout, widths and step count; it
-    gives (states, [each one's mean batch loss]).  They train in
-    lockstep on the one dataset: their parameters, Adam moments and
-    memories are stacked as lanes on a leading axis, so every numpy call
-    of a step serves them all, and each state ends the epoch with the
-    bits a call on it alone gives, running its own config's layer
-    variant and drawing its dropout masks from its own drop_rng.  A list
-    of one runs on 2-D arrays, faster than a stack of one.  A lane whose
-    loss turns non-finite leaves the stack as it stood before that
-    batch, as a serial loop over the states leaves it; the lanes after
-    it stay as they were given, and the lanes before it finish the
-    epoch.  Then its NumericError is raised, with `losses`, the mean
-    losses of the lanes that finished, as an attribute.
+    configs are equal up to seed, query order (memory beside
+    memory_cross) and slot count, with one parameter layout, widths and
+    step count; it gives (states, [each one's mean batch loss]).  They
+    train in lockstep on the one dataset: their parameters, Adam moments
+    and memories are stacked as lanes on a leading axis, so every numpy
+    call of a step serves them all (the memory's own ops once per run of
+    lanes that share a slot count, fusion.slot_groups), and each state
+    ends the epoch with the bits a call on it alone gives, running its
+    own config's layer variant and drawing its dropout masks from its
+    own drop_rng.  A list of one runs on 2-D arrays, faster than a stack
+    of one.  A lane whose loss turns non-finite leaves the stack as it
+    stood before that batch, as a serial loop over the states leaves
+    it; the lanes after it stay as they were given, and the lanes before
+    it finish the epoch.  Then its NumericError is raised, with
+    `losses`, the mean losses of the lanes that finished, as an
+    attribute.
     """
     one = isinstance(states, TrainState)
     runs = [states] if one else list(states)
@@ -728,38 +732,43 @@ def forward_split(
 
 
 def lockstep_key(config: ClassifierConfig) -> tuple:
-    """The config's fields up to seed and query order: runs whose keys are
-    equal train and score as lanes of one stack.  memory and memory_cross
-    share a key, since their layers differ only in the composer query's
-    mode order (fusion.query_order)."""
+    """The config's fields up to seed, query order and slot count: runs
+    whose keys are equal train and score as lanes of one stack.  memory
+    and memory_cross share a key, since their layers differ only in the
+    composer query's mode order (fusion.query_order), and so do slot
+    counts, since only the memory's size reads them (build_state)."""
     kind = MEMORY if config.variant == MEMORY_CROSS else config.variant
-    return astuple(replace(config, seed=0, variant=kind))
+    return astuple(replace(config, seed=0, variant=kind, slots=1))
 
 
 def _check_lanes(states: List[TrainState], caller: str) -> None:
     """Refuse states that cannot run as lanes of one stack: their configs
-    must be equal up to seed and query order (lockstep_key), with one
-    parameter layout and widths."""
+    must be equal up to seed, query order and slot count (lockstep_key),
+    with one parameter layout and widths."""
     first = states[0]
     key, table, widths = lockstep_key(first.config), first.params.table, first.widths
     if any(lockstep_key(s.config) != key or s.params.table != table or s.widths != widths
            for s in states[1:]):
-        raise ParameterError(f"{caller}: stacked states must share one config up to seed and "
-                             "query order, parameter layout and widths")
+        raise ParameterError(f"{caller}: stacked states must share one config up to seed, "
+                             "query order and slot count, parameter layout and widths")
 
 
 def _stacked(states: List[TrainState], caller: str) -> Tuple[ModelParams, List[MemoryState]]:
     """The states' parameters and memories stacked as lanes, one lane per
     state in order.  The states share one layout (_check_lanes); each
     memory must share its write flag across them, otherwise
-    ParameterError."""
+    ParameterError.  A memory is one block per run of lanes with one
+    slot count, the tuple of them when there are several
+    (fusion.MemoryState)."""
     params = ModelParams(np.stack([state.params.flat for state in states]), states[0].params.table)
     memories = []
     for lane_mems in zip(*(state.memories for state in states)):
         writes = {mem.writes_enabled for mem in lane_mems}
         if len(writes) > 1:
             raise ParameterError(f"{caller}: stacked states' memories differ in their write flag")
-        memories.append(MemoryState(np.stack([mem.matrix for mem in lane_mems]), writes.pop()))
+        blocks = tuple(np.stack([mem.matrix for mem in run])
+                       for _, run in itertools.groupby(lane_mems, key=lambda mem: len(mem.matrix)))
+        memories.append(MemoryState(blocks if len(blocks) > 1 else blocks[0], writes.pop()))
     return params, memories
 
 
@@ -780,11 +789,14 @@ def _unstack(stack: TrainState, states: List[TrainState], rngs: List[Rng]) -> No
     its parameters, moments and gradients into the state's own vectors,
     its memories (views of the lane), the step count and rngs[i] as its
     dropout stream."""
+    # each layer's memory matrix per lane, views of its slot group's block
+    matrices = [[lane for _, block in slot_groups(mem.matrix) for lane in block] for mem in stack.memories]
     for lane, (state, rng) in enumerate(zip(states, rngs)):
         for own, stacked in ((state.params.flat, stack.params.flat), (state.m_flat, stack.m_flat),
                              (state.v_flat, stack.v_flat), (state.grads.flat, stack.grads.flat)):
             own[...] = stacked[lane]
-        state.memories = [MemoryState(mem.matrix[lane], mem.writes_enabled) for mem in stack.memories]
+        state.memories = [MemoryState(lanes[lane], mem.writes_enabled)
+                          for lanes, mem in zip(matrices, stack.memories)]
         state.step, state.drop_rng = stack.step, rng
 
 
@@ -803,17 +815,19 @@ def evaluate(states, datasets):
     """Metrics of each state on its dataset; dropout off.
 
     `states` is one TrainState, which gives one MetricsReport, or a
-    nonempty list of states whose configs are equal up to seed and query
-    order, with one layout and widths, which gives one report per state
-    in order, each with the bits a call on that state alone gives.
+    nonempty list of states whose configs are equal up to seed, query
+    order and slot count, with one layout and widths, which gives one
+    report per state in order, each with the bits a call on that state
+    alone gives.
     `datasets` is one (m1, m2, labels) dataset for every state, or a
     list with one per state.
 
     checked_dataset takes every dataset first, in state order, so a
     malformed one raises before any pass.  States whose datasets share a
     row count then run as lanes of one forward_split pass, their
-    parameters and memories stacked on a leading axis, so every numpy
-    call serves all of them; a group of one runs on 2-D arrays, faster
+    parameters and memories stacked on a leading axis and ordered by
+    slot count (each count one slot group), so every numpy call serves
+    all of them; a group of one runs on 2-D arrays, faster
     than a stack of one.  Last, the states are scored in order, and the
     first with non-finite logits raises NumericError.  Writes follow
     freeze_eval_writes; forward_split never mutates the given memories.
@@ -836,6 +850,7 @@ def evaluate(states, datasets):
         groups.setdefault(len(data.labels), []).append(i)
     logits: List[Optional[Array]] = [None] * len(stack)
     for lanes in groups.values():
+        lanes.sort(key=lambda i: stack[i].config.slots)
         if len(lanes) == 1:
             (i,) = lanes
             config, params, memories = stack[i].config, stack[i].params, stack[i].memories
@@ -860,9 +875,9 @@ def fit(states, train_set, val_set=None, test_set=None):
     state that epoch left when there is a validation set.  The report
     scores the final state on the test set, or is None without one.
     `states` may also be a list of states whose configs are equal up to
-    seed and query order, trained in lockstep on the one train set (see
-    train_epoch); it gives one (curves, report) per state, in order,
-    each with the bits of a call on that state alone.
+    seed, query order and slot count, trained in lockstep on the one
+    train set (see train_epoch); it gives one (curves, report) per
+    state, in order, each with the bits of a call on that state alone.
 
     checked_dataset takes every split before epoch 1, so a malformed one
     raises before any step.  The epochs then train, and each keeps a
@@ -877,7 +892,8 @@ def fit(states, train_set, val_set=None, test_set=None):
     the first state raises as it happens.  When a later state's loss
     turns non-finite, the states before it train on and are scored, so
     that their non-finite logits raise first, in state order; then the
-    training error is raised.
+    training error is raised, with `results`, the (curves, report) of
+    each state before the failing one, as an attribute.
     """
     one = isinstance(states, TrainState)
     runs = [states] if one else list(states)
@@ -914,13 +930,14 @@ def fit(states, train_set, val_set=None, test_set=None):
     # with no validation set the states share the test set, passed as
     # one dataset: a sweep cell's call sees the test split itself
     reports = evaluate(scored, datasets if snapshots[0] else test_set) if scored else []
-    if error is not None:
-        raise error
     results = []
-    for i, rows in enumerate(curves):
+    for i, rows in enumerate(curves[: len(live)]):
         own = reports[i * per_run : (i + 1) * per_run]
         for row, rep in zip(rows, own[: len(snapshots[i])]):
             row["val_wa"] = rep.wa
             row["val_ua"] = rep.ua
         results.append((rows, own[-1] if test_set is not None else None))
+    if error is not None:
+        error.results = results
+        raise error
     return results[0] if one else results

@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import dataclasses
+import gc
 import hashlib
 import io
 import json
@@ -357,15 +358,15 @@ class TestAblate:
         assert main(["ablate", "--config", write_config(tmp_path, doc)]) == 0
         got = hashlib.sha256((tmp_path / "abl" / "ablation.json").read_bytes()).hexdigest()
         assert got == "8abb3a6703a3aa70d47b56c7e5cbf123b61d8fc449f2d8eb37e02a89d92b008d"
-        # memory and memory_cross train as one stack at each slot count: 5 lane fits, not 7
-        assert lane_fits == [[("memory", 20), ("memory_cross", 20)], [("memory", 100), ("memory_cross", 100)],
+        # memory and memory_cross train as one stack over both slot counts: 4 lane fits, not 5
+        assert lane_fits == [[("memory", 20), ("memory", 100), ("memory_cross", 20), ("memory_cross", 100)],
                              [("memory_single", 20)], [("memory_resampled", 20)], [("naive", 20)]]
 
     def test_a_group_that_raises_trains_its_seeds_one_at_a_time(self, tmp_path, monkeypatch, capsys):
         # seed 1 of memory_cross stops at batch 1: Adam's first step spreads
         # the NaN in its moment into the parameters
         real_build, real_run, real_fit = cli.build_state, cli.run_single, cli.fit
-        group_fits = []
+        fits = []
 
         def poisoned(cfg, s1, s2):
             state = real_build(cfg, s1, s2)
@@ -374,7 +375,8 @@ class TestAblate:
             return state
 
         def counted(states, *splits):
-            group_fits.append(isinstance(states, list))
+            fits.append("lanes" if isinstance(states, list) else
+                        (states.config.variant, states.config.slots, states.config.seed))
             return real_fit(states, *splits)
 
         monkeypatch.setattr(cli, "build_state", poisoned)
@@ -383,10 +385,13 @@ class TestAblate:
         cfg = write_config(tmp_path, tiny_experiment(tmp_path / "abl", seeds=(0, 1), sweep=sweep))
         assert main(["ablate", "--config", cfg]) == 3
         lockstep = capsys.readouterr()
-        # memory and memory_cross train as one group per slot count, and
-        # memory_cross seed 1 fails in both: each group's lanes raise, so its
-        # cells train alone, until memory_cross seed 1 at 2 slots raises
-        assert group_fits == [True, False, False, True, False, False, False, False]
+        # memory and memory_cross train as one group, its lanes ordered by
+        # slot count: memory 2 seeds 0 and 1, memory_cross 2 seeds 0 and 1,
+        # then the same at 4 slots.  Lane 3, memory_cross 2 seed 1, raises;
+        # the three lanes before it finished and train exactly once, in the
+        # group.  The others train alone in the sweep's order, until
+        # memory_cross seed 1 at 2 slots raises again
+        assert fits == ["lanes", ("memory", 4, 0), ("memory", 4, 1), ("memory_cross", 2, 1)]
         # the serial loop: every cell trained alone
         monkeypatch.setattr(cli, "run_single", lambda exp, seed, splits=None, trained=None, **cell:
                             real_run(exp, seed, splits, **cell))
@@ -503,19 +508,22 @@ class TestSeedGroup:
             assert [m.matrix.tobytes() for m in state.memories] == [m.matrix.tobytes() for m in state_alone.memories]
             assert curves == curves_alone and report.to_dict() == report_alone.to_dict()
 
-    def test_groups_are_equal_up_to_seed_and_query_order(self, tmp_path):
+    def test_groups_are_equal_up_to_seed_query_order_and_slot_count(self, tmp_path):
         exp = load_experiment(write_config(tmp_path, tiny_experiment(tmp_path / "run")))
         cells = [{"variant": "memory"}, {"variant": "memory_cross"}, {"variant": "memory", "slots": 2},
                  {"variant": "memory_single"}, {"variant": "memory_resampled", "out_dim": 3},
-                 {"variant": "naive"}, {"variant": "memory", "seed": 1}, {"variant": "naive", "seed": 1}]
+                 {"variant": "naive"}, {"variant": "memory", "seed": 1}, {"variant": "naive", "seed": 1},
+                 {"variant": "memory_cross", "slots": 6}]
         configs = [dataclasses.replace(exp.classifier, **cell) for cell in cells]
         trained = cli.lockstep_groups(configs)
         groups = {key: [(c.variant, c.slots, c.seed) for c in group] for key, group in trained.items()}
-        mixed = [("memory", 4, 0), ("memory_cross", 4, 0), ("memory", 4, 1)]
+        # ordered by slot count, stably, so that each count is one run of lanes
+        mixed = [("memory", 2, 0), ("memory", 4, 0), ("memory_cross", 4, 0), ("memory", 4, 1), ("memory_cross", 6, 0)]
         naive = [("naive", 4, 0), ("naive", 4, 1)]
         # a config alone in its group has no entry and trains alone
         assert groups == {dataclasses.astuple(configs[i]): group
-                          for i, group in ((0, mixed), (1, mixed), (6, mixed), (5, naive), (7, naive))}
+                          for i, group in ((0, mixed), (1, mixed), (2, mixed), (6, mixed), (8, mixed),
+                                           (5, naive), (7, naive))}
 
 
 class TestSetupCallBudget:
@@ -524,8 +532,10 @@ class TestSetupCallBudget:
     Counts every Python-level call event (memfuse, numpy and the standard
     library alike) with sys.setprofile while task_splits builds the
     splits of a 500-step and of a 5000-step stream.  The counts must be
-    equal: setup makes no Python call per row.  No timing, so it cannot
-    flake.
+    equal: setup makes no Python call per row.  The garbage collector is
+    off while counting, as in test_model.TestLockstepCallBudget: a
+    collection would count the calls of whatever gc.callbacks hold.  No
+    timing, so it cannot flake.
     """
 
     @staticmethod
@@ -537,11 +547,15 @@ class TestSetupCallBudget:
             if event == "call":
                 calls.append(frame.f_code.co_name)
 
+        collecting = gc.isenabled()
+        gc.disable()
         sys.setprofile(count)
         try:
             cli.task_splits(exp)
         finally:
             sys.setprofile(None)
+            if collecting:
+                gc.enable()
         return calls
 
     def test_call_count_does_not_grow_with_the_stream(self, tmp_path):

@@ -22,6 +22,7 @@ from memfuse.fusion import (
     fusion_backward,
     fusion_forward,
     fusion_input_grads,
+    fusion_rows,
     init_memory,
     init_params,
     naive_backward,
@@ -379,6 +380,52 @@ class TestNaiveAndSwap:
                 assert new.matrix[lane].tobytes() == want_new.matrix.tobytes()
                 for got, grad in zip(grads, want_grads):
                     assert np.ascontiguousarray(got[lane]).tobytes() == np.ascontiguousarray(grad).tobytes()
+
+    def test_slot_groups_match_separate_calls(self):
+        """Stacked lanes of 3, 3 and 5 slots, their memory one block per
+        slot group, match separate calls bit for bit: outputs, keys,
+        written memories, parameter and input cotangents, and the rows
+        fusion_rows runs with writes on and frozen."""
+        kinds, slots = (MEMORY, MEMORY_CROSS, MEMORY_CROSS), (3, 3, 5)
+        table = param_table(param_shapes(5))
+        flat = np.empty((3, table_size(table)))
+        for lane, row in enumerate(flat):
+            init_params(Rng(7 + lane), 5, out=row)
+        stacked = FusionParams(**table_views(table, flat))
+        mems = [init_memory(Rng(lane), k, 5) for lane, k in enumerate(slots)]
+        grouped = MemoryState((np.stack([m.matrix for m in mems[:2]]), mems[2].matrix[None]))
+        assert grouped.dim == 5
+        rng = np.random.default_rng(6)
+        m1, m2 = rng.standard_normal((3, 2)), rng.standard_normal((3, 3))
+        variants = tuple(map(Variant, kinds))
+        out, trace, new = fusion_forward(stacked, grouped, variants, m1, m2)
+        assert [keys.shape for keys in trace.keys] == [(2, 3, 3), (1, 3, 5)]
+        grad_out = rng.standard_normal(out.shape)
+        bwd = fusion_backward(stacked, trace, grouped, grad_out)
+        grads = fusion_input_grads(stacked, trace, bwd)
+        for writes in (True, False):
+            mem = grouped if writes else grouped.frozen()
+            rows, after = fusion_rows(stacked, mem, variants, np.stack([m1] * 3), np.stack([m2] * 3), 2)
+            for lane, (kind, mem_alone) in enumerate(zip(kinds, mems)):
+                params = FusionParams(**table_views(table, flat[lane]))
+                alone = mem_alone if writes else mem_alone.frozen()
+                want_rows, want_after = fusion_rows(params, alone, Variant(kind), m1, m2, 2)
+                assert rows[lane].tobytes() == want_rows.tobytes()
+                group, index = (0, lane) if lane < 2 else (1, 0)
+                assert after.matrix[group][index].tobytes() == want_after.matrix.tobytes()
+        for lane, (kind, mem) in enumerate(zip(kinds, mems)):
+            params = FusionParams(**table_views(table, flat[lane]))
+            want_out, want, want_new = fusion_forward(params, mem, Variant(kind), m1, m2)
+            want_bwd = fusion_backward(params, want, mem, grad_out[lane])
+            want_grads = fusion_input_grads(params, want, want_bwd)
+            group, index = (0, lane) if lane < 2 else (1, 0)
+            assert out[lane].tobytes() == want_out.tobytes()
+            assert trace.keys[group][index].tobytes() == want.keys.tobytes()
+            assert new.matrix[group][index].tobytes() == want_new.matrix.tobytes()
+            for name, block in vars(bwd.params).items():
+                assert np.ascontiguousarray(block[lane]).tobytes() == getattr(want_bwd.params, name).tobytes()
+            for got, grad in zip(grads, want_grads):
+                assert np.ascontiguousarray(got[lane]).tobytes() == np.ascontiguousarray(grad).tobytes()
 
     def test_lanes_may_differ_only_in_query_order(self):
         table = param_table(param_shapes(5))

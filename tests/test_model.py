@@ -643,6 +643,8 @@ class TestBuildStateCallBudget:
     table is laid out from shapes, each random stream is one draw into
     the flat vector and a split mixes Python ints, which took the count
     from 151 to 67 for `memory` and from 214 to 92 for `memory_single`.
+    The garbage collector is off while counting, as in
+    TestLockstepCallBudget.
     """
 
     BUDGET = {"memory": 67, "memory_single": 92}
@@ -658,11 +660,16 @@ class TestBuildStateCallBudget:
             if event == "call":
                 calls.append(frame.f_code.co_name)
 
+        # a collection would count the calls of whatever gc.callbacks hold
+        collecting = gc.isenabled()
+        gc.disable()
         sys.setprofile(count)
         try:
             build_state(cfg, 4, 4)
         finally:
             sys.setprofile(None)
+            if collecting:
+                gc.enable()
         assert "flatten" not in calls
         assert len(calls) <= self.BUDGET[variant], collections.Counter(calls)
 
@@ -1061,13 +1068,14 @@ class TestForwardSplit:
     def test_states_must_share_one_config(self):
         data = tiny_data(n=20)
         state = build_state(tiny_config(variant="memory"), 4, 4)
-        for other in (dict(slots=6), dict(freeze_eval_writes=True)):
+        for other in (dict(batch=3), dict(freeze_eval_writes=True)):
             with pytest.raises(ParameterError, match="one config"):
                 evaluate([state, build_state(tiny_config(variant="memory", **other), 4, 4)], data)
-        # configs equal up to seed run as lanes, each with its own call's bits
-        seeded = build_state(tiny_config(variant="memory", seed=6), 4, 4)
-        reports = evaluate([state, seeded], data)
-        assert [r.to_dict() for r in reports] == [evaluate(s, data).to_dict() for s in (state, seeded)]
+        # configs equal up to seed and slot count run as lanes, each with its own call's bits
+        for other in (dict(seed=6), dict(seed=6, slots=6)):
+            lane = build_state(tiny_config(variant="memory", **other), 4, 4)
+            reports = evaluate([state, lane], data)
+            assert [r.to_dict() for r in reports] == [evaluate(s, data).to_dict() for s in (state, lane)]
         with pytest.raises(ParameterError, match="one config"):
             evaluate([state, build_state(tiny_config(variant="memory"), 4, 3)], data)
         # naive states built for widths (4, 4) and (3, 5) share one parameter layout
@@ -1368,11 +1376,11 @@ def _poison_lanes(monkeypatch, flats):
 
 
 class TestLockstep:
-    """Runs whose configs differ only in seed and query order (memory
-    beside memory_cross), trained as lanes of one stack by fit (and
-    train_epoch), against the same runs trained one after another: every
-    lane's parameters, Adam moments, gradients, memories, step, dropout
-    stream, curves and reports, bit for bit.
+    """Runs whose configs differ only in seed, query order (memory beside
+    memory_cross) and slot count, trained as lanes of one stack by fit
+    (and train_epoch), against the same runs trained one after another:
+    every lane's parameters, Adam moments, gradients, memories, step,
+    dropout stream, curves and reports, bit for bit.
 
     The train set has a ragged tail (but at batch 1) and hands the modes
     over as strided column views; the validation and test sets have
@@ -1381,11 +1389,13 @@ class TestLockstep:
     """
 
     @staticmethod
-    def _runs(cfg, lanes, cross=()):
+    def _runs(cfg, lanes, cross=(), slots=()):
         """Fresh states of `cfg` at seeds 2, 3, ..., the lanes in `cross`
-        as memory_cross, and a twin of each."""
-        states = [build_state(replace(cfg, seed=2 + lane, variant="memory_cross" if lane in cross else cfg.variant),
-                              3, 4) for lane in range(lanes)]
+        as memory_cross, lane i with slots[i] slots when `slots` is given,
+        and a twin of each."""
+        states = [build_state(replace(cfg, seed=2 + lane, variant="memory_cross" if lane in cross else cfg.variant,
+                                      slots=slots[lane] if slots else cfg.slots), 3, 4)
+                  for lane in range(lanes)]
         return states, copy.deepcopy(states)
 
     @staticmethod
@@ -1408,11 +1418,18 @@ class TestLockstep:
         # the encoders' case takes the query's cotangent back through each lane's order
         self._match_serial_runs("memory", lanes, batch, cross)
 
-    def _match_serial_runs(self, variant, lanes, batch, cross=()):
-        for extra in ({}, {"encoder_hidden": 5, "dropout_rate": 0.3}):
+    @pytest.mark.parametrize("batch", [1, 3, 16])
+    @pytest.mark.parametrize("variant, cross", [("memory", (1, 2)), ("memory_single", ()), ("memory_resampled", ())])
+    def test_lanes_of_two_slot_counts_match_serial_runs(self, variant, cross, batch):
+        # two slot groups in training; then three, which evaluation orders into two
+        for slots in ((5, 5, 7, 7), (7, 5, 5, 7)):
+            self._match_serial_runs(variant, 4, batch, cross, slots, ({"freeze_eval_writes": True},))
+
+    def _match_serial_runs(self, variant, lanes, batch, cross=(), slots=(), extras=()):
+        for extra in ({}, {"encoder_hidden": 5, "dropout_rate": 0.3}, *extras):
             cfg = tiny_config(variant=variant, out_dim=3, head_hidden=6, slots=5, batch=batch, epochs=2,
                               lr=0.05, **extra)
-            states, twins = self._runs(cfg, lanes, cross)
+            states, twins = self._runs(cfg, lanes, cross, slots)
             splits = self._splits(batch)
             got = fit(states, *splits)
             want, error = _serial(twins, *splits)
@@ -1452,7 +1469,7 @@ class TestLockstep:
         train_epoch(states[1], train)
         with pytest.raises(ParameterError, match="one step count"):
             train_epoch(states, train)
-        other = build_state(replace(cfg, slots=6), 3, 4)
+        other = build_state(replace(cfg, epochs=3), 3, 4)
         with pytest.raises(ParameterError, match="one config up to seed"):
             fit([states[0], other], train)
         with pytest.raises(ParameterError, match="no states"):
@@ -1462,15 +1479,14 @@ class TestLockstep:
         {"variant": "memory_single"},
         {"variant": "memory_resampled", "out_dim": 3},
         {"variant": "naive"},
-        {"slots": 6},
         {"out_dim": 3},
-        {"variant": "memory_cross", "slots": 6},
+        {"variant": "memory_cross", "batch": 2},
     ])
-    def test_lanes_may_differ_only_in_seed_and_query_order(self, other):
+    def test_lanes_may_differ_only_in_seed_query_order_and_slot_count(self, other):
         cfg = tiny_config(variant="memory", head_hidden=6, slots=5, batch=3)
         state, odd = build_state(cfg, 3, 4), build_state(replace(cfg, seed=3, **other), 3, 4)
         train, _, test = self._splits(3)
-        refused = "stacked states must share one config up to seed and query order"
+        refused = "stacked states must share one config up to seed, query order and slot count"
         with pytest.raises(ParameterError, match=refused):
             train_epoch([state, odd], train)
         with pytest.raises(ParameterError, match=refused):
@@ -1478,6 +1494,26 @@ class TestLockstep:
         with pytest.raises(ParameterError, match=refused):
             evaluate([state, odd], test)
         assert state.step == odd.step == 0
+
+    @pytest.mark.parametrize("lane", [1, 2, 3])
+    def test_a_mixed_slot_lanes_non_finite_loss_raises_as_a_serial_loop_does(self, lane):
+        # lanes at 5, 7, 7, 5 slots, memory_cross at 7; the failing lane's NaN
+        # moment reaches its parameters at Adam's first step, and fit hands
+        # back the runs of the lanes before it with the error
+        cfg = tiny_config(variant="memory", head_hidden=6, batch=3, encoder_hidden=5, dropout_rate=0.3)
+        states, twins = self._runs(cfg, 4, cross=(1, 2), slots=(5, 7, 7, 5))
+        for state in (states[lane], twins[lane]):
+            state.m_flat[0] = np.nan
+        splits = self._splits(3)
+        want, serial = _serial(twins, *splits)
+        assert len(want) == lane and str(serial) == "train_epoch: non-finite loss at batch 1"
+        with pytest.raises(NumericError) as got:
+            fit(states, *splits)
+        assert str(got.value) == str(serial)
+        assert [(repr(c), r.to_dict()) for c, r in got.value.results] == [(repr(c), r.to_dict()) for c, r in want]
+        for state, twin in zip(states, twins):
+            assert _state_bytes(state) == _state_bytes(twin)
+        assert [state.step for state in states] == [8] * lane + [1] + [0] * (3 - lane)
 
     @pytest.mark.parametrize("lane", [1, 2])
     def test_a_memory_cross_lanes_non_finite_loss_raises_as_a_serial_loop_does(self, lane):
@@ -1580,15 +1616,18 @@ class TestLockstepCallBudget:
     The garbage collector is off while counting: a collection runs
     whatever gc.callbacks hold (hypothesis installs one), and when it
     falls depends on the allocations of every test before.  No timing,
-    so it cannot flake.
+    so it cannot flake.  A stack of two slot counts runs the memory's
+    ops once per slot group, so it pays one fixed set of calls more.
     """
 
     @staticmethod
-    def _calls(lanes, rows, variant):
-        # "a+b": the lanes take the kinds a, b, a, ... in turn
+    def _calls(lanes, rows, variant, slots=(20,)):
+        # "a+b": the lanes take the kinds a, b, a, ... in turn; the first
+        # lanes take slots[0] slots, the last ones slots[-1]
         kinds = variant.split("+")
-        cfg = tiny_config(out_dim=4, slots=20, batch=2, head_hidden=32, read_bias_init=0.0, transform_gain=1.0)
-        states = [build_state(replace(cfg, seed=seed, variant=kinds[seed % len(kinds)]), 4, 4)
+        cfg = tiny_config(out_dim=4, batch=2, head_hidden=32, read_bias_init=0.0, transform_gain=1.0)
+        states = [build_state(replace(cfg, seed=seed, variant=kinds[seed % len(kinds)],
+                                      slots=slots[seed * len(slots) // lanes]), 4, 4)
                   for seed in range(lanes)]
         data = tiny_data(n=rows)
         train_epoch(states, data)  # first calls may fill caches
@@ -1614,3 +1653,9 @@ class TestLockstepCallBudget:
     def test_calls_per_step_do_not_grow_with_lanes(self, variant):
         per_step = {lanes: self._calls(lanes, 120, variant) - self._calls(lanes, 40, variant) for lanes in (2, 5)}
         assert per_step[2] == per_step[5] > 0, per_step
+
+    @pytest.mark.parametrize("variant", ["memory", "memory_single", "memory+memory_cross"])
+    def test_a_second_slot_count_adds_one_fixed_set_of_calls(self, variant):
+        extra = {lanes: [self._calls(lanes, 120, variant, slots) - self._calls(lanes, 40, variant, slots)
+                         for slots in ((20,), (20, 100))] for lanes in (2, 5)}
+        assert extra[2][1] - extra[2][0] == extra[5][1] - extra[5][0] > 0, extra
