@@ -96,7 +96,8 @@ def batchwise_matmul(x: Array, w: Array, batch: int) -> Array:
     block the sums differently and change the last bits.  Both operands
     may carry a leading lane axis of one length, its rows and its matrix
     that lane's: lane i of the result is then lane i's rows times lane
-    i's matrix, with the bits of that lane's own 2-D call.  A
+    i's matrix, with the bits of that lane's own 2-D call.  Rows without
+    the lane axis are one batch that every lane's matrix takes.  A
     `batch` that is not a whole number of at least 1 raises
     ParameterError.
     """
@@ -104,7 +105,7 @@ def batchwise_matmul(x: Array, w: Array, batch: int) -> Array:
         raise ParameterError(f"batchwise_matmul: batch must be an integer >= 1, got {batch!r}")
     n, cols = x.shape[-2], w.shape[-1]
     full = n - n % batch
-    lead = x.shape[:-2]  # the lane axis, or ()
+    lead = x.shape[:-2] or w.shape[:-2]  # the lane axis, or ()
     out = np.empty(lead + (n, cols))
     np.matmul(x[..., :full, :].reshape(x.shape[:-2] + (-1, batch, x.shape[-1])), w[..., None, :, :],
               out=out[..., :full, :].reshape(lead + (-1, batch, cols)))

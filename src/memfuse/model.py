@@ -584,6 +584,20 @@ def checked_dataset(dataset, caller: str, state: TrainState) -> Dataset:
     return Dataset(m1, m2, labels)
 
 
+def _one_by_one(run, states: List[TrainState], attr: str) -> list:
+    """`run` on each state in turn, as a serial loop runs them; gives the
+    list of its results.  The first NumericError raises with the results
+    of the states before it as its attribute `attr`."""
+    results = []
+    for state in states:
+        try:
+            results.append(run(state))
+        except NumericError as err:
+            setattr(err, attr, results)
+            raise
+    return results
+
+
 def train_epoch(states, dataset):
     """One pass over the stream in order, full batches only.
 
@@ -604,12 +618,11 @@ def train_epoch(states, dataset):
     ends the epoch with the bits a call on it alone gives, running its
     own config's layer variant and drawing its dropout masks from its
     own drop_rng.  A list of one runs on 2-D arrays, faster than a stack
-    of one.  A lane whose loss turns non-finite leaves the stack as it
-    stood before that batch, as a serial loop over the states leaves
-    it; the lanes after it stay as they were given, and the lanes before
-    it finish the epoch.  Then its NumericError is raised, with
-    `losses`, the mean losses of the lanes that finished, as an
-    attribute.
+    of one.  The stack is a copy that the states take back at the end,
+    so when a lane's loss turns non-finite the states are still as
+    given: the stack is dropped and the states train one by one, which
+    raises the serial loop's NumericError, with `losses`, the mean
+    losses of the states before the failing one, as an attribute.
     """
     one = isinstance(states, TrainState)
     runs = [states] if one else list(states)
@@ -636,7 +649,6 @@ def train_epoch(states, dataset):
         stack, rngs, configs = first, [first.drop_rng], cfg
     batch, rate = cfg.batch, cfg.dropout_rate
     total = np.zeros(len(runs)) if lanes else 0.0
-    error = None
     for start in range(0, n_batches * batch, batch):
         stop = start + batch
         m1, m2, labels = m1_all[start:stop], m2_all[start:stop], y_all[start:stop]
@@ -649,30 +661,15 @@ def train_epoch(states, dataset):
         logits, cache = forward_logits(configs, stack.params, stack.memories, m1, m2, drop_mask)
         loss, grad_logits = cross_entropy_batch(logits, labels)
         if not math.isfinite(loss.max() if lanes else loss):
-            error = NumericError(f"train_epoch: non-finite loss at batch {start // batch}")
-            if not lanes:
-                raise error
-            # the first failing lane leaves as it stands; the lanes before
-            # it run this batch again as a smaller stack, with the same bits
-            failed = int(np.argmin(np.isfinite(loss)))
-            _unstack(stack, runs[: failed + 1], rngs)
-            runs, rngs, configs, total = runs[:failed], rngs[:failed], configs[:failed], total[:failed]
-            if not runs:
-                break
-            stack = _training_stack(runs)
-            drop_mask = None if drop_mask is None else drop_mask[:failed]
-            logits, cache = forward_logits(configs, stack.params, stack.memories, m1, m2, drop_mask)
-            loss, grad_logits = cross_entropy_batch(logits, labels)
+            if lanes:
+                return states, _one_by_one(lambda state: train_epoch(state, dataset)[1], runs, "losses")
+            raise NumericError(f"train_epoch: non-finite loss at batch {start // batch}")
         adam_step(stack, backward_batch(stack.params, cache, grad_logits, m1, m2, stack.grads))
         stack.memories = cache.new_memories
         total += loss
     if lanes:
         _unstack(stack, runs, rngs)
-        losses = (total / n_batches).tolist()
-        if error is not None:
-            error.losses = losses
-            raise error
-        return states, losses
+        return states, (total / n_batches).tolist()
     loss = total / n_batches
     return (states, loss) if one else (states, [loss])
 
@@ -785,10 +782,9 @@ def _training_stack(states: List[TrainState]) -> TrainState:
 
 
 def _unstack(stack: TrainState, states: List[TrainState], rngs: List[Rng]) -> None:
-    """Hand lane i of `stack` back to states[i], for each state given:
-    its parameters, moments and gradients into the state's own vectors,
-    its memories (views of the lane), the step count and rngs[i] as its
-    dropout stream."""
+    """Hand lane i of `stack` back to states[i]: its parameters, moments
+    and gradients into the state's own vectors, its memories (views of
+    the lane), the step count and rngs[i] as its dropout stream."""
     # each layer's memory matrix per lane, views of its slot group's block
     matrices = [[lane for _, block in slot_groups(mem.matrix) for lane in block] for mem in stack.memories]
     for lane, (state, rng) in enumerate(zip(states, rngs)):
@@ -888,12 +884,12 @@ def fit(states, train_set, val_set=None, test_set=None):
     agree, with the bits of a validation pass after each epoch and a test
     pass after training.
 
-    The errors are a serial loop's over the states.  A training error of
-    the first state raises as it happens.  When a later state's loss
-    turns non-finite, the states before it train on and are scored, so
-    that their non-finite logits raise first, in state order; then the
-    training error is raised, with `results`, the (curves, report) of
-    each state before the failing one, as an attribute.
+    The errors are a serial loop's over the states.  A single state's
+    error raises as it happens.  Several states keep a copy as they were
+    given; on a NumericError, from training or from the evaluation, they
+    are put back as given and fit runs on each in turn, which raises the
+    serial loop's error, with `results`, the (curves, report) of each
+    state before the failing one, as an attribute.
     """
     one = isinstance(states, TrainState)
     runs = [states] if one else list(states)
@@ -901,43 +897,39 @@ def fit(states, train_set, val_set=None, test_set=None):
         raise ParameterError("fit: no states to train")
     train_set, val_set, test_set = (data if data is None else checked_dataset(data, "fit", runs[0])
                                     for data in (train_set, val_set, test_set))
+    given = copy.deepcopy(runs) if len(runs) > 1 else None
     curves = [[] for _ in runs]
     snapshots = [[] for _ in runs]
-    live, error = runs, None
-    for epoch in range(1, runs[0].config.epochs + 1):
-        try:
-            losses = (train_epoch(live, train_set)[1] if len(live) > 1
-                      else [train_epoch(live[0], train_set)[1]])
-        except NumericError as err:
-            # the lanes before a failing one finished the epoch (see train_epoch)
-            losses = getattr(err, "losses", [])
-            if not losses:
-                raise
-            error, live = err, live[: len(losses)]
-        for state, loss, rows, snaps in zip(live, losses, curves, snapshots):
-            rows.append({"epoch": epoch, "train_loss": loss})
-            if val_set is not None:
-                params = ModelParams(state.params.flat.copy(), state.params.table)
-                snaps.append(replace(state, params=params, memories=list(state.memories)))
+    try:
+        for epoch in range(1, runs[0].config.epochs + 1):
+            losses = train_epoch(runs, train_set)[1] if given else [train_epoch(runs[0], train_set)[1]]
+            for state, loss, rows, snaps in zip(runs, losses, curves, snapshots):
+                rows.append({"epoch": epoch, "train_loss": loss})
+                if val_set is not None:
+                    params = ModelParams(state.params.flat.copy(), state.params.table)
+                    snaps.append(replace(state, params=params, memories=list(state.memories)))
+        scored, datasets = [], []
+        for state, snaps in zip(runs, snapshots):
+            scored += snaps
+            datasets += [val_set] * len(snaps)
+            if test_set is not None:
+                scored.append(state)
+                datasets.append(test_set)
+        # with no validation set the states share the test set, passed as
+        # one dataset: a sweep cell's call sees the test split itself
+        reports = evaluate(scored, datasets if snapshots[0] else test_set) if scored else []
+    except NumericError:
+        if not given:
+            raise
+        for state, saved in zip(runs, given):
+            vars(state).update(vars(saved))
+        return _one_by_one(lambda state: fit(state, train_set, val_set, test_set), runs, "results")
     per_run = len(snapshots[0]) + (test_set is not None)
-    scored, datasets = [], []
-    for state, snaps in zip(live, snapshots):
-        scored += snaps
-        datasets += [val_set] * len(snaps)
-        if test_set is not None:
-            scored.append(state)
-            datasets.append(test_set)
-    # with no validation set the states share the test set, passed as
-    # one dataset: a sweep cell's call sees the test split itself
-    reports = evaluate(scored, datasets if snapshots[0] else test_set) if scored else []
     results = []
-    for i, rows in enumerate(curves[: len(live)]):
+    for i, rows in enumerate(curves):
         own = reports[i * per_run : (i + 1) * per_run]
         for row, rep in zip(rows, own[: len(snapshots[i])]):
             row["val_wa"] = rep.wa
             row["val_ua"] = rep.ua
         results.append((rows, own[-1] if test_set is not None else None))
-    if error is not None:
-        error.results = results
-        raise error
     return results[0] if one else results

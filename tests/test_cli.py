@@ -362,17 +362,31 @@ class TestAblate:
         assert lane_fits == [[("memory", 20), ("memory", 100), ("memory_cross", 20), ("memory_cross", 100)],
                              [("memory_single", 20)], [("memory_resampled", 20)], [("naive", 20)]]
 
-    def test_a_group_that_raises_trains_its_seeds_one_at_a_time(self, tmp_path, monkeypatch, capsys):
-        # seed 1 of memory_cross stops at batch 1: Adam's first step spreads
-        # the NaN in its moment into the parameters
+    @pytest.mark.parametrize("where, error", [
+        # Adam's first step spreads the NaN in its moment into the parameters
+        ("train", "train_epoch: non-finite loss at batch 1"),
+        ("test", "evaluate: non-finite logits for sample 0 of 24"),
+    ], ids=["train", "test"])
+    def test_a_group_that_raises_trains_its_seeds_one_at_a_time(self, tmp_path, monkeypatch, capsys, where, error):
+        # seed 1 of memory_cross stops at batch 1 of training, or its test
+        # logits are NaN
         real_build, real_run, real_fit = cli.build_state, cli.run_single, cli.fit
+        real_split = model.forward_split
         fits = []
 
         def poisoned(cfg, s1, s2):
             state = real_build(cfg, s1, s2)
-            if cfg.variant == "memory_cross" and cfg.seed == 1:
+            if where == "train" and cfg.variant == "memory_cross" and cfg.seed == 1:
                 state.m_flat[0] = np.nan
             return state
+
+        def poisoned_split(config, *args):
+            logits, memories = real_split(config, *args)
+            configs = config if isinstance(config, list) else [config]
+            for lane, c in zip(logits.reshape(len(configs), *logits.shape[-2:]), configs):
+                if c.variant == "memory_cross" and c.seed == 1 and c.slots == 2:
+                    lane[0, 0] = np.nan
+            return logits, memories
 
         def counted(states, *splits):
             fits.append("lanes" if isinstance(states, list) else
@@ -380,6 +394,8 @@ class TestAblate:
             return real_fit(states, *splits)
 
         monkeypatch.setattr(cli, "build_state", poisoned)
+        if where == "test":
+            monkeypatch.setattr(model, "forward_split", poisoned_split)
         monkeypatch.setattr(cli, "fit", counted)
         sweep = {"slots": [2, 4], "variants": ["memory", "memory_cross"], "out_dims": [4]}
         cfg = write_config(tmp_path, tiny_experiment(tmp_path / "abl", seeds=(0, 1), sweep=sweep))
@@ -399,7 +415,7 @@ class TestAblate:
         assert capsys.readouterr() == lockstep
         rows = lockstep.out.splitlines()
         assert len(rows) == 5 and rows[-1].startswith("[memory_size] variant=memory_cross slots=2 seed=0")
-        assert lockstep.err == "numeric error: train_epoch: non-finite loss at batch 1\n"
+        assert lockstep.err == f"numeric error: {error}\n"
 
     def test_dataset_built_once_per_sweep(self, tmp_path, monkeypatch):
         built = []

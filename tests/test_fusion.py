@@ -3,6 +3,8 @@
 The layer's equations have one implementation, the batched path, so each
 equation is checked on fusion_forward's trace."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -385,7 +387,8 @@ class TestNaiveAndSwap:
         """Stacked lanes of 3, 3 and 5 slots, their memory one block per
         slot group, match separate calls bit for bit: outputs, keys,
         written memories, parameter and input cotangents, and the rows
-        fusion_rows runs with writes on and frozen."""
+        fusion_rows runs with writes on and frozen, on each lane's rows and
+        on one batch that every lane reads."""
         kinds, slots = (MEMORY, MEMORY_CROSS, MEMORY_CROSS), (3, 3, 5)
         table = param_table(param_shapes(5))
         flat = np.empty((3, table_size(table)))
@@ -403,9 +406,10 @@ class TestNaiveAndSwap:
         grad_out = rng.standard_normal(out.shape)
         bwd = fusion_backward(stacked, trace, grouped, grad_out)
         grads = fusion_input_grads(stacked, trace, bwd)
-        for writes in (True, False):
+        for writes, shared in itertools.product((True, False), (False, True)):
             mem = grouped if writes else grouped.frozen()
-            rows, after = fusion_rows(stacked, mem, variants, np.stack([m1] * 3), np.stack([m2] * 3), 2)
+            modes = (m1, m2) if shared else (np.stack([m1] * 3), np.stack([m2] * 3))
+            rows, after = fusion_rows(stacked, mem, variants, *modes, 2)
             for lane, (kind, mem_alone) in enumerate(zip(kinds, mems)):
                 params = FusionParams(**table_views(table, flat[lane]))
                 alone = mem_alone if writes else mem_alone.frozen()

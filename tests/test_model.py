@@ -1267,6 +1267,7 @@ class TestEvalCallBudget:
         if lanes:
             states = [copy.deepcopy(state) for _ in range(lanes)]
             data = [tiny_data(n=n, seed=lane) for lane in range(lanes)]
+        evaluate(states, data)  # first calls may fill caches
         package = str(Path(memfuse.__file__).parent)
         calls = []
 
@@ -1358,21 +1359,22 @@ def _serial(states, *splits):
     return results, None
 
 
-def _poison_lanes(monkeypatch, flats):
-    """Patch forward_split so that a pass's logits are NaN in row 2 of each
-    lane whose parameter vector has bytes in `flats`: non-finite logits for
-    chosen runs at chosen epochs, found by their bits."""
-    real = memfuse.model.forward_split
+def _poison_lanes(monkeypatch, flats, name="forward_split"):
+    """Patch forward_split (evaluation), or forward_logits (training) when
+    `name` says so, so that a pass's logits are NaN in row 2 of each lane
+    whose parameter vector has bytes in `flats`: non-finite logits for
+    chosen runs at chosen epochs or steps, found by their bits."""
+    real = getattr(memfuse.model, name)
 
-    def poisoned(config, params, memories, m1, m2):
-        logits, memories = real(config, params, memories, m1, m2)
+    def poisoned(config, params, *args):
+        logits, rest = real(config, params, *args)
         flat = params.flat.reshape(-1, params.flat.shape[-1])
         for lane, vector in zip(logits.reshape(-1, *logits.shape[-2:]), flat):
             if vector.tobytes() in flats:
                 lane[2, 0] = np.nan
-        return logits, memories
+        return logits, rest
 
-    monkeypatch.setattr(memfuse.model, "forward_split", poisoned)
+    monkeypatch.setattr(memfuse.model, name, poisoned)
 
 
 class TestLockstep:
@@ -1573,6 +1575,84 @@ class TestLockstep:
         assert got.value.losses == [loss]
         for state, twin in zip(states, twins):
             assert _state_bytes(state) == _state_bytes(twin)
+
+    @pytest.mark.parametrize("fails, steps", [
+        # lane 1 fails in epoch 2: the lanes after it never train
+        ({1: (2, 1)}, [8, 5, 0, 0]),
+        # lane 2 fails at an earlier batch than lane 1: the serial loop never reaches it
+        ({1: (1, 3), 2: (1, 2)}, [8, 3, 0, 0]),
+        # lane 2 fails in epoch 1, lane 1 in epoch 2
+        ({1: (2, 0), 2: (1, 1)}, [8, 4, 0, 0]),
+    ])
+    def test_a_lane_failing_at_a_chosen_step_raises_as_a_serial_loop_does(self, monkeypatch, fails, steps):
+        # lanes at 5, 5, 7, 7 slots, memory_cross at 1 and 3, with dropout;
+        # lane i's training logits turn NaN at batch b of epoch e, (e, b) = fails[i]
+        cfg = tiny_config(variant="memory", head_hidden=6, batch=3, encoder_hidden=5, dropout_rate=0.3)
+        splits = self._splits(3)
+        train = splits[0]
+
+        def runs():
+            return self._runs(cfg, 4, cross=(1, 3), slots=(5, 5, 7, 7))
+
+        # the bits a lane's parameters hold at its failing step: a serial
+        # twin trained on the epochs before it and that epoch's first b batches
+        flats = set()
+        for lane, (epoch, batch) in fails.items():
+            state = runs()[0][lane]
+            for _ in range(epoch - 1):
+                train_epoch(state, train)
+            if batch:
+                train_epoch(state, tuple(column[: 3 * batch] for column in train))
+            flats.add(state.params.flat.tobytes())
+        _poison_lanes(monkeypatch, flats, "forward_logits")
+
+        states, twins = runs()
+        want, serial = _serial(twins, *splits)
+        assert serial is not None
+        with pytest.raises(NumericError) as got:
+            fit(states, *splits)
+        assert str(got.value) == str(serial)
+        assert [(repr(c), r.to_dict()) for c, r in got.value.results] == [(repr(c), r.to_dict()) for c, r in want]
+        for state, twin in zip(states, twins):
+            assert _state_bytes(state) == _state_bytes(twin)
+        assert [state.step for state in states] == steps
+
+        # one epoch over lanes against a serial loop of train_epoch
+        states, twins = runs()
+        losses, serial = [], None
+        for twin in twins:
+            try:
+                losses.append(train_epoch(twin, train)[1])
+            except NumericError as err:
+                serial = err
+                break
+        if serial is None:
+            assert train_epoch(states, train)[1] == losses
+        else:
+            with pytest.raises(NumericError) as got:
+                train_epoch(states, train)
+            assert str(got.value) == str(serial) and got.value.losses == losses
+        for state, twin in zip(states, twins):
+            assert _state_bytes(state) == _state_bytes(twin)
+
+    def test_non_finite_logits_hand_back_the_runs_before_them(self, monkeypatch):
+        # lane 1's second validation pass is non-finite: fit raises the
+        # serial loop's error with lane 0's run, and lane 2 never trains
+        cfg = tiny_config(variant="memory", head_hidden=6, slots=5, batch=3)
+        splits = self._splits(3)
+        clean, _ = self._runs(cfg, 3)
+        final = train_epoch(train_epoch(clean[1], splits[0])[0], splits[0])[0].params.flat.tobytes()
+        _poison_lanes(monkeypatch, {final})
+        states, twins = self._runs(cfg, 3)
+        want, serial = _serial(twins, *splits)
+        assert len(want) == 1 and str(serial) == "evaluate: non-finite logits for sample 2 of 11"
+        with pytest.raises(NumericError) as got:
+            fit(states, *splits)
+        assert str(got.value) == str(serial)
+        assert [(repr(c), r.to_dict()) for c, r in got.value.results] == [(repr(c), r.to_dict()) for c, r in want]
+        for state, twin in zip(states, twins):
+            assert _state_bytes(state) == _state_bytes(twin)
+        assert [state.step for state in states] == [8, 8, 0]
 
     def test_non_finite_logits_of_an_earlier_run_raise_first(self, monkeypatch):
         cfg = tiny_config(variant="memory", head_hidden=6, slots=5, batch=3)
