@@ -607,8 +607,9 @@ def train_epoch(states, dataset):
     checked_dataset first, so a malformed one raises before the first
     step changes the state.
 
-    `states` may also be a nonempty list of distinct states whose
-    configs are equal up to seed, query order (memory beside
+    `states` may also be a nonempty list of distinct states, no two
+    sharing a parameter, moment or gradient vector or a dropout stream,
+    whose configs are equal up to seed, query order (memory beside
     memory_cross) and slot count, with one parameter layout, widths and
     step count; it gives (states, [each one's mean batch loss]).  They
     train in lockstep on the one dataset: their parameters, Adam moments
@@ -641,8 +642,10 @@ def train_epoch(states, dataset):
     lanes = len(runs) > 1
     if lanes:
         _check_lanes(runs, "train_epoch")
-        if len({id(state) for state in runs}) < len(runs) or len({state.step for state in runs}) > 1:
-            raise ParameterError("train_epoch: lanes must be distinct states that share one step count")
+        owned = {id(x) for s in runs for x in (s.params.flat, s.m_flat, s.v_flat, s.grads.flat, s.drop_rng)}
+        if len(owned) < 5 * len(runs) or len({state.step for state in runs}) > 1:
+            raise ParameterError("train_epoch: lanes must be distinct states, sharing no array or dropout "
+                                 "stream, at one step count")
         stack, rngs = _training_stack(runs), [copy.copy(state.drop_rng) for state in runs]
         configs = [state.config for state in runs]
     else:
@@ -876,20 +879,18 @@ def fit(states, train_set, val_set=None, test_set=None):
     state, in order, each with the bits of a call on that state alone.
 
     checked_dataset takes every split before epoch 1, so a malformed one
-    raises before any step.  The epochs then train, and each keeps a
-    snapshot of every state (a copy of the parameters and the memory
-    list, whose matrices writes never change).  Last, one evaluate call
-    scores, state by state, the snapshots on the validation set and the
-    final state on the test set, lanes of one pass where the row counts
-    agree, with the bits of a validation pass after each epoch and a test
-    pass after training.
+    raises before any step.  Each epoch then trains and, with a
+    validation set, appends a snapshot of every state (a copy of the
+    parameters and the memory list, whose matrices writes never change).
+    Last, one evaluate call scores the snapshots, epoch by epoch, on the
+    validation set and then the final states on the test set, lanes of
+    one pass where the row counts agree.
 
-    The errors are a serial loop's over the states.  A single state's
-    error raises as it happens.  Several states keep a copy as they were
-    given; on a NumericError, from training or from the evaluation, they
-    are put back as given and fit runs on each in turn, which raises the
-    serial loop's error, with `results`, the (curves, report) of each
-    state before the failing one, as an attribute.
+    The errors are a serial loop's over the states.  Several states keep
+    a copy as they were given; on a NumericError, from training or from
+    the evaluation, they are put back and fit runs on each in turn, with
+    `results`, the (curves, report) of each state before the failing
+    one, as an attribute of the error.
     """
     one = isinstance(states, TrainState)
     runs = [states] if one else list(states)
@@ -899,37 +900,30 @@ def fit(states, train_set, val_set=None, test_set=None):
                                     for data in (train_set, val_set, test_set))
     given = copy.deepcopy(runs) if len(runs) > 1 else None
     curves = [[] for _ in runs]
-    snapshots = [[] for _ in runs]
+    scored, rows = [], []  # each validation snapshot and the curve row its report completes
     try:
         for epoch in range(1, runs[0].config.epochs + 1):
             losses = train_epoch(runs, train_set)[1] if given else [train_epoch(runs[0], train_set)[1]]
-            for state, loss, rows, snaps in zip(runs, losses, curves, snapshots):
-                rows.append({"epoch": epoch, "train_loss": loss})
+            for state, loss, own in zip(runs, losses, curves):
+                own.append({"epoch": epoch, "train_loss": loss})
                 if val_set is not None:
                     params = ModelParams(state.params.flat.copy(), state.params.table)
-                    snaps.append(replace(state, params=params, memories=list(state.memories)))
-        scored, datasets = [], []
-        for state, snaps in zip(runs, snapshots):
-            scored += snaps
-            datasets += [val_set] * len(snaps)
-            if test_set is not None:
-                scored.append(state)
-                datasets.append(test_set)
+                    scored.append(replace(state, params=params, memories=list(state.memories)))
+                    rows.append(own[-1])
+        if test_set is not None:
+            scored += runs
         # with no validation set the states share the test set, passed as
         # one dataset: a sweep cell's call sees the test split itself
-        reports = evaluate(scored, datasets if snapshots[0] else test_set) if scored else []
+        datasets = [val_set] * len(rows) + [test_set] * (len(scored) - len(rows)) if rows else test_set
+        reports = evaluate(scored, datasets) if scored else []
     except NumericError:
         if not given:
             raise
         for state, saved in zip(runs, given):
             vars(state).update(vars(saved))
         return _one_by_one(lambda state: fit(state, train_set, val_set, test_set), runs, "results")
-    per_run = len(snapshots[0]) + (test_set is not None)
-    results = []
-    for i, rows in enumerate(curves):
-        own = reports[i * per_run : (i + 1) * per_run]
-        for row, rep in zip(rows, own[: len(snapshots[i])]):
-            row["val_wa"] = rep.wa
-            row["val_ua"] = rep.ua
-        results.append((rows, own[-1] if test_set is not None else None))
+    for row, rep in zip(rows, reports):
+        row["val_wa"] = rep.wa
+        row["val_ua"] = rep.ua
+    results = list(zip(curves, reports[len(rows):] or [None] * len(runs)))
     return results[0] if one else results

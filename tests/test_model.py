@@ -1386,7 +1386,8 @@ class TestLockstep:
 
     The train set has a ragged tail (but at batch 1) and hands the modes
     over as strided column views; the validation and test sets have
-    their own row counts, so they run as two stacked passes.  Batch 16
+    their own row counts, so they run as two stacked passes, or one
+    where a case gives them one row count.  Batch 16
     takes the batch sums past numpy's eight-way unrolled block.
     """
 
@@ -1401,12 +1402,12 @@ class TestLockstep:
         return states, copy.deepcopy(states)
 
     @staticmethod
-    def _splits(batch, val=True):
+    def _splits(batch, val=True, test_rows=7):
         def data(rows, seed):
             block = Rng(seed).normal(12 * rows).reshape(rows, 12)
             return block[:, 1:4], block[:, 6:10], Rng(seed + 50).integers(rows, 3)
 
-        return data(5 * batch - 1, 1), data(11, 5) if val else None, data(7, 3)
+        return data(5 * batch - 1, 1), data(11, 5) if val else None, data(test_rows, 3)
 
     @pytest.mark.parametrize("batch", [1, 3, 16])
     @pytest.mark.parametrize("lanes", [2, 3])
@@ -1427,12 +1428,19 @@ class TestLockstep:
         for slots in ((5, 5, 7, 7), (7, 5, 5, 7)):
             self._match_serial_runs(variant, 4, batch, cross, slots, ({"freeze_eval_writes": True},))
 
-    def _match_serial_runs(self, variant, lanes, batch, cross=(), slots=(), extras=()):
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_validation_and_test_lanes_of_two_slot_counts_in_one_pass_match_serial_runs(self, batch):
+        # equal split row counts put both epochs' snapshots and the final
+        # states in one evaluation pass, in an order that interleaves the
+        # slot counts; the pass regroups them into one slot group per count
+        self._match_serial_runs("memory", 4, batch, (1, 2), (5, 5, 7, 7), test_rows=11)
+
+    def _match_serial_runs(self, variant, lanes, batch, cross=(), slots=(), extras=(), test_rows=7):
         for extra in ({}, {"encoder_hidden": 5, "dropout_rate": 0.3}, *extras):
             cfg = tiny_config(variant=variant, out_dim=3, head_hidden=6, slots=5, batch=batch, epochs=2,
                               lr=0.05, **extra)
             states, twins = self._runs(cfg, lanes, cross, slots)
-            splits = self._splits(batch)
+            splits = self._splits(batch, test_rows=test_rows)
             got = fit(states, *splits)
             want, error = _serial(twins, *splits)
             assert error is None and len(got) == len(want) == lanes
@@ -1468,6 +1476,13 @@ class TestLockstep:
         train = self._splits(cfg.batch)[0]
         with pytest.raises(ParameterError, match="distinct states"):
             train_epoch([states[0], states[0]], train)
+        # distinct objects that alias one state's vectors: as lanes each
+        # would write its updates into the other's parameters
+        before = _state_bytes(states[0])
+        for alias in (copy.copy(states[0]), replace(states[0], drop_rng=Rng(9))):
+            with pytest.raises(ParameterError, match="distinct states, sharing no array"):
+                train_epoch([states[0], alias], train)
+        assert _state_bytes(states[0]) == before
         train_epoch(states[1], train)
         with pytest.raises(ParameterError, match="one step count"):
             train_epoch(states, train)
