@@ -36,6 +36,7 @@ from .model import (
     evaluate,
     fit,
     head_input_dim,
+    lockstep_groups,
     lockstep_key,
 )
 from .serialize import load_arrays, save_arrays
@@ -217,58 +218,35 @@ def run_single(exp: ExperimentConfig, seed: int, splits=None, trained: Optional[
     and its one evaluation is the test pass.  fit scores the validation
     passes and the test pass in one evaluate call.
 
-    `trained` is a dict that a sweep passes to every call, keyed by the
-    cells' classifier configs (dataclasses.astuple); lockstep_groups
-    fills it.  A key's entry is first the list of its group's configs:
-    the group's first call trains them all as lanes of one fit (see
-    model.fit), returns its own run and files each other config's
-    (state, curves, report) under its key, and a later call returns its
-    entry, with the bits that training it alone gives.  A key with no
-    entry trains alone.  The sweep still makes one call per cell, and
+    `trained` maps classifier configs (dataclasses.astuple) to runs a
+    sweep has already trained (run_group).  A cell found there is popped
+    and handed back, so that the sweep still makes one call per cell and
     the benchmark takes each call's return value as that cell's run.
-    When the lanes' fit raises, the runs of the lanes before the failing
-    one are filed all the same (fit hands them back with a NumericError)
-    and the other cells' entries are dropped, so that those cells train
-    one call at a time and the sweep raises what a serial loop raises.
     """
     cls = dataclasses.replace(exp.classifier, seed=seed, **overrides)
+    key = dataclasses.astuple(cls)
+    if trained and key in trained:
+        return trained.pop(key)
     train, val, test = task_splits(exp) if splits is None else splits
-    group = None if trained is None else trained.pop(dataclasses.astuple(cls), None)
-    if isinstance(group, tuple):
-        return group
-    if group is not None:
-        states, results = [], []
-        try:
-            states = [build_state(c, exp.task.s1, exp.task.s2) for c in group]
-            results = fit(states, train, val, test)
-        except (NumericError, ParameterError, ShapeError, MemoryError) as err:
-            # the lanes that finished keep their runs; the others train alone, below
-            results = getattr(err, "results", [])
-        for c in group:
-            trained.pop(dataclasses.astuple(c), None)
-        for c, state, result in zip(group, states, results):
-            trained[dataclasses.astuple(c)] = (state, *result)
-        own = trained.pop(dataclasses.astuple(cls), None)
-        if own is not None:
-            return own
     state = build_state(cls, exp.task.s1, exp.task.s2)
     curves, report = fit(state, train, val, test)
     return state, curves, report
 
 
-def lockstep_groups(configs) -> dict:
-    """run_single's `trained` dict for distinct classifier configs: each
-    config's key (dataclasses.astuple) holds the list of the configs
-    equal to it up to seed, query order and slot count
-    (model.lockstep_key), which train as lanes of one fit.  A list is in
-    the given order by slot count, so that each slot count is one run of
-    lanes (fusion.slot_groups).  A config alone in its group gets no
-    entry, so it trains through the one-run path."""
-    groups: dict = {}
-    for config in sorted(configs, key=lambda config: config.slots):
-        groups.setdefault(lockstep_key(config), []).append(config)
-    return {dataclasses.astuple(config): group
-            for group in groups.values() if len(group) > 1 for config in group}
+def run_group(exp: ExperimentConfig, configs, splits) -> dict:
+    """Train a lockstep group (model.lockstep_groups) as lanes of one fit;
+    returns {dataclasses.astuple(config): (state, curves, report)}, each
+    run with the bits that training it alone gives.  When the fit raises,
+    only the lanes before the failing one keep their runs (model.fit),
+    so that the others train alone and raise what a serial loop raises.
+    """
+    states, results = [], []
+    try:
+        states = [build_state(c, exp.task.s1, exp.task.s2) for c in configs]
+        results = fit(states, *splits)
+    except (NumericError, ParameterError, ShapeError, MemoryError) as err:
+        results = getattr(err, "results", [])
+    return {dataclasses.astuple(c): (state, *result) for c, state, result in zip(configs, states, results)}
 
 
 def metrics_doc(exp: ExperimentConfig, seed: int, report, curves) -> dict:
@@ -339,15 +317,18 @@ def cmd_ablate(args) -> int:
     train, _, test = task_splits(exp)
     splits = (train, None, test)
     # a cell that two studies name with the same config is trained once, and
-    # the cells equal up to seed, query order and slot count train in lockstep (run_single)
+    # a lockstep group trains when the loop first reaches one of its cells
     distinct = {dataclasses.astuple(config): config
                 for cells in configured.values() for _, _, config in cells}
-    scores, trained = {}, lockstep_groups(distinct.values())
+    scores, trained, groups = {}, {}, lockstep_groups(distinct.values())
     for study, cells in configured.items():
         doc[study] = []
         for cell, seed, config in cells:
             key = dataclasses.astuple(config)
             if key not in scores:
+                group = groups.pop(lockstep_key(config), None)
+                if group:
+                    trained.update(run_group(exp, group, splits))
                 _, _, report = run_single(exp, seed, splits=splits, trained=trained, **cell)
                 scores[key] = {"wa": report.wa, "ua": report.ua}
             row = {**cell, "seed": seed, **scores[key]}

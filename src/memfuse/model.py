@@ -741,6 +741,18 @@ def lockstep_key(config: ClassifierConfig) -> tuple:
     return astuple(replace(config, seed=0, variant=kind, slots=1))
 
 
+def lockstep_groups(configs) -> Dict[tuple, List[ClassifierConfig]]:
+    """The configs grouped by lockstep_key, for every key that more than
+    one of them shares: key -> its configs, in the given order by slot
+    count, so that each slot count is one run of lanes
+    (fusion.slot_groups).  A config alone under its key has no group and
+    trains through the one-run path."""
+    groups: dict = {}
+    for config in sorted(configs, key=lambda config: config.slots):
+        groups.setdefault(lockstep_key(config), []).append(config)
+    return {key: group for key, group in groups.items() if len(group) > 1}
+
+
 def _check_lanes(states: List[TrainState], caller: str) -> None:
     """Refuse states that cannot run as lanes of one stack: their configs
     must be equal up to seed, query order and slot count (lockstep_key),

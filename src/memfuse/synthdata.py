@@ -12,6 +12,7 @@ cannot.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Tuple
 
@@ -75,6 +76,10 @@ def gen_dataset(config: TaskConfig) -> Dataset:
     """
     rng = Rng(config.seed)
     n, s1, s2 = config.length, config.s1, config.s2
+    # numpy refuses a size beyond the address space with a ValueError
+    size = max(n * max(s1, s2), config.regimes * s1, config.classes * s2)
+    if size > sys.maxsize // 8:
+        raise MemoryError(f"a stream array of {size} float64 entries exceeds the address space")
 
     proto1 = rng.normal(config.regimes * s1).reshape(config.regimes, s1)
     proto2 = rng.normal(config.classes * s2).reshape(config.classes, s2)

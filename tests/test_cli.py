@@ -65,6 +65,7 @@ def no_training(monkeypatch):
         raise AssertionError("a run was trained")
 
     monkeypatch.setattr(cli, "run_single", refuse)
+    monkeypatch.setattr(cli, "run_group", refuse)
 
 
 class TestTrain:
@@ -241,8 +242,9 @@ class TestAblate:
 
     @staticmethod
     def fake_cells(monkeypatch):
-        """Replace run_single by a fake; returns the lists of (variant,
-        slots, out_dim, seed) keys and of splits it was called with."""
+        """Replace run_single by a fake, and run_group by one that trains
+        nothing, so that every cell reaches the fake; returns the lists of
+        (variant, slots, out_dim, seed) keys and of splits it was called with."""
         cells, given_splits = [], []
 
         def fake_run_single(exp, seed, splits=None, trained=None, **cell):
@@ -253,6 +255,7 @@ class TestAblate:
             return None, [], SimpleNamespace(wa=wa, ua=wa / 2)
 
         monkeypatch.setattr(cli, "run_single", fake_run_single)
+        monkeypatch.setattr(cli, "run_group", lambda exp, configs, splits: {})
         return cells, given_splits
 
     def test_no_cell_trained_twice(self, tmp_path, monkeypatch):
@@ -370,7 +373,7 @@ class TestAblate:
     def test_a_group_that_raises_trains_its_seeds_one_at_a_time(self, tmp_path, monkeypatch, capsys, where, error):
         # seed 1 of memory_cross stops at batch 1 of training, or its test
         # logits are NaN
-        real_build, real_run, real_fit = cli.build_state, cli.run_single, cli.fit
+        real_build, real_fit = cli.build_state, cli.fit
         real_split = model.forward_split
         fits = []
 
@@ -408,11 +411,13 @@ class TestAblate:
         # group.  The others train alone in the sweep's order, until
         # memory_cross seed 1 at 2 slots raises again
         assert fits == ["lanes", ("memory", 4, 0), ("memory", 4, 1), ("memory_cross", 2, 1)]
-        # the serial loop: every cell trained alone
-        monkeypatch.setattr(cli, "run_single", lambda exp, seed, splits=None, trained=None, **cell:
-                            real_run(exp, seed, splits, **cell))
+        # the serial loop: no lockstep group, every cell trained alone
+        monkeypatch.setattr(cli, "lockstep_groups", lambda configs: {})
+        fits.clear()
         assert main(["ablate", "--config", cfg]) == 3
         assert capsys.readouterr() == lockstep
+        assert fits == [(variant, slots, seed) for variant, slots in
+                        (("memory", 2), ("memory", 4), ("memory_cross", 2)) for seed in (0, 1)]
         rows = lockstep.out.splitlines()
         assert len(rows) == 5 and rows[-1].startswith("[memory_size] variant=memory_cross slots=2 seed=0")
         assert lockstep.err == f"numeric error: {error}\n"
@@ -490,15 +495,19 @@ class TestRunSingle:
         assert all("val_wa" in row for row in curves)
 
 
+def assert_same_run(run, alone):
+    """Two (state, curves, report) runs hold the same bits."""
+    (state, curves, report), (state_alone, curves_alone, report_alone) = run, alone
+    assert state.config == state_alone.config
+    assert state.params.flat.tobytes() == state_alone.params.flat.tobytes()
+    assert [m.matrix.tobytes() for m in state.memories] == [m.matrix.tobytes() for m in state_alone.memories]
+    assert curves == curves_alone and report.to_dict() == report_alone.to_dict()
+
+
 class TestSeedGroup:
-    @pytest.mark.parametrize("variants", [["memory_cross"], ["memory", "memory_cross"]])
-    def test_the_groups_first_call_trains_it_as_lanes(self, tmp_path, monkeypatch, variants):
-        # seed 3 twice is one run; memory beside memory_cross is a mixed
-        # group, whose lanes differ in seed and in the query's mode order
-        exp = load_experiment(write_config(tmp_path, tiny_experiment(tmp_path / "run", seeds=(3, 1, 3))))
-        splits = cli.task_splits(exp)
-        cells = [(variant, seed) for variant in variants for seed in (3, 1)]
-        alone = {cell: cli.run_single(exp, cell[1], splits, variant=cell[0]) for cell in cells}
+    @staticmethod
+    def counted_fits(monkeypatch):
+        """Count cli.fit's calls: a lanes call appends its lane count, a one-run call 1."""
         fits, real_fit = [], cli.fit
 
         def counted(states, *args):
@@ -506,23 +515,68 @@ class TestSeedGroup:
             return real_fit(states, *args)
 
         monkeypatch.setattr(cli, "fit", counted)
-        trained = cli.lockstep_groups([dataclasses.replace(exp.classifier, variant=variant, seed=seed)
-                                       for variant, seed in cells])
-        assert len(trained) == len(cells)
-        # the group's first call need not be its first config's
-        calls = cells[::-1]
-        got = {calls[0]: cli.run_single(exp, calls[0][1], splits, trained=trained, variant=calls[0][0])}
-        # one fit of every distinct run; the others wait in the dict
-        assert fits == [len(cells)] and len(trained) == len(cells) - 1
-        for variant, seed in calls[1:]:
+        return fits
+
+    @pytest.mark.parametrize("variants", [["memory_cross"], ["memory", "memory_cross"]])
+    def test_a_group_trains_as_lanes_of_one_fit(self, tmp_path, monkeypatch, variants):
+        # seed 3 twice is one run; memory beside memory_cross is a mixed
+        # group, whose lanes differ in seed and in the query's mode order
+        exp = load_experiment(write_config(tmp_path, tiny_experiment(tmp_path / "run", seeds=(3, 1, 3))))
+        splits = cli.task_splits(exp)
+        cells = [(variant, seed) for variant in variants for seed in (3, 1)]
+        alone = {cell: cli.run_single(exp, cell[1], splits, variant=cell[0]) for cell in cells}
+        fits = self.counted_fits(monkeypatch)
+        groups = model.lockstep_groups([dataclasses.replace(exp.classifier, variant=variant, seed=seed)
+                                        for variant, seed in cells])
+        assert len(groups) == 1
+        trained = cli.run_group(exp, *groups.values(), splits)
+        # one fit of every distinct run
+        assert fits == [len(cells)] and len(trained) == len(cells)
+        # run_single hands each run back once, in any order, and trains none
+        got = {}
+        for variant, seed in cells[::-1]:
             got[variant, seed] = cli.run_single(exp, seed, splits, trained=trained, variant=variant)
         assert fits == [len(cells)] and trained == {}
-        for cell, (state, curves, report) in got.items():
-            state_alone, curves_alone, report_alone = alone[cell]
-            assert (state.config.variant, state.config.seed) == cell
-            assert state.params.flat.tobytes() == state_alone.params.flat.tobytes()
-            assert [m.matrix.tobytes() for m in state.memories] == [m.matrix.tobytes() for m in state_alone.memories]
-            assert curves == curves_alone and report.to_dict() == report_alone.to_dict()
+        for cell, run in got.items():
+            assert_same_run(run, alone[cell])
+
+    @pytest.mark.parametrize("where", ["train", "evaluate"])
+    @pytest.mark.parametrize("lane", [0, 2, 3])
+    def test_a_group_that_raises_keeps_the_lanes_before_the_failing_one(self, tmp_path, monkeypatch,
+                                                                         where, lane):
+        # lane `lane` stops at batch 1 of training (Adam's first step
+        # spreads the NaN in its moment), or its logits are NaN
+        exp = load_experiment(write_config(tmp_path, tiny_experiment(tmp_path / "run", seeds=(0, 1))))
+        splits = cli.task_splits(exp)
+        configs = [dataclasses.replace(exp.classifier, variant=variant, seed=seed)
+                   for variant in ("memory", "memory_cross") for seed in (0, 1)]
+        alone = {dataclasses.astuple(c): cli.run_single(exp, c.seed, splits, variant=c.variant)
+                 for c in configs[:lane]}
+        bad, real_build, real_split = configs[lane], cli.build_state, model.forward_split
+
+        def poisoned(cfg, s1, s2):
+            state = real_build(cfg, s1, s2)
+            if where == "train" and cfg == bad:
+                state.m_flat[0] = np.nan
+            return state
+
+        def poisoned_split(config, *args):
+            logits, memories = real_split(config, *args)
+            lanes = config if isinstance(config, list) else [config]
+            for lane_logits, c in zip(logits.reshape(len(lanes), *logits.shape[-2:]), lanes):
+                if c == bad:
+                    lane_logits[0, 0] = np.nan
+            return logits, memories
+
+        monkeypatch.setattr(cli, "build_state", poisoned)
+        if where == "evaluate":
+            monkeypatch.setattr(model, "forward_split", poisoned_split)
+        fits = self.counted_fits(monkeypatch)
+        got = cli.run_group(exp, configs, splits)
+        assert fits == [len(configs)]
+        assert list(got) == list(alone)
+        for key, run in got.items():
+            assert_same_run(run, alone[key])
 
     def test_groups_are_equal_up_to_seed_query_order_and_slot_count(self, tmp_path):
         exp = load_experiment(write_config(tmp_path, tiny_experiment(tmp_path / "run")))
@@ -531,15 +585,13 @@ class TestSeedGroup:
                  {"variant": "naive"}, {"variant": "memory", "seed": 1}, {"variant": "naive", "seed": 1},
                  {"variant": "memory_cross", "slots": 6}]
         configs = [dataclasses.replace(exp.classifier, **cell) for cell in cells]
-        trained = cli.lockstep_groups(configs)
-        groups = {key: [(c.variant, c.slots, c.seed) for c in group] for key, group in trained.items()}
+        groups = {key: [(c.variant, c.slots, c.seed) for c in group]
+                  for key, group in model.lockstep_groups(configs).items()}
         # ordered by slot count, stably, so that each count is one run of lanes
         mixed = [("memory", 2, 0), ("memory", 4, 0), ("memory_cross", 4, 0), ("memory", 4, 1), ("memory_cross", 6, 0)]
         naive = [("naive", 4, 0), ("naive", 4, 1)]
-        # a config alone in its group has no entry and trains alone
-        assert groups == {dataclasses.astuple(configs[i]): group
-                          for i, group in ((0, mixed), (1, mixed), (2, mixed), (6, mixed), (8, mixed),
-                                           (5, naive), (7, naive))}
+        # a config alone under its key has no group and trains alone
+        assert groups == {model.lockstep_key(configs[0]): mixed, model.lockstep_key(configs[5]): naive}
 
 
 class TestSetupCallBudget:
@@ -810,6 +862,18 @@ class TestUnallocatableSize:
         if field == "out_dim":
             doc["classifier"]["variant"] = "memory_resampled"
         assert main(["train", "--config", write_config(tmp_path, doc)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot allocate: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["gen-data", "train"])
+    @pytest.mark.parametrize("field, value", [("length", 10**20), ("s1", 2**60), ("classes", 2**60),
+                                              ("regimes", 2**60)])
+    def test_task_array_beyond_the_address_space(self, tmp_path, capsys, command, field, value):
+        # numpy cannot index a stream or prototype array this long
+        doc = tiny_experiment(tmp_path / "run")
+        doc["task"][field] = value
+        argv = ["--out", str(tmp_path / "data.csv")] if command == "gen-data" else []
+        assert main([command, "--config", write_config(tmp_path, doc), *argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: cannot allocate: ") and err.count("\n") == 1
 

@@ -573,6 +573,7 @@ class TestStepCallBudget:
                           read_bias_init=0.0, transform_gain=1.0)
         state = build_state(cfg, 4, 4)
         data = tiny_data(n=200)
+        train_epoch(build_state(cfg, 4, 4), data)  # first calls may fill caches
         package = str(Path(memfuse.__file__).parent)
         calls = []
 
