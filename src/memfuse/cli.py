@@ -171,8 +171,9 @@ def restore_state(state: TrainState, arrays: dict) -> TrainState:
     """Load checkpoint arrays into a freshly built state, in place.
 
     The checkpoint must hold exactly the entries this state writes, each
-    in the same shape; otherwise ParameterError (a missing or extra
-    entry) or ShapeError (a wrong shape) names the first offender.
+    in the same shape, and a whole number in range in each scalar entry
+    (_whole); otherwise ParameterError (a missing or extra entry, a bad
+    scalar) or ShapeError (a wrong shape) names the first offender.
     """
     wanted = state_to_arrays(state)
     for name, want in wanted.items():
@@ -185,14 +186,24 @@ def restore_state(state: TrainState, arrays: dict) -> TrainState:
     extra = sorted(set(arrays) - set(wanted))
     if extra:
         raise ParameterError(f"checkpoint entry {extra[0]!r} does not belong to this config")
+    writes = [_whole(arrays, f"memory{i}.writes", 2) for i in range(len(state.memories))]
+    step = _whole(arrays, "step", math.inf)
+    mem_seed = _whole(arrays, "mem_seed.lo", 2**32) | (_whole(arrays, "mem_seed.hi", 2**32) << 32)
     # the parameter, moment and memory entries are views of the state's arrays
     for name, view in wanted.items():
         view[...] = arrays[name]
-    for i, mem in enumerate(state.memories):
-        mem.writes_enabled = bool(arrays[f"memory{i}.writes"][0])
-    state.step = int(arrays["step"][0])
-    state.mem_seed = int(arrays["mem_seed.lo"][0]) | (int(arrays["mem_seed.hi"][0]) << 32)
+    for mem, flag in zip(state.memories, writes):
+        mem.writes_enabled = bool(flag)
+    state.step, state.mem_seed = step, mem_seed
     return state
+
+
+def _whole(arrays: dict, name: str, below) -> int:
+    """The checkpoint's one-entry array `name` as an int, a whole number in [0, below), else ParameterError."""
+    value = float(arrays[name][0])
+    if not (value.is_integer() and 0 <= value < below):
+        raise ParameterError(f"checkpoint entry {name!r} must be a whole number in [0, {below}), got {value}")
+    return int(value)
 
 
 def task_splits(exp: ExperimentConfig):
@@ -236,16 +247,15 @@ def run_single(exp: ExperimentConfig, seed: int, splits=None, trained: Optional[
 def run_group(exp: ExperimentConfig, configs, splits) -> dict:
     """Train a lockstep group (model.lockstep_groups) as lanes of one fit;
     returns {dataclasses.astuple(config): (state, curves, report)}, each
-    run with the bits that training it alone gives.  When the fit raises,
-    only the lanes before the failing one keep their runs (model.fit),
-    so that the others train alone and raise what a serial loop raises.
+    run with the bits that training it alone gives, or {} when the group
+    cannot be built or its fit raises: its cells then train alone through
+    run_single, in the sweep's order, and raise what a serial loop raises.
     """
-    states, results = [], []
     try:
         states = [build_state(c, exp.task.s1, exp.task.s2) for c in configs]
         results = fit(states, *splits)
-    except (NumericError, ParameterError, ShapeError, MemoryError) as err:
-        results = getattr(err, "results", [])
+    except (NumericError, ParameterError, ShapeError, MemoryError):
+        return {}
     return {dataclasses.astuple(c): (state, *result) for c, state, result in zip(configs, states, results)}
 
 

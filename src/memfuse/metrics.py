@@ -25,9 +25,6 @@ class ClassScores:
     f1: float
     support: int
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class MetricsReport:

@@ -584,20 +584,6 @@ def checked_dataset(dataset, caller: str, state: TrainState) -> Dataset:
     return Dataset(m1, m2, labels)
 
 
-def _one_by_one(run, states: List[TrainState], attr: str) -> list:
-    """`run` on each state in turn, as a serial loop runs them; gives the
-    list of its results.  The first NumericError raises with the results
-    of the states before it as its attribute `attr`."""
-    results = []
-    for state in states:
-        try:
-            results.append(run(state))
-        except NumericError as err:
-            setattr(err, attr, results)
-            raise
-    return results
-
-
 def train_epoch(states, dataset):
     """One pass over the stream in order, full batches only.
 
@@ -620,10 +606,8 @@ def train_epoch(states, dataset):
     own config's layer variant and drawing its dropout masks from its
     own drop_rng.  A list of one runs on 2-D arrays, faster than a stack
     of one.  The stack is a copy that the states take back at the end,
-    so when a lane's loss turns non-finite the states are still as
-    given: the stack is dropped and the states train one by one, which
-    raises the serial loop's NumericError, with `losses`, the mean
-    losses of the states before the failing one, as an attribute.
+    so a lane whose loss turns non-finite raises NumericError with every
+    state still as given.
     """
     one = isinstance(states, TrainState)
     runs = [states] if one else list(states)
@@ -664,8 +648,6 @@ def train_epoch(states, dataset):
         logits, cache = forward_logits(configs, stack.params, stack.memories, m1, m2, drop_mask)
         loss, grad_logits = cross_entropy_batch(logits, labels)
         if not math.isfinite(loss.max() if lanes else loss):
-            if lanes:
-                return states, _one_by_one(lambda state: train_epoch(state, dataset)[1], runs, "losses")
             raise NumericError(f"train_epoch: non-finite loss at batch {start // batch}")
         adam_step(stack, backward_batch(stack.params, cache, grad_logits, m1, m2, stack.grads))
         stack.memories = cache.new_memories
@@ -898,11 +880,9 @@ def fit(states, train_set, val_set=None, test_set=None):
     validation set and then the final states on the test set, lanes of
     one pass where the row counts agree.
 
-    The errors are a serial loop's over the states.  Several states keep
-    a copy as they were given; on a NumericError, from training or from
-    the evaluation, they are put back and fit runs on each in turn, with
-    `results`, the (curves, report) of each state before the failing
-    one, as an attribute of the error.
+    One state stops where an error meets it.  Several states keep a copy
+    as they were given, and any error, in training or in the evaluation,
+    puts every state back before it raises: a failing stack changes none.
     """
     one = isinstance(states, TrainState)
     runs = [states] if one else list(states)
@@ -928,12 +908,10 @@ def fit(states, train_set, val_set=None, test_set=None):
         # one dataset: a sweep cell's call sees the test split itself
         datasets = [val_set] * len(rows) + [test_set] * (len(scored) - len(rows)) if rows else test_set
         reports = evaluate(scored, datasets) if scored else []
-    except NumericError:
-        if not given:
-            raise
-        for state, saved in zip(runs, given):
+    except Exception:
+        for state, saved in zip(runs, given or ()):
             vars(state).update(vars(saved))
-        return _one_by_one(lambda state: fit(state, train_set, val_set, test_set), runs, "results")
+        raise
     for row, rep in zip(rows, reports):
         row["val_wa"] = rep.wa
         row["val_ua"] = rep.ua

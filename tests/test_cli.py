@@ -406,18 +406,19 @@ class TestAblate:
         lockstep = capsys.readouterr()
         # memory and memory_cross train as one group, its lanes ordered by
         # slot count: memory 2 seeds 0 and 1, memory_cross 2 seeds 0 and 1,
-        # then the same at 4 slots.  Lane 3, memory_cross 2 seed 1, raises;
-        # the three lanes before it finished and train exactly once, in the
-        # group.  The others train alone in the sweep's order, until
-        # memory_cross seed 1 at 2 slots raises again
-        assert fits == ["lanes", ("memory", 4, 0), ("memory", 4, 1), ("memory_cross", 2, 1)]
+        # then the same at 4 slots.  Lane 3, memory_cross 2 seed 1, raises,
+        # so the group files no run: every cell then trains alone in the
+        # sweep's order, as the serial loop trains it, until memory_cross
+        # seed 1 at 2 slots raises again
+        serial = [(variant, slots, seed) for variant, slots in
+                  (("memory", 2), ("memory", 4), ("memory_cross", 2)) for seed in (0, 1)]
+        assert fits == ["lanes", *serial]
         # the serial loop: no lockstep group, every cell trained alone
         monkeypatch.setattr(cli, "lockstep_groups", lambda configs: {})
         fits.clear()
         assert main(["ablate", "--config", cfg]) == 3
         assert capsys.readouterr() == lockstep
-        assert fits == [(variant, slots, seed) for variant, slots in
-                        (("memory", 2), ("memory", 4), ("memory_cross", 2)) for seed in (0, 1)]
+        assert fits == serial
         rows = lockstep.out.splitlines()
         assert len(rows) == 5 and rows[-1].startswith("[memory_size] variant=memory_cross slots=2 seed=0")
         assert lockstep.err == f"numeric error: {error}\n"
@@ -542,16 +543,14 @@ class TestSeedGroup:
 
     @pytest.mark.parametrize("where", ["train", "evaluate"])
     @pytest.mark.parametrize("lane", [0, 2, 3])
-    def test_a_group_that_raises_keeps_the_lanes_before_the_failing_one(self, tmp_path, monkeypatch,
-                                                                         where, lane):
+    def test_a_group_that_raises_files_no_run(self, tmp_path, monkeypatch, where, lane):
         # lane `lane` stops at batch 1 of training (Adam's first step
-        # spreads the NaN in its moment), or its logits are NaN
+        # spreads the NaN in its moment), or its logits are NaN; no lane
+        # keeps its run, so each cell trains alone, as a serial loop does
         exp = load_experiment(write_config(tmp_path, tiny_experiment(tmp_path / "run", seeds=(0, 1))))
         splits = cli.task_splits(exp)
         configs = [dataclasses.replace(exp.classifier, variant=variant, seed=seed)
                    for variant in ("memory", "memory_cross") for seed in (0, 1)]
-        alone = {dataclasses.astuple(c): cli.run_single(exp, c.seed, splits, variant=c.variant)
-                 for c in configs[:lane]}
         bad, real_build, real_split = configs[lane], cli.build_state, model.forward_split
 
         def poisoned(cfg, s1, s2):
@@ -572,11 +571,8 @@ class TestSeedGroup:
         if where == "evaluate":
             monkeypatch.setattr(model, "forward_split", poisoned_split)
         fits = self.counted_fits(monkeypatch)
-        got = cli.run_group(exp, configs, splits)
+        assert cli.run_group(exp, configs, splits) == {}
         assert fits == [len(configs)]
-        assert list(got) == list(alone)
-        for key, run in got.items():
-            assert_same_run(run, alone[key])
 
     def test_groups_are_equal_up_to_seed_query_order_and_slot_count(self, tmp_path):
         exp = load_experiment(write_config(tmp_path, tiny_experiment(tmp_path / "run")))
@@ -661,6 +657,29 @@ class TestCheckpoint:
         assert all(np.shares_memory(v, p.flat) for v in views)
         for k, a in state.params.named().items():
             assert p.named()[k].tobytes() == a.tobytes()
+
+    @pytest.mark.parametrize("entry, value", [
+        ("step", np.nan), ("step", -5.0), ("step", 2.5), ("step", np.inf),
+        ("mem_seed.lo", np.nan), ("mem_seed.lo", -1.0), ("mem_seed.lo", 2.0**32), ("mem_seed.hi", 0.5),
+        ("memory0.writes", np.nan), ("memory0.writes", 2.0), ("memory0.writes", -1.0),
+    ])
+    def test_a_malformed_scalar_entry_exits_2_naming_it(self, tmp_path, capsys, entry, value):
+        # a NaN step or seed half once raised int()'s ValueError (exit 1, a
+        # traceback); a NaN write flag or a step of -5 was taken as given
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path, tiny_experiment(out))
+        assert main(["train", "--config", cfg]) == 0
+        capsys.readouterr()
+        arrays = load_arrays(out / "checkpoint.bin")
+        arrays[entry][0] = value
+        save_arrays(tmp_path / "bad.bin", arrays)
+        code = main(["evaluate", "--config", cfg, "--checkpoint", str(tmp_path / "bad.bin"),
+                     "--out", str(tmp_path / "eval")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: checkpoint entry {entry!r} must be a whole number")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "eval" / "metrics.json").exists()
 
 
 class TestStrictConfig:

@@ -1348,16 +1348,38 @@ def _state_bytes(state):
             state.step, int(state.drop_rng.seed), state.drop_rng.counter)
 
 
-def _serial(states, *splits):
-    """fit on each state in turn, as a serial loop runs them: the results
-    up to the first error, and that error (None when every run fits)."""
+def _serial(states, *splits, step=fit):
+    """`step` (fit by default) on each state in turn, as a serial loop runs
+    them: the results up to the first error, and that error (None when
+    every run fits)."""
     results = []
     for state in states:
         try:
-            results.append(fit(state, *splits))
+            results.append(step(state, *splits))
         except NumericError as err:
             return results, err
     return results, None
+
+
+def _fails_as_a_whole(states, twins, *data, epoch=False):
+    """fit (train_epoch when `epoch`) over `states` as lanes raises a
+    NumericError that carries no runs, and every state is left as its
+    untouched twin; a serial loop over the handed-back states then gives
+    the twins' serial loop bit for bit: each run's curves and report (each
+    mean loss), the error's text and every state's bytes.  Gives the
+    twins' (results, error)."""
+    with pytest.raises(NumericError) as got:
+        (train_epoch if epoch else fit)(states, *data)
+    assert not hasattr(got.value, "results") and not hasattr(got.value, "losses")
+    for state, twin in zip(states, twins):
+        assert _state_bytes(state) == _state_bytes(twin)
+    step = (lambda state, train: train_epoch(state, train)[1]) if epoch else fit
+    got_runs, got_error = _serial(states, *data, step=step)
+    want, serial = _serial(twins, *data, step=step)
+    assert repr(got_runs) == repr(want) and str(got_error) == str(serial)
+    for state, twin in zip(states, twins):
+        assert _state_bytes(state) == _state_bytes(twin)
+    return want, serial
 
 
 def _poison_lanes(monkeypatch, flats, name="forward_split"):
@@ -1390,6 +1412,9 @@ class TestLockstep:
     their own row counts, so they run as two stacked passes, or one
     where a case gives them one row count.  Batch 16
     takes the batch sums past numpy's eight-way unrolled block.
+
+    A stack that fails changes no state (_fails_as_a_whole): the error
+    cases check the handed-back states, then a serial loop over them.
     """
 
     @staticmethod
@@ -1516,21 +1541,13 @@ class TestLockstep:
     @pytest.mark.parametrize("lane", [1, 2, 3])
     def test_a_mixed_slot_lanes_non_finite_loss_raises_as_a_serial_loop_does(self, lane):
         # lanes at 5, 7, 7, 5 slots, memory_cross at 7; the failing lane's NaN
-        # moment reaches its parameters at Adam's first step, and fit hands
-        # back the runs of the lanes before it with the error
+        # moment reaches its parameters at Adam's first step
         cfg = tiny_config(variant="memory", head_hidden=6, batch=3, encoder_hidden=5, dropout_rate=0.3)
         states, twins = self._runs(cfg, 4, cross=(1, 2), slots=(5, 7, 7, 5))
         for state in (states[lane], twins[lane]):
             state.m_flat[0] = np.nan
-        splits = self._splits(3)
-        want, serial = _serial(twins, *splits)
+        want, serial = _fails_as_a_whole(states, twins, *self._splits(3))
         assert len(want) == lane and str(serial) == "train_epoch: non-finite loss at batch 1"
-        with pytest.raises(NumericError) as got:
-            fit(states, *splits)
-        assert str(got.value) == str(serial)
-        assert [(repr(c), r.to_dict()) for c, r in got.value.results] == [(repr(c), r.to_dict()) for c, r in want]
-        for state, twin in zip(states, twins):
-            assert _state_bytes(state) == _state_bytes(twin)
         assert [state.step for state in states] == [8] * lane + [1] + [0] * (3 - lane)
 
     @pytest.mark.parametrize("lane", [1, 2])
@@ -1541,14 +1558,8 @@ class TestLockstep:
         states, twins = self._runs(cfg, 3, cross=(1, 2))
         for state in (states[lane], twins[lane]):
             state.m_flat[0] = np.nan
-        splits = self._splits(3)
-        want, serial = _serial(twins, *splits)
+        want, serial = _fails_as_a_whole(states, twins, *self._splits(3))
         assert len(want) == lane and str(serial) == "train_epoch: non-finite loss at batch 1"
-        with pytest.raises(NumericError) as got:
-            fit(states, *splits)
-        assert str(got.value) == str(serial)
-        for state, twin in zip(states, twins):
-            assert _state_bytes(state) == _state_bytes(twin)
         assert [state.step for state in states] == [8] * lane + [1] + [0] * (2 - lane)
 
     @pytest.mark.parametrize("lane, block, batch_index", [
@@ -1563,17 +1574,11 @@ class TestLockstep:
         states, twins = self._runs(cfg, 3)
         for state in (states[lane], twins[lane]):
             (state.params.flat if block == "params" else state.m_flat)[0] = np.nan
-        splits = self._splits(3)
-        want, serial = _serial(twins, *splits)
+        want, serial = _fails_as_a_whole(states, twins, *self._splits(3))
         assert len(want) == lane and str(serial) == f"train_epoch: non-finite loss at batch {batch_index}"
-        with pytest.raises(NumericError) as got:
-            fit(states, *splits)
-        assert str(got.value) == str(serial)
-        # the lanes before it trained, it stopped where the serial run
-        # stopped, and the lanes after it are as they were given
-        for state, twin in zip(states, twins):
-            assert _state_bytes(state) == _state_bytes(twin)
-        # two epochs of four batches
+        # in the serial loop over the handed-back states the lanes before it
+        # train, it stops where the serial run stops, and the lanes after it
+        # never train; two epochs of four batches
         assert [state.step for state in states] == [8] * lane + [batch_index] + [0] * (2 - lane)
 
     def test_train_epoch_over_lanes_raises_as_a_serial_loop_does(self):
@@ -1581,16 +1586,8 @@ class TestLockstep:
         states, twins = self._runs(cfg, 3)
         for state in (states[1], twins[1]):
             state.m_flat[0] = np.nan
-        train = self._splits(3)[0]
-        _, loss = train_epoch(twins[0], train)
-        with pytest.raises(NumericError) as serial:
-            train_epoch(twins[1], train)
-        with pytest.raises(NumericError) as got:
-            train_epoch(states, train)
-        assert str(got.value) == str(serial.value)
-        assert got.value.losses == [loss]
-        for state, twin in zip(states, twins):
-            assert _state_bytes(state) == _state_bytes(twin)
+        losses, serial = _fails_as_a_whole(states, twins, self._splits(3)[0], epoch=True)
+        assert len(losses) == 1 and str(serial) == "train_epoch: non-finite loss at batch 1"
 
     @pytest.mark.parametrize("fails, steps", [
         # lane 1 fails in epoch 2: the lanes after it never train
@@ -1623,51 +1620,33 @@ class TestLockstep:
         _poison_lanes(monkeypatch, flats, "forward_logits")
 
         states, twins = runs()
-        want, serial = _serial(twins, *splits)
+        _, serial = _fails_as_a_whole(states, twins, *splits)
         assert serial is not None
-        with pytest.raises(NumericError) as got:
-            fit(states, *splits)
-        assert str(got.value) == str(serial)
-        assert [(repr(c), r.to_dict()) for c, r in got.value.results] == [(repr(c), r.to_dict()) for c, r in want]
-        for state, twin in zip(states, twins):
-            assert _state_bytes(state) == _state_bytes(twin)
         assert [state.step for state in states] == steps
 
         # one epoch over lanes against a serial loop of train_epoch
         states, twins = runs()
-        losses, serial = [], None
-        for twin in twins:
-            try:
-                losses.append(train_epoch(twin, train)[1])
-            except NumericError as err:
-                serial = err
-                break
-        if serial is None:
-            assert train_epoch(states, train)[1] == losses
+        # a lane poisoned in epoch 1 fails this one epoch too
+        if any(epoch == 1 for epoch, _ in fails.values()):
+            _fails_as_a_whole(states, twins, train, epoch=True)
         else:
-            with pytest.raises(NumericError) as got:
-                train_epoch(states, train)
-            assert str(got.value) == str(serial) and got.value.losses == losses
-        for state, twin in zip(states, twins):
-            assert _state_bytes(state) == _state_bytes(twin)
+            losses, serial = _serial(twins, train, step=lambda state, train: train_epoch(state, train)[1])
+            assert serial is None and train_epoch(states, train)[1] == losses
+            for state, twin in zip(states, twins):
+                assert _state_bytes(state) == _state_bytes(twin)
 
     def test_non_finite_logits_hand_back_the_runs_before_them(self, monkeypatch):
-        # lane 1's second validation pass is non-finite: fit raises the
-        # serial loop's error with lane 0's run, and lane 2 never trains
+        # lane 1's second validation pass is non-finite: fit puts back the
+        # trained states; a serial loop over them then scores lane 0, and
+        # lane 2 never trains
         cfg = tiny_config(variant="memory", head_hidden=6, slots=5, batch=3)
         splits = self._splits(3)
         clean, _ = self._runs(cfg, 3)
         final = train_epoch(train_epoch(clean[1], splits[0])[0], splits[0])[0].params.flat.tobytes()
         _poison_lanes(monkeypatch, {final})
         states, twins = self._runs(cfg, 3)
-        want, serial = _serial(twins, *splits)
+        want, serial = _fails_as_a_whole(states, twins, *splits)
         assert len(want) == 1 and str(serial) == "evaluate: non-finite logits for sample 2 of 11"
-        with pytest.raises(NumericError) as got:
-            fit(states, *splits)
-        assert str(got.value) == str(serial)
-        assert [(repr(c), r.to_dict()) for c, r in got.value.results] == [(repr(c), r.to_dict()) for c, r in want]
-        for state, twin in zip(states, twins):
-            assert _state_bytes(state) == _state_bytes(twin)
         assert [state.step for state in states] == [8, 8, 0]
 
     def test_non_finite_logits_of_an_earlier_run_raise_first(self, monkeypatch):
@@ -1693,10 +1672,8 @@ class TestLockstep:
                 if failing is not None:
                     for state in (states[failing], twins[failing]):
                         state.m_flat[0] = np.nan
-                _, serial = _serial(twins, *case_splits)
-                with pytest.raises(NumericError, match=message) as got:
-                    fit(states, *case_splits)
-                assert str(got.value) == str(serial)
+                _, serial = _fails_as_a_whole(states, twins, *case_splits)
+                assert message in str(serial)
 
 
 class TestLockstepCallBudget:
